@@ -7,6 +7,14 @@ operating on a flattened step-major layout: a batch of n sequences of
 length l is one rank-2 tensor of shape (l*n, d) whose row t*n + e is time
 step t of example e. With n=1 the two layouts coincide, so the per-example
 functions are the batched ones specialized.
+
+The hot paths have fused backward rules. ``lstm_sequence_batch`` is one
+tape op for the whole recurrence: the four gates are stacked into one
+matrix, the input projection for all timesteps is a single matmul before
+the time loop, and backpropagation through time is written out by hand, so
+a sequence records 2 tape nodes. ``lstm_step`` keeps the op-by-op cell as
+the public single-step form and as its test oracle. The convolution builds
+its windows from k contiguous row slices, so its backward is k slice-adds.
 """
 from __future__ import annotations
 
@@ -19,11 +27,9 @@ from .tensor import (
     Tensor,
     add,
     apply_op,
-    concat,
     expand_cols,
     expand_rows,
     expand_scalar,
-    gather_rows,
     matmul,
     matvec,
     mul,
@@ -31,6 +37,8 @@ from .tensor import (
     reshape,
     scale,
     sigmoid,
+    sigmoid_array,
+    slice_rows,
     softmax,
     tanh,
     transpose,
@@ -173,14 +181,24 @@ class AttentionParams:
 # convolution
 
 
-def _conv_window_indices(n: int, l: int, k: int) -> np.ndarray:
-    # Row (t, e) of a step-major batch lives at t*n + e. Window j of example
-    # e reads rows (j+i)*n + e for i in 0..k-1, flattened window-major so a
-    # plain reshape yields one window per row.
-    j = np.arange(l - k + 1)[:, None, None]
-    e = np.arange(n)[None, :, None]
-    i = np.arange(k)[None, None, :]
-    return ((j + i) * n + e).reshape(-1)
+def _conv_windows(x: Tensor, n: int, l: int, k: int) -> Tensor:
+    """(l*n, d) -> ((l-k+1)*n, k*d): row j*n + e is window j of example e.
+
+    Column block i of the window rows is the contiguous row slice
+    x[i*n : (i+w)*n] with w = l-k+1, so the forward is k slices side by side
+    and the backward k slice-adds.
+    """
+    w, d = l - k + 1, x.data.shape[1]
+    xd = x.data
+
+    def grad_fn(g):
+        dx = np.zeros_like(xd)
+        for i in range(k):
+            dx[i * n:(i + w) * n] += g[:, i * d:(i + 1) * d]
+        return (dx,)
+
+    return apply_op(np.concatenate([xd[i * n:(i + w) * n] for i in range(k)], axis=1),
+                    (x,), grad_fn)
 
 
 def conv1d_batch(x: Tensor, n: int, l: int, p: Conv1dParams) -> Tensor:
@@ -193,7 +211,7 @@ def conv1d_batch(x: Tensor, n: int, l: int, p: Conv1dParams) -> Tensor:
         raise ShapeError(f"conv1d: expected ({l * n}, {d}) input, got {x.data.shape}")
     if l < k:
         raise ValueError(f"conv1d: input length {l} shorter than kernel size {k}")
-    windows = reshape(gather_rows(x, _conv_window_indices(n, l, k)), ((l - k + 1) * n, k * d))
+    windows = x if k == 1 else _conv_windows(x, n, l, k)
     w2d = reshape(p.weights, (k * d, f))
     return relu(add(matmul(windows, w2d), expand_rows(p.bias, (l - k + 1) * n)))
 
@@ -232,31 +250,75 @@ def lstm_sequence_batch(x: Tensor, n: int, l: int, p: LstmParams):
 
     Returns (H, h_last): H is (l*n, hidden) step-major, h_last is the
     (n, hidden) final hidden state.
+
+    The whole recurrence is one fused op with a hand-written BPTT backward,
+    so a sequence records 2 tape nodes (H, and the slice that is h_last).
+    The four gates are stacked into one W (4H, d), U (4H, H) and b (4H,) in
+    the order i, f, o, u, and the input projection x @ W.T + b is computed
+    for all timesteps in one matmul before the time loop; each step then
+    costs one h @ U.T. The backward fills one dZ (l*n, 4H) of gate
+    pre-activation gradients walking time in reverse, turns it into the
+    weight and input gradients with four matmuls, and splits those back
+    onto the 12 per-gate tensors. ``lstm_step`` computes the same cell
+    op by op.
     """
     if l < 1:
         raise ValueError("lstm_sequence: empty sequence")
     if x.data.shape != (l * n, p.input_dim):
         raise ShapeError(f"lstm: expected ({l * n}, {p.input_dim}) input, got {x.data.shape}")
-    w_it, w_ft, w_ot, w_ut = (transpose(w) for w in (p.w_i, p.w_f, p.w_o, p.w_u))
-    u_it, u_ft, u_ot, u_ut = (transpose(u) for u in (p.u_i, p.u_f, p.u_o, p.u_u))
-    h = Tensor(np.zeros((n, p.hidden_dim)))
-    c = Tensor(np.zeros((n, p.hidden_dim)))
-    rows = np.arange(n)
-    steps = []
+    hd = p.hidden_dim
+    params = [t for _, t in p.tensors()]  # w_i..w_u, u_i..u_u, b_i..b_u
+    w = np.concatenate([t.data for t in params[0:4]])     # (4H, d)
+    u = np.concatenate([t.data for t in params[4:8]])     # (4H, H)
+    b = np.concatenate([t.data for t in params[8:12]])    # (4H,)
+    xd = x.data
+
+    # Forward. After step t, gates[rows] holds the activated i, f, o, u.
+    gates = xd @ w.T + b
+    h_all = np.empty((l * n, hd))
+    c_all = np.empty((l * n, hd))
+    tanh_c = np.empty((l * n, hd))
     for t in range(l):
-        x_t = gather_rows(x, rows + t * n)
+        rows = slice(t * n, (t + 1) * n)
+        z = gates[rows]
+        if t:
+            z += h_all[t * n - n:t * n] @ u.T
+        z[:, :3 * hd] = sigmoid_array(z[:, :3 * hd])
+        z[:, 3 * hd:] = np.tanh(z[:, 3 * hd:])
+        gi, gf, go, gu = (z[:, j * hd:(j + 1) * hd] for j in range(4))
+        c = gi * gu
+        if t:
+            c += gf * c_all[t * n - n:t * n]
+        c_all[rows] = c
+        tanh_c[rows] = np.tanh(c)
+        h_all[rows] = go * tanh_c[rows]
 
-        def gate(wt, ut, b):
-            return add(add(matmul(x_t, wt), matmul(h, ut)), expand_rows(b, n))
+    def grad_fn(g):
+        dz_all = np.empty_like(gates)
+        dh_rec = np.zeros((n, hd))   # dL/dh_t through step t+1
+        dc_next = np.zeros((n, hd))  # dL/dc_t through step t+1
+        for t in reversed(range(l)):
+            rows = slice(t * n, (t + 1) * n)
+            gi, gf, go, gu = (gates[rows, j * hd:(j + 1) * hd] for j in range(4))
+            tc = tanh_c[rows]
+            dh = g[rows] + dh_rec
+            dc = dh * go * (1.0 - tc * tc) + dc_next
+            dz = dz_all[rows]
+            dz[:, 0:hd] = dc * gu * gi * (1.0 - gi)
+            dz[:, hd:2 * hd] = (dc * c_all[t * n - n:t * n] * gf * (1.0 - gf)) if t else 0.0
+            dz[:, 2 * hd:3 * hd] = dh * tc * go * (1.0 - go)
+            dz[:, 3 * hd:] = dc * gi * (1.0 - gu * gu)
+            dc_next = dc * gf
+            dh_rec = dz @ u
+        dw = dz_all.T @ xd
+        du = dz_all[n:].T @ h_all[:-n]
+        db = dz_all.sum(axis=0)
+        dx = dz_all @ w if x.requires_grad else None
+        split = [np.split(a, 4) for a in (dw, du, db)]
+        return (dx, *split[0], *split[1], *split[2])
 
-        i = sigmoid(gate(w_it, u_it, p.b_i))
-        f = sigmoid(gate(w_ft, u_ft, p.b_f))
-        o = sigmoid(gate(w_ot, u_ot, p.b_o))
-        u = tanh(gate(w_ut, u_ut, p.b_u))
-        c = add(mul(i, u), mul(f, c))
-        h = mul(o, tanh(c))
-        steps.append(h)
-    return concat(steps, axis=0), h
+    h_seq = apply_op(h_all, [x] + params, grad_fn)
+    return h_seq, slice_rows(h_seq, (l - 1) * n, l * n)
 
 
 def lstm_sequence(x: Tensor, p: LstmParams) -> Tensor:

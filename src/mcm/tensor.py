@@ -124,9 +124,15 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], grad_fn: Callable) 
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # The first write copies: a grad_fn may hand one array to several inputs
+    # (``add`` returns ``(g, g)``) or return a view of its output's gradient,
+    # and later writes add into ``t.grad`` in place. The copy takes the
+    # layout of ``t.data``, not of ``g`` (a transposed view is F-ordered).
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -175,15 +181,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, as 0.5 * (1 + tanh(x / 2)).
+
+    Branch-free and finite for any finite input: it never exponentiates, so
+    nothing overflows, and it is exactly 0.5 at 0.
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # Split formulation never exponentiates a positive argument, so the
-    # output stays finite for any finite input.
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = sigmoid_array(a.data)
     return apply_op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -261,13 +269,11 @@ def _check_axis(a: Tensor, axis: int) -> None:
 
 def reduce_sum(a: Tensor, axis: int) -> Tensor:
     _check_axis(a, axis)
-    n = a.data.shape[axis]
     shape = a.data.shape
 
     def grad_fn(g):
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    del n
     return apply_op(a.data.sum(axis=axis), (a,), grad_fn)
 
 
@@ -361,6 +367,22 @@ def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
         return (z,)
 
     return apply_op(m.data[idx], (m,), grad_fn)
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a rank-2 tensor; gradient pads with zeros."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"slice_rows expects rank-2, got {a.data.shape}")
+    if not 0 <= start <= stop <= a.data.shape[0]:
+        raise ValueError(f"slice_rows {start}:{stop} out of range for {a.data.shape[0]} rows")
+    shape = a.data.shape
+
+    def grad_fn(g):
+        z = np.zeros(shape, dtype=np.float64)
+        z[start:stop] = g
+        return (z,)
+
+    return apply_op(a.data[start:stop], (a,), grad_fn)
 
 
 def expand_rows(v: Tensor, n: int) -> Tensor:

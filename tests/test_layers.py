@@ -64,6 +64,54 @@ def lstm_step_oracle(x, h_prev, c_prev, p):
     return np.array(h), np.array(c), (i, f, o, u)
 
 
+def conv_gather_reference(x, n, l, p):
+    """conv1d_batch built from one row gather over all window positions."""
+    k, d, f = p.kernel_size, p.in_dim, p.num_filters
+    w = l - k + 1
+    j = np.arange(w)[:, None, None]
+    e = np.arange(n)[None, :, None]
+    i = np.arange(k)[None, None, :]
+    windows = T.reshape(T.gather_rows(x, ((j + i) * n + e).reshape(-1)), (w * n, k * d))
+    pre = T.add(T.matmul(windows, T.reshape(p.weights, (k * d, f))), T.expand_rows(p.bias, w * n))
+    return T.relu(pre)
+
+
+def weighted_sum(outputs, rng):
+    """Scalar sum of each output times fixed random weights."""
+    total = None
+    for out in outputs:
+        term = T.reduce_sum(T.reduce_sum(T.mul(out, Tensor(rng.normal(size=out.shape))), 1), 0)
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def lstm_step_chain(x, n, l, p):
+    """(H, h_last) of a step-major batch from one lstm_step per row."""
+    d, hd = p.input_dim, p.hidden_dim
+    hs, cs = [Tensor(np.zeros(hd))] * n, [Tensor(np.zeros(hd))] * n
+    rows = []
+    for t in range(l):
+        for e in range(n):
+            x_te = T.reshape(T.slice_rows(x, t * n + e, t * n + e + 1), (d,))
+            hs[e], cs[e] = lstm_step(x_te, hs[e], cs[e], p)
+            rows.append(T.reshape(hs[e], (1, hd)))
+    return T.concat(rows, axis=0), T.concat([T.reshape(h, (1, hd)) for h in hs], axis=0)
+
+
+def lstm_run(seq_fn, x, n, l, p, seed=0):
+    """Outputs and gradients (x first, then the 12 parameters) of a weighted
+    sum over H and h_last."""
+    params = [x] + [t for _, t in p.tensors()]
+    for t in params:
+        t.zero_grad()
+    with Tape() as tape:
+        h_all, h_last = seq_fn(x, n, l, p)
+        total = weighted_sum([h_all, h_last], np.random.default_rng(seed))
+    backward(total, tape)
+    grads = [None if t.grad is None else t.grad.copy() for t in params]
+    return h_all.data.copy(), h_last.data.copy(), grads
+
+
 def zero_lstm(input_dim, hidden_dim):
     z = lambda *s: Tensor(np.zeros(s), requires_grad=True)
     return LstmParams(input_dim, hidden_dim,
@@ -132,6 +180,24 @@ class TestConv1d:
             return T.reduce_sum(T.reduce_sum(T.mul(out, out), 1), 0)
 
         assert gradcheck(build, [x, p.weights, p.bias]) < 1e-4
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gradients_match_gather_reference(self, k):
+        rng = np.random.default_rng(30 + k)
+        n, l, d, f = 3, 5, 4, 3
+        p = Conv1dParams.init(k, d, f, rng)
+        x = Tensor(rng.normal(size=(l * n, d)), requires_grad=True)
+        results = []
+        for conv in (conv1d_batch, conv_gather_reference):
+            for t in (x, p.weights, p.bias):
+                t.zero_grad()
+            with Tape() as tape:
+                out = conv(x, n, l, p)
+                total = weighted_sum([out], np.random.default_rng(0))
+            backward(total, tape)
+            results.append([out.data, x.grad, p.weights.grad, p.bias.grad])
+        for fast, ref in zip(*results):
+            assert max_rel_err(fast, ref) <= 1e-12
 
 
 class TestLstm:
@@ -210,6 +276,69 @@ class TestLstm:
 
         params = [x] + [t for _, t in p.tensors()]
         assert gradcheck(build, params) < 1e-4
+
+
+class TestFusedLstm:
+    """lstm_sequence_batch against a chain of lstm_step calls."""
+
+    @pytest.mark.parametrize("n,l", [(3, 4), (1, 5), (4, 1), (1, 1)])
+    def test_matches_step_chain(self, n, l):
+        rng = np.random.default_rng(40 + 10 * n + l)
+        p = LstmParams.init(3, 4, rng)
+        for _, t in p.tensors()[8:]:
+            t.data[...] = rng.normal(size=t.shape)  # biases off their init values
+        x = Tensor(rng.normal(size=(l * n, 3)), requires_grad=True)
+        fused = lstm_run(lstm_sequence_batch, x, n, l, p)
+        chain = lstm_run(lstm_step_chain, x, n, l, p)
+        assert max_rel_err(fused[0], chain[0]) <= 1e-12
+        assert max_rel_err(fused[1], chain[1]) <= 1e-12
+        for g_fused, g_chain in zip(fused[2], chain[2]):
+            assert max_rel_err(g_fused, g_chain) <= 1e-12
+
+    def test_input_without_grad(self):
+        rng = np.random.default_rng(50)
+        p = LstmParams.init(3, 2, rng)
+        x = Tensor(rng.normal(size=(3 * 2, 3)))
+        fused = lstm_run(lstm_sequence_batch, x, 2, 3, p)
+        chain = lstm_run(lstm_step_chain, x, 2, 3, p)
+        assert fused[2][0] is None
+        for g_fused, g_chain in zip(fused[2][1:], chain[2][1:]):
+            assert max_rel_err(g_fused, g_chain) <= 1e-12
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(51)
+        n, l = 2, 3
+        p = LstmParams.init(2, 2, rng)
+        x = Tensor(rng.normal(size=(l * n, 2)), requires_grad=True)
+        weights = np.random.default_rng(0)
+        r_all, r_last = weights.normal(size=(l * n, 2)), weights.normal(size=(n, 2))
+
+        def build():
+            h_all, h_last = lstm_sequence_batch(x, n, l, p)
+            return T.add(T.reduce_sum(T.reduce_sum(T.mul(h_all, Tensor(r_all)), 1), 0),
+                         T.reduce_sum(T.reduce_sum(T.mul(h_last, Tensor(r_last)), 1), 0))
+
+        assert gradcheck(build, [x] + [t for _, t in p.tensors()]) < 1e-6
+
+    def test_bitwise_identical_runs(self):
+        def run():
+            rng = np.random.default_rng(52)
+            p = LstmParams.init(5, 3, rng)
+            x = Tensor(rng.normal(size=(4 * 3, 5)), requires_grad=True)
+            return lstm_run(lstm_sequence_batch, x, 3, 4, p)
+
+        a, b = run(), run()
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        for left, right in zip(a[2], b[2]):
+            assert np.array_equal(left, right)
+
+    def test_records_two_tape_nodes(self):
+        rng = np.random.default_rng(53)
+        p = LstmParams.init(3, 2, rng)
+        x = Tensor(rng.normal(size=(5 * 2, 3)), requires_grad=True)
+        with Tape() as tape:
+            lstm_sequence_batch(x, 2, 5, p)
+        assert len(tape) == 2
 
 
 class TestDense:

@@ -144,6 +144,17 @@ class TestConcat:
 
 
 class TestStructureOps:
+    def test_slice_rows(self):
+        x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        with Tape() as tape:
+            out = T.slice_rows(x, 1, 3)
+            s = T.reduce_sum(T.reduce_sum(T.mul(out, out), 1), 0)
+        backward(s, tape)
+        assert np.array_equal(out.data, [[2.0, 3.0], [4.0, 5.0]])
+        assert np.array_equal(x.grad, [[0.0, 0.0], [4.0, 6.0], [8.0, 10.0], [0.0, 0.0]])
+        with pytest.raises(ValueError):
+            T.slice_rows(x, 3, 5)
+
     def test_transpose_and_reshape_round_trip(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -212,6 +223,33 @@ class TestBackward:
             s = T.reduce_sum(T.add(x, x), 0)
         backward(s, tape)
         assert np.array_equal(x.grad, [2.0])
+
+    def test_shared_gradient_array_is_copied_per_input(self):
+        # add hands one gradient array to both inputs; a later accumulation
+        # into a (from its earlier use) must not leak into b.
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        w = Tensor([5.0, 7.0])
+        with Tape() as tape:
+            sq = T.mul(a, a)
+            s = T.add(a, b)
+            total = T.add(T.reduce_sum(T.mul(s, w), 0), T.reduce_sum(sq, 0))
+        backward(total, tape)
+        assert a.grad is not b.grad
+        assert a.grad is not s.grad and b.grad is not s.grad
+        assert np.array_equal(b.grad, [5.0, 7.0])
+        assert np.array_equal(a.grad, [5.0 + 2.0, 7.0 + 4.0])
+        assert np.array_equal(s.grad, [5.0, 7.0])
+
+    def test_add_to_itself_doubles_gradient(self):
+        a = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, 3.0, -1.5])
+        with Tape() as tape:
+            s = T.add(a, a)
+            total = T.reduce_sum(T.mul(s, w), 0)
+        backward(total, tape)
+        assert np.array_equal(a.grad, 2.0 * w.data)
+        assert np.array_equal(s.grad, w.data)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
