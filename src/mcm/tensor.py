@@ -16,7 +16,7 @@ Design constraints, deliberately strict:
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,11 +28,22 @@ class ShapeError(ValueError):
 class Tensor:
     """Shape-tagged dense array of float64 with optional gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = {
+        "data": "The float64 values.",
+        "grad": "Dense gradient of the same shape as ``data``, or None before backward.",
+        "grad_rows": (
+            "Sorted unique row indices outside which ``grad`` is exactly zero, or None "
+            "when any row may be non-zero. Set while every gradient written so far was "
+            "row-sparse (``gather_rows``); any dense write resets it to None. An "
+            "optimizer may leave the other rows alone: their gradient is +0.0, so "
+            "where their optimizer state is zero too the update is an exact no-op."),
+        "requires_grad": "Whether backward accumulates into ``grad``.",
+    }
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
+        self.grad_rows: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -48,6 +59,7 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+        self.grad_rows = None
 
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph."""
@@ -113,8 +125,9 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], grad_fn: Callable) 
     """Create an op output and register its gradient rule on the active tape.
 
     ``grad_fn(g)`` receives the output gradient and returns one gradient
-    array (or None) per input, in order. This is the extension point used
-    by layers with fused backward rules (batchnorm, dropout, cross-entropy).
+    array (or None, or a ``RowGrad`` for a rank-2 input) per input, in
+    order. This is the extension point used by layers with fused backward
+    rules (batchnorm, dropout, cross-entropy).
     """
     inputs = tuple(inputs)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
@@ -123,16 +136,35 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], grad_fn: Callable) 
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+class RowGrad(NamedTuple):
+    """Row-sparse gradient of a rank-2 tensor: ``values[k]`` is the gradient
+    of row ``rows[k]``; every other row's gradient is zero."""
+
+    rows: np.ndarray    # sorted, unique
+    values: np.ndarray  # (len(rows), d)
+
+
+def _accumulate(t: Tensor, g) -> None:
     # The first write copies: a grad_fn may hand one array to several inputs
     # (``add`` returns ``(g, g)``) or return a view of its output's gradient,
     # and later writes add into ``t.grad`` in place. The copy takes the
     # layout of ``t.data``, not of ``g`` (a transposed view is F-ordered).
+    # A row-sparse first write starts from ``np.zeros``, which maps its pages
+    # lazily, so only the written rows of a large table cost anything.
+    if isinstance(g, RowGrad):
+        if t.grad is None:
+            t.grad = np.zeros(t.data.shape)
+            t.grad_rows = g.rows
+        elif t.grad_rows is not None:
+            t.grad_rows = np.union1d(t.grad_rows, g.rows)
+        t.grad[g.rows] += g.values
+        return
     if t.grad is None:
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
     else:
         t.grad += g
+    t.grad_rows = None
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -345,6 +377,14 @@ def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
 
     Rows equal to ``skip_row`` still gather normally but are excluded from
     the scattered gradient (used to keep the padding embedding frozen).
+
+    The gradient is a ``RowGrad`` over the distinct gathered rows: each
+    row's sum is built with ``np.add.at`` in index order from 0.0, the same
+    additions a dense ``(rows, d)`` scatter makes, so it is bitwise equal
+    to it. ``m.grad`` stays dense and ``m.grad_rows`` names the rows; every
+    other row has gradient +0.0, and an optimizer step on a row whose
+    gradient and optimizer state are all zero leaves it unchanged, so an
+    optimizer may skip such rows without changing any result.
     """
     if m.data.ndim != 2:
         raise ShapeError(f"gather_rows expects rank-2, got {m.data.shape}")
@@ -353,18 +393,19 @@ def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
         raise ShapeError("gather_rows indices must be a flat sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
         raise ValueError(f"gather_rows index out of range for {m.data.shape[0]} rows")
-    shape = m.data.shape
 
     def grad_fn(g):
         if not m.requires_grad:
             return (None,)
-        z = np.zeros(shape, dtype=np.float64)
         if skip_row is None:
-            np.add.at(z, idx, g)
+            kept, gk = idx, g
         else:
             keep = idx != skip_row
-            np.add.at(z, idx[keep], g[keep])
-        return (z,)
+            kept, gk = idx[keep], g[keep]
+        rows, where = np.unique(kept, return_inverse=True)
+        values = np.zeros((rows.size, g.shape[1]))
+        np.add.at(values, where, gk)
+        return (RowGrad(rows, values),)
 
     return apply_op(m.data[idx], (m,), grad_fn)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -120,79 +122,127 @@ def seed_streams(seed: int) -> dict:
 # optimizers
 
 
-class AdamState:
-    """First/second-moment accumulators mirroring the parameter shapes."""
+class Adam:
+    """Bias-corrected Adam; one update rule applied to one array at a time.
 
-    def __init__(self, shapes, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self.t = 0
+    Its two state slots are the first and second moments.
+    """
+
+    slots = 2
+
+    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self.t = 0
+
+    def begin_step(self) -> None:
+        self.t += 1
+        self.corr1 = 1.0 - self.beta1 ** self.t
+        self.corr2 = 1.0 - self.beta2 ** self.t
+
+    def update(self, p, g, lr: float, m, v) -> None:
+        m += (1.0 - self.beta1) * (g - m)
+        v += (1.0 - self.beta2) * (g * g - v)
+        p -= lr * (m / self.corr1) / (np.sqrt(v / self.corr2) + self.epsilon)
 
 
-def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place on the parameter arrays."""
-    state.t += 1
-    corr1 = 1.0 - state.beta1 ** state.t
-    corr2 = 1.0 - state.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            continue
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+class Adadelta:
+    """Adadelta; its state slots are the running squared gradient and
+    squared update. Classical Adadelta needs no learning rate; lr acts as a
+    plain multiplier (use ~1.0 with this optimizer)."""
 
+    slots = 2
 
-class AdadeltaState:
-    def __init__(self, shapes, rho: float = 0.95, epsilon: float = 1e-6):
-        self.eg = [np.zeros(s) for s in shapes]
-        self.ed = [np.zeros(s) for s in shapes]
+    def __init__(self, rho: float = 0.95, epsilon: float = 1e-6):
         self.rho, self.epsilon = rho, epsilon
 
+    def begin_step(self) -> None:
+        pass
 
-def adadelta_step(params, grads, state: AdadeltaState, lr: float) -> None:
-    # Classical Adadelta needs no learning rate; lr acts as a plain
-    # multiplier (use ~1.0 with this optimizer).
-    for p, g, eg, ed in zip(params, grads, state.eg, state.ed):
-        if g is None:
-            continue
-        eg += (1.0 - state.rho) * (g * g - eg)
-        delta = -np.sqrt((ed + state.epsilon) / (eg + state.epsilon)) * g
-        ed += (1.0 - state.rho) * (delta * delta - ed)
+    def update(self, p, g, lr: float, eg, ed) -> None:
+        eg += (1.0 - self.rho) * (g * g - eg)
+        delta = -np.sqrt((ed + self.epsilon) / (eg + self.epsilon)) * g
+        ed += (1.0 - self.rho) * (delta * delta - ed)
         p += lr * delta
+
+
+class Sgd:
+    """Plain gradient descent; no state."""
+
+    slots = 0
+
+    def begin_step(self) -> None:
+        pass
+
+    def update(self, p, g, lr: float) -> None:
+        p -= lr * g
+
+
+_RULES = {"adam": Adam, "adadelta": Adadelta, "sgd": Sgd}
 
 
 class Optimizer:
     """Binds one update rule to a model's trainable tensors."""
 
     def __init__(self, kind: str, params, lr: float):
+        if kind not in _RULES:
+            raise ValueError(f"unknown optimizer {kind!r}")
         self.kind = kind
         self.params = list(params)
         self.lr = lr
-        shapes = [p.data.shape for p in self.params]
-        if kind == "adam":
-            self.state = AdamState(shapes)
-        elif kind == "adadelta":
-            self.state = AdadeltaState(shapes)
-        elif kind == "sgd":
-            self.state = None
-        else:
-            raise ValueError(f"unknown optimizer {kind!r}")
+        self.rule = _RULES[kind]()
+        self.state = [tuple(np.zeros(p.data.shape) for _ in range(self.rule.slots))
+                      for p in self.params]
+        # Per rank-2 parameter, the rows that have ever had a gradient; None
+        # once every row counts as live.
+        self._live = [np.zeros(p.data.shape[0], dtype=bool) if p.data.ndim == 2 else None
+                      for p in self.params]
 
     def step(self) -> None:
-        datas = [p.data for p in self.params]
-        grads = [p.grad for p in self.params]
-        if self.kind == "adam":
-            adam_step(datas, grads, self.state, self.lr)
-        elif self.kind == "adadelta":
-            adadelta_step(datas, grads, self.state, self.lr)
-        else:
-            for p, g in zip(datas, grads):
-                if g is not None:
-                    p -= self.lr * g
+        """Apply the update rule to every parameter that has a gradient.
+
+        A parameter whose gradient is row-sparse (``Tensor.grad_rows``) is
+        updated on its live rows only: the rows that have ever had a
+        gradient. Every other row has a +0.0 gradient and all-zero optimizer
+        state, and on such a row each rule is an exact no-op (Adam and
+        Adadelta keep their state at 0.0 and subtract or add 0.0; SGD
+        subtracts 0.0). So the result is bitwise that of updating the whole
+        array. A row stays live after its gradient goes quiet, since its
+        moments keep moving it. Once a dense gradient arrives, or half the
+        rows are live, the parameter takes the whole-array path for good.
+        """
+        self.rule.begin_step()
+        for i, param in enumerate(self.params):
+            g = param.grad
+            if g is None:
+                continue
+            if g.shape != param.data.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match parameter "
+                                 f"{param.data.shape}")
+            rows = self._live_rows(i, param.grad_rows)
+            if rows is None:
+                self.rule.update(param.data, g, self.lr, *self.state[i])
+                continue
+            p, slots = param.data[rows], [s[rows] for s in self.state[i]]
+            self.rule.update(p, g[rows], self.lr, *slots)
+            param.data[rows] = p
+            for s, part in zip(self.state[i], slots):
+                s[rows] = part
+
+    def _live_rows(self, i: int, grad_rows) -> Optional[np.ndarray]:
+        """Live rows of parameter ``i`` after marking ``grad_rows``, or None
+        for the whole-array path."""
+        live = self._live[i]
+        if live is None:
+            return None
+        if grad_rows is None:
+            self._live[i] = None
+            return None
+        live[grad_rows] = True
+        rows = np.flatnonzero(live)
+        if 2 * rows.size >= live.size:
+            self._live[i] = None
+            return None
+        return rows
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -317,13 +367,18 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    raw = fh.read(count)
-    if len(raw) != count:
+    # Refuse before reading: a corrupt length must not become a huge read.
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return raw
+    return fh.read(count)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint file; every malformed part raises ``CheckpointError``."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic bytes") != _MAGIC:
             raise CheckpointError("not a model checkpoint (bad magic bytes)")
@@ -340,17 +395,26 @@ def load_checkpoint(path) -> Checkpoint:
                 (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of {name}"))
                 shape = tuple(struct.unpack("<I", _read_exact(fh, 4, f"shape of {name}"))[0]
                               for _ in range(rank))
-                numel = int(np.prod(shape)) if shape else 1
-                payload = _read_exact(fh, 8 * numel, f"payload of {name}")
+                payload = _read_exact(fh, 8 * math.prod(shape), f"payload of {name}")
                 arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-        except (json.JSONDecodeError, struct.error) as exc:
+        except (ValueError, struct.error) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("malformed checkpoint: config block is not an object")
+    if not isinstance(vocab_block, dict):
+        raise CheckpointError("malformed checkpoint: vocabulary block is not an object")
     kind = header.pop("kind", None)
     class_names = header.pop("class_names", [])
     if kind not in ("mcm", "baseline"):
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    return Checkpoint(kind, header, vocab_block["tokens"], vocab_block["min_count"],
-                      class_names, arrays)
+    tokens = vocab_block.get("tokens")
+    min_count = vocab_block.get("min_count")
+    if not _is_str_list(tokens) or not isinstance(min_count, int):
+        raise CheckpointError("malformed checkpoint: vocabulary block needs a token list "
+                              "and an integer min_count")
+    if not _is_str_list(class_names):
+        raise CheckpointError("malformed checkpoint: class_names is not a list of names")
+    return Checkpoint(kind, header, tokens, min_count, class_names, arrays)
 
 
 def rebuild_model(ckpt: Checkpoint):
@@ -384,6 +448,12 @@ def rebuild_model(ckpt: Checkpoint):
             model = build_baseline(bcfg, table, 0)
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
+    if len(ckpt.vocab_tokens) != cfg["vocab_size"]:
+        raise CheckpointError(f"vocabulary holds {len(ckpt.vocab_tokens)} tokens, "
+                              f"config says vocab_size {cfg['vocab_size']}")
+    if len(ckpt.class_names) != cfg["num_classes"]:
+        raise CheckpointError(f"{len(ckpt.class_names)} class names, "
+                              f"config says num_classes {cfg['num_classes']}")
 
     slots = dict(model.named_tensors())
     buffers = dict(model.named_buffers())
@@ -399,6 +469,8 @@ def rebuild_model(ckpt: Checkpoint):
             raise CheckpointError(
                 f"shape of {name} disagrees: checkpoint {ckpt.arrays[name].shape}, "
                 f"model {target.shape}")
+        if not np.isfinite(ckpt.arrays[name]).all():
+            raise CheckpointError(f"{name} holds non-finite values")
     for name, t in slots.items():
         t.data[...] = ckpt.arrays[name]
     for name, buf in buffers.items():
@@ -631,8 +703,6 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
     one per-epoch test-error curve CSV per variant. A failing cell is
     recorded in the status column without aborting the rest.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     try:

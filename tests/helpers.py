@@ -5,7 +5,7 @@ it stays independent of the backward rules it verifies.
 """
 import numpy as np
 
-from mcm.tensor import Tape, backward
+from mcm.tensor import Tape, apply_op, backward
 
 
 def numerical_grad(value_fn, tensor, h=1e-5):
@@ -61,3 +61,8 @@ def away_from_zero(rng, shape, low=0.2, high=1.5):
     mag = rng.uniform(low, high, size=shape)
     sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     return mag * sign
+
+
+def weighted_sum(x, r):
+    """Scalar sum(x * r) as one tape node whose gradient is r."""
+    return apply_op(np.asarray(float((x.data * r).sum())), (x,), lambda g: (g * r,))

@@ -5,7 +5,7 @@ import pytest
 from mcm import tensor as T
 from mcm.tensor import ShapeError, Tape, Tensor, backward
 
-from .helpers import away_from_zero, gradcheck, max_rel_err
+from .helpers import away_from_zero, gradcheck, max_rel_err, weighted_sum
 
 
 class TestElementwise:
@@ -200,6 +200,71 @@ class TestStructureOps:
         p = T.softmax(Tensor(rng.normal(size=(5, 7))))
         assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p.data >= 0)
+
+
+class TestRowSparseGrad:
+    """gather_rows' row-sparse gradient against a dense np.add.at scatter."""
+
+    @pytest.mark.parametrize("skip_row", [None, 0])
+    @pytest.mark.parametrize("indices", [[3, 0, 3, 5, 3, 0, 7], [0, 0, 0], [6], list(range(8))])
+    def test_equals_dense_scatter_bitwise(self, indices, skip_row):
+        rng = np.random.default_rng(len(indices))
+        m = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        idx = np.asarray(indices)
+        r = rng.normal(size=(idx.size, 4))
+        with Tape() as tape:
+            s = weighted_sum(T.gather_rows(m, idx, skip_row=skip_row), r)
+        backward(s, tape)
+        keep = idx != skip_row
+        dense = np.zeros((9, 4))
+        np.add.at(dense, idx[keep], r[keep])
+        assert m.grad.tobytes() == dense.tobytes()
+        assert m.grad.flags.c_contiguous
+        assert np.array_equal(m.grad_rows, np.unique(idx[keep]))
+
+    def test_two_gathers_accumulate_like_dense(self):
+        rng = np.random.default_rng(3)
+        m = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        a, b = np.array([1, 4, 1]), np.array([4, 2])
+        ra, rb = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+        with Tape() as tape:
+            s = T.add(weighted_sum(T.gather_rows(m, a), ra),
+                      weighted_sum(T.gather_rows(m, b), rb))
+        backward(s, tape)
+        za, zb = np.zeros((6, 2)), np.zeros((6, 2))
+        np.add.at(za, a, ra)
+        np.add.at(zb, b, rb)
+        zb += za  # backward visits the later gather first
+        assert m.grad.tobytes() == zb.tobytes()
+        assert np.array_equal(m.grad_rows, [1, 2, 4])
+
+    @pytest.mark.parametrize("dense_first", [True, False])
+    def test_any_dense_write_clears_grad_rows(self, dense_first):
+        m = Tensor(np.ones((5, 2)), requires_grad=True)
+        with Tape() as tape:
+            parts = [T.reduce_sum(T.reduce_sum(m, 1), 0),
+                     T.reduce_sum(T.reduce_sum(T.gather_rows(m, [2, 2]), 1), 0)]
+            s = T.add(*(parts if dense_first else parts[::-1]))
+        backward(s, tape)
+        assert m.grad_rows is None
+        assert np.array_equal(m.grad, [[1, 1], [1, 1], [3, 3], [1, 1], [1, 1]])
+
+    def test_only_skipped_rows_give_zero_grad_and_no_rows(self):
+        m = Tensor(np.ones((4, 3)), requires_grad=True)
+        with Tape() as tape:
+            s = weighted_sum(T.gather_rows(m, [0, 0], skip_row=0), np.ones((2, 3)))
+        backward(s, tape)
+        assert np.array_equal(m.grad, np.zeros((4, 3)))
+        assert m.grad_rows.size == 0
+
+    def test_zero_grad_clears_grad_rows(self):
+        m = Tensor(np.ones((4, 3)), requires_grad=True)
+        with Tape() as tape:
+            s = weighted_sum(T.gather_rows(m, [1]), np.ones((1, 3)))
+        backward(s, tape)
+        assert m.grad_rows is not None
+        m.zero_grad()
+        assert m.grad is None and m.grad_rows is None
 
 
 class TestBackward:
