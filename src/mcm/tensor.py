@@ -28,22 +28,11 @@ class ShapeError(ValueError):
 class Tensor:
     """Shape-tagged dense array of float64 with optional gradient."""
 
-    __slots__ = {
-        "data": "The float64 values.",
-        "grad": "Dense gradient of the same shape as ``data``, or None before backward.",
-        "grad_rows": (
-            "Sorted unique row indices outside which ``grad`` is exactly zero, or None "
-            "when any row may be non-zero. Set while every gradient written so far was "
-            "row-sparse (``gather_rows``); any dense write resets it to None. An "
-            "optimizer may leave the other rows alone: their gradient is +0.0, so "
-            "where their optimizer state is zero too the update is an exact no-op."),
-        "requires_grad": "Whether backward accumulates into ``grad``.",
-    }
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.grad_rows: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -59,7 +48,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-        self.grad_rows = None
 
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph."""
@@ -150,21 +138,17 @@ def _accumulate(t: Tensor, g) -> None:
     # and later writes add into ``t.grad`` in place. The copy takes the
     # layout of ``t.data``, not of ``g`` (a transposed view is F-ordered).
     # A row-sparse first write starts from ``np.zeros``, which maps its pages
-    # lazily, so only the written rows of a large table cost anything.
+    # lazily (``np.zeros_like`` would write them all), so only the written
+    # rows of a large table cost anything.
     if isinstance(g, RowGrad):
         if t.grad is None:
             t.grad = np.zeros(t.data.shape)
-            t.grad_rows = g.rows
-        elif t.grad_rows is not None:
-            t.grad_rows = np.union1d(t.grad_rows, g.rows)
         t.grad[g.rows] += g.values
-        return
-    if t.grad is None:
+    elif t.grad is None:
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
     else:
         t.grad += g
-    t.grad_rows = None
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -381,10 +365,8 @@ def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
     The gradient is a ``RowGrad`` over the distinct gathered rows: each
     row's sum is built with ``np.add.at`` in index order from 0.0, the same
     additions a dense ``(rows, d)`` scatter makes, so it is bitwise equal
-    to it. ``m.grad`` stays dense and ``m.grad_rows`` names the rows; every
-    other row has gradient +0.0, and an optimizer step on a row whose
-    gradient and optimizer state are all zero leaves it unchanged, so an
-    optimizer may skip such rows without changing any result.
+    to it, without writing every row of a large table. ``m.grad`` stays a
+    dense array.
     """
     if m.data.ndim != 2:
         raise ShapeError(f"gather_rows expects rank-2, got {m.data.shape}")

@@ -123,7 +123,8 @@ def seed_streams(seed: int) -> dict:
 
 
 class Adam:
-    """Bias-corrected Adam; one update rule applied to one array at a time.
+    """Bias-corrected Adam; one elementwise update rule, applied in place to
+    one array (or block of one) at a time.
 
     Its two state slots are the first and second moments.
     """
@@ -180,6 +181,23 @@ class Sgd:
 _RULES = {"adam": Adam, "adadelta": Adadelta, "sgd": Sgd}
 
 
+# Elements per block in ``Optimizer.step``: a block's four arrays and the
+# rule's temporaries then fit a 2 MB L2 cache. One Adam step on a
+# 50000 x 300 table took 150-175 ms for blocks of 16k-64k elements,
+# 200-290 ms for 128k-256k and 415-450 ms as one whole-array update
+# (2 vCPUs, numpy 2.4, medians of 5-9 repeats).
+_BLOCK = 32768
+
+
+def _row_blocks(shape) -> list:
+    """Index expressions cutting an array of ``shape`` into runs of whole
+    rows of about ``_BLOCK`` elements; each one selects a view."""
+    if not shape:
+        return [...]
+    rows = max(1, _BLOCK // max(1, math.prod(shape[1:])))
+    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
+
+
 class Optimizer:
     """Binds one update rule to a model's trainable tensors."""
 
@@ -192,57 +210,27 @@ class Optimizer:
         self.rule = _RULES[kind]()
         self.state = [tuple(np.zeros(p.data.shape) for _ in range(self.rule.slots))
                       for p in self.params]
-        # Per rank-2 parameter, the rows that have ever had a gradient; None
-        # once every row counts as live.
-        self._live = [np.zeros(p.data.shape[0], dtype=bool) if p.data.ndim == 2 else None
-                      for p in self.params]
 
     def step(self) -> None:
         """Apply the update rule to every parameter that has a gradient.
 
-        A parameter whose gradient is row-sparse (``Tensor.grad_rows``) is
-        updated on its live rows only: the rows that have ever had a
-        gradient. Every other row has a +0.0 gradient and all-zero optimizer
-        state, and on such a row each rule is an exact no-op (Adam and
-        Adadelta keep their state at 0.0 and subtract or add 0.0; SGD
-        subtracts 0.0). So the result is bitwise that of updating the whole
-        array. A row stays live after its gradient goes quiet, since its
-        moments keep moving it. Once a dense gradient arrives, or half the
-        rows are live, the parameter takes the whole-array path for good.
+        The rule runs block by block over views of the parameter, its
+        gradient and its state (``_row_blocks``), so the temporaries of a
+        large embedding table stay in cache instead of streaming the whole
+        table through memory several times. Every rule is elementwise and
+        each element sees the same operations in the same order, so the
+        result is bitwise that of one whole-array update.
         """
         self.rule.begin_step()
-        for i, param in enumerate(self.params):
+        for param, state in zip(self.params, self.state):
             g = param.grad
             if g is None:
                 continue
             if g.shape != param.data.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match parameter "
                                  f"{param.data.shape}")
-            rows = self._live_rows(i, param.grad_rows)
-            if rows is None:
-                self.rule.update(param.data, g, self.lr, *self.state[i])
-                continue
-            p, slots = param.data[rows], [s[rows] for s in self.state[i]]
-            self.rule.update(p, g[rows], self.lr, *slots)
-            param.data[rows] = p
-            for s, part in zip(self.state[i], slots):
-                s[rows] = part
-
-    def _live_rows(self, i: int, grad_rows) -> Optional[np.ndarray]:
-        """Live rows of parameter ``i`` after marking ``grad_rows``, or None
-        for the whole-array path."""
-        live = self._live[i]
-        if live is None:
-            return None
-        if grad_rows is None:
-            self._live[i] = None
-            return None
-        live[grad_rows] = True
-        rows = np.flatnonzero(live)
-        if 2 * rows.size >= live.size:
-            self._live[i] = None
-            return None
-        return rows
+            for b in _row_blocks(g.shape):
+                self.rule.update(param.data[b], g[b], self.lr, *(s[b] for s in state))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -417,10 +405,46 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(kind, header, tokens, min_count, class_names, arrays)
 
 
+# For each config field that sizes a tensor, one stored array and axis that
+# must equal it. ``rebuild_model`` checks them before it allocates anything,
+# so a corrupt dimension is refused instead of sizing the model skeleton
+# (the stored shapes themselves are bounded by the file's length).
+_SIZING_FIELDS = {
+    "mcm": {
+        "vocab_size": ("embedding.vectors", 0), "embed_dim": ("embedding.vectors", 1),
+        "kernel1": ("cnn1.weights", 0), "kernel2": ("cnn2.weights", 0),
+        "num_filters": ("cnn1.bias", 0), "hidden_dim": ("lstm_s1.b_i", 0),
+        "dense1_dim": ("disc.dense1.bias", 0), "dense2_dim": ("disc.dense2.bias", 0),
+        "num_classes": ("disc.out.bias", 0),
+    },
+    "baseline": {
+        "vocab_size": ("embedding.vectors", 0), "embed_dim": ("embedding.vectors", 1),
+        "kernel": ("conv.weights", 0), "num_filters": ("conv.bias", 0),
+        "hidden_dim": ("hidden.bias", 0), "num_classes": ("out.bias", 0),
+    },
+}
+
+
+def _check_sizing_fields(ckpt: Checkpoint) -> None:
+    for field, (name, axis) in _SIZING_FIELDS[ckpt.kind].items():
+        shape = ckpt.arrays[name].shape if name in ckpt.arrays else ()
+        stored = shape[axis] if axis < len(shape) else None
+        if stored is None or ckpt.config.get(field) != stored:
+            raise CheckpointError(f"config {field} {ckpt.config.get(field)!r} disagrees "
+                                  f"with {name} of shape {shape}")
+    if len(ckpt.vocab_tokens) != ckpt.config["vocab_size"]:
+        raise CheckpointError(f"vocabulary holds {len(ckpt.vocab_tokens)} tokens, "
+                              f"config says vocab_size {ckpt.config['vocab_size']}")
+    if len(ckpt.class_names) != ckpt.config["num_classes"]:
+        raise CheckpointError(f"{len(ckpt.class_names)} class names, "
+                              f"config says num_classes {ckpt.config['num_classes']}")
+
+
 def rebuild_model(ckpt: Checkpoint):
     """Instantiate the checkpointed model and vocabulary, verifying every
     stored tensor against the rebuilt skeleton before any assignment."""
     cfg = ckpt.config
+    _check_sizing_fields(ckpt)
     try:
         trainable = cfg["embedding_trainable"]
         table = EmbeddingTable(cfg["vocab_size"], cfg["embed_dim"],
@@ -448,12 +472,6 @@ def rebuild_model(ckpt: Checkpoint):
             model = build_baseline(bcfg, table, 0)
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
-    if len(ckpt.vocab_tokens) != cfg["vocab_size"]:
-        raise CheckpointError(f"vocabulary holds {len(ckpt.vocab_tokens)} tokens, "
-                              f"config says vocab_size {cfg['vocab_size']}")
-    if len(ckpt.class_names) != cfg["num_classes"]:
-        raise CheckpointError(f"{len(ckpt.class_names)} class names, "
-                              f"config says num_classes {cfg['num_classes']}")
 
     slots = dict(model.named_tensors())
     buffers = dict(model.named_buffers())

@@ -220,7 +220,6 @@ class TestRowSparseGrad:
         np.add.at(dense, idx[keep], r[keep])
         assert m.grad.tobytes() == dense.tobytes()
         assert m.grad.flags.c_contiguous
-        assert np.array_equal(m.grad_rows, np.unique(idx[keep]))
 
     def test_two_gathers_accumulate_like_dense(self):
         rng = np.random.default_rng(3)
@@ -236,35 +235,34 @@ class TestRowSparseGrad:
         np.add.at(zb, b, rb)
         zb += za  # backward visits the later gather first
         assert m.grad.tobytes() == zb.tobytes()
-        assert np.array_equal(m.grad_rows, [1, 2, 4])
 
     @pytest.mark.parametrize("dense_first", [True, False])
-    def test_any_dense_write_clears_grad_rows(self, dense_first):
+    def test_dense_and_row_sparse_writes_accumulate(self, dense_first):
         m = Tensor(np.ones((5, 2)), requires_grad=True)
         with Tape() as tape:
             parts = [T.reduce_sum(T.reduce_sum(m, 1), 0),
                      T.reduce_sum(T.reduce_sum(T.gather_rows(m, [2, 2]), 1), 0)]
             s = T.add(*(parts if dense_first else parts[::-1]))
         backward(s, tape)
-        assert m.grad_rows is None
         assert np.array_equal(m.grad, [[1, 1], [1, 1], [3, 3], [1, 1], [1, 1]])
 
-    def test_only_skipped_rows_give_zero_grad_and_no_rows(self):
+    def test_only_skipped_rows_give_zero_grad(self):
         m = Tensor(np.ones((4, 3)), requires_grad=True)
         with Tape() as tape:
             s = weighted_sum(T.gather_rows(m, [0, 0], skip_row=0), np.ones((2, 3)))
         backward(s, tape)
         assert np.array_equal(m.grad, np.zeros((4, 3)))
-        assert m.grad_rows.size == 0
 
-    def test_zero_grad_clears_grad_rows(self):
+    def test_zero_grad_starts_the_next_backward_afresh(self):
         m = Tensor(np.ones((4, 3)), requires_grad=True)
-        with Tape() as tape:
-            s = weighted_sum(T.gather_rows(m, [1]), np.ones((1, 3)))
-        backward(s, tape)
-        assert m.grad_rows is not None
-        m.zero_grad()
-        assert m.grad is None and m.grad_rows is None
+        for rows in ([1], [2]):
+            m.zero_grad()
+            with Tape() as tape:
+                s = weighted_sum(T.gather_rows(m, rows), np.ones((1, 3)))
+            backward(s, tape)
+        expected = np.zeros((4, 3))
+        expected[2] = 1.0
+        assert np.array_equal(m.grad, expected)
 
 
 class TestBackward:

@@ -1,5 +1,6 @@
-"""Trainer: row-sparse optimizer steps against the dense path, bitwise
+"""Trainer: block-wise optimizer steps against whole-array updates, bitwise
 determinism of fit, and checkpoint validation down to the CLI."""
+import json
 import os
 import struct
 import subprocess
@@ -14,7 +15,7 @@ from mcm import cli
 from mcm import tensor as T
 from mcm.data import EncodedCorpus, Vocabulary
 from mcm.embeddings import init_random
-from mcm.model import McmConfig, build_mcm
+from mcm.model import BaselineConfig, McmConfig, build_baseline, build_mcm
 from mcm.tensor import Tape, Tensor, backward
 from mcm.trainer import (
     CheckpointError,
@@ -32,60 +33,74 @@ from .helpers import weighted_sum
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # ---------------------------------------------------------------------------
-# optimizer: touched-row updates against whole-array updates
+# optimizer: block-wise updates against one whole-array update
 
-TABLE_ROWS = 40
-# Per step: the rows gathered from the table (row 0 is skipped, as the pad
-# row is), or None when the table is unused, and whether the step also uses
-# the whole table densely. Rows 1 and 3 go quiet after the first step and
-# row 5 after the second; step 4 gathers only the skipped row; step 7 turns
-# the table dense for good.
+
+def reference_update(kind, p, g, state, t, lr):
+    """One whole-array update per rule, written out as plain formulas."""
+    if kind == "adam":
+        m, v = state
+        corr1, corr2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        m += (1.0 - 0.9) * (g - m)
+        v += (1.0 - 0.999) * (g * g - v)
+        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + 1e-8)
+    elif kind == "adadelta":
+        eg, ed = state
+        eg += (1.0 - 0.95) * (g * g - eg)
+        delta = -np.sqrt((ed + 1e-6) / (eg + 1e-6)) * g
+        ed += (1.0 - 0.95) * (delta * delta - ed)
+        p += lr * delta
+    else:
+        p -= lr * g
+
+
+# (1000, 70) and (40000,) span several blocks with a ragged last one; the
+# bias is a single block and the 0-d scale is indexed as a whole.
+SHAPES = {"table": (1000, 70), "weight": (3, 4), "bias": (40000,), "scale": ()}
+# Per step: the table rows gathered (row 0 is skipped, as the pad row is),
+# or None when the table is unused, and whether the step also uses the whole
+# table densely. Rows go quiet after being touched, step 4 gathers only the
+# skipped row and step 5 gives the table no gradient at all.
 SCHEDULE = [
-    ([1, 2, 3, 2], False),
+    ([1, 500, 999, 500], False),
     ([4, 5, 0], False),
-    ([2, 6, 6], False),
+    ([2, 6, 6], True),
     ([0, 0], False),
     (None, False),
-    ([7, 2], False),
+    ([7, 998], False),
     ([8], True),
     ([9, 4], False),
 ]
 
 
-def run_schedule(kind, dense):
-    """Parameter and optimizer-state bytes after each step of SCHEDULE.
-
-    With ``dense`` the table's gradient is handed to the optimizer without
-    its rows, so every step updates the whole table: the reference path.
-    """
+@pytest.mark.parametrize("kind", ["adam", "adadelta", "sgd"])
+def test_blockwise_steps_equal_whole_array_updates_bitwise(kind):
     rng = np.random.default_rng(5)
-    table = Tensor(rng.normal(size=(TABLE_ROWS, 3)), requires_grad=True)
-    weight = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    opt = Optimizer(kind, [table, weight], 0.05)
-    snapshots = []
-    for ids, use_dense in SCHEDULE:
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in SHAPES.items()}
+    ref = {k: t.data.copy() for k, t in params.items()}
+    opt = Optimizer(kind, list(params.values()), 0.05)
+    ref_state = {k: [np.zeros_like(s) for s in slots] for k, slots in zip(params, opt.state)}
+    table = params["table"]
+    for t, (ids, use_dense) in enumerate(SCHEDULE, start=1):
         with Tape() as tape:
-            total = weighted_sum(weight, rng.normal(size=(2, 3)))
+            total = T.add(weighted_sum(params["weight"], rng.normal(size=(3, 4))),
+                          weighted_sum(params["bias"], rng.normal(size=40000)))
+            total = T.add(total, weighted_sum(params["scale"], rng.normal(size=())))
             if ids is not None:
                 total = T.add(total, weighted_sum(T.gather_rows(table, ids, skip_row=0),
-                                                  rng.normal(size=(len(ids), 3))))
+                                                  rng.normal(size=(len(ids), 70))))
             if use_dense:
-                total = T.add(total, weighted_sum(table, rng.normal(size=(TABLE_ROWS, 3))))
+                total = T.add(total, weighted_sum(table, rng.normal(size=(1000, 70))))
         backward(total, tape)
-        if dense:
-            table.grad_rows = None
+        for k, param in params.items():
+            if param.grad is not None:
+                reference_update(kind, ref[k], param.grad, ref_state[k], t, 0.05)
         opt.step()
         opt.zero_grad()
-        snapshots.append([a.tobytes() for a in [table.data, weight.data]
-                          + [s for slots in opt.state for s in slots]])
-    return snapshots
-
-
-@pytest.mark.parametrize("kind", ["adam", "adadelta", "sgd"])
-def test_touched_row_steps_equal_dense_steps_bitwise(kind):
-    sparse, dense = run_schedule(kind, False), run_schedule(kind, True)
-    for step, (a, b) in enumerate(zip(sparse, dense)):
-        assert a == b, f"{kind} differs from the dense path after step {step}"
+        for (k, param), slots in zip(params.items(), opt.state):
+            assert param.data.tobytes() == ref[k].tobytes(), f"{kind} {k} after step {t}"
+            for got, want in zip(slots, ref_state[k]):
+                assert got.tobytes() == want.tobytes(), f"{kind} {k} state after step {t}"
 
 
 def test_optimizer_rejects_misshapen_gradient():
@@ -126,8 +141,8 @@ def test_same_seed_gives_byte_identical_checkpoint(tmp_path):
     ckpt, initial = tiny_fit(tmp_path / "a.mcm")
     tiny_fit(tmp_path / "b.mcm")
     assert (tmp_path / "a.mcm").read_bytes() == (tmp_path / "b.mcm").read_bytes()
-    # The table has more than twice the rows training touches, so it took
-    # the touched-row path: the rows never used are still their initial bits.
+    # Rows training never touches get a +0.0 gradient and keep all-zero Adam
+    # moments, so every update leaves them at their initial bits.
     trained = ckpt.arrays["embedding.vectors"]
     unused = [r for r in range(VOCAB) if r not in USED_ROWS]
     assert trained[unused].tobytes() == initial[unused].tobytes()
@@ -211,6 +226,50 @@ def test_class_count_must_match_num_classes(ckpt_path):
         rebuild_model(ckpt)
 
 
+def with_config(path, **fields):
+    """A copy of the checkpoint at ``path`` with some config fields replaced."""
+    raw = path.read_bytes()
+    (n_header,) = struct.unpack_from("<I", raw, 4)
+    header = json.loads(raw[8:8 + n_header])
+    header.update(fields)
+    return splice(path, header=json.dumps(header).encode())
+
+
+@pytest.fixture
+def baseline_path(tmp_path):
+    cfg = BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, kernel=2,
+                         num_filters=2, hidden_dim=3)
+    model = build_baseline(cfg, init_random(10, 4, np.random.default_rng(0)), 0)
+    tokens = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
+    path = tmp_path / "baseline.mcm"
+    save_checkpoint(make_checkpoint(model, vocab, CLASSES), path)
+    return path
+
+
+MCM_SIZING = ["vocab_size", "embed_dim", "kernel1", "kernel2", "num_filters", "hidden_dim",
+              "dense1_dim", "dense2_dim", "num_classes"]
+BASELINE_SIZING = ["vocab_size", "embed_dim", "kernel", "num_filters", "hidden_dim",
+                   "num_classes"]
+
+
+# A dimension of 10**12 would make any allocation from it fail, so a
+# CheckpointError shows the check ran before the model skeleton was built.
+@pytest.mark.parametrize("value", [10 ** 12, None, "4"])
+@pytest.mark.parametrize("kind,field", [("mcm", f) for f in MCM_SIZING]
+                         + [("baseline", f) for f in BASELINE_SIZING])
+def test_config_dimension_is_checked_against_arrays_before_building(
+        ckpt_path, baseline_path, kind, field, value):
+    path = ckpt_path if kind == "mcm" else baseline_path
+    with pytest.raises(CheckpointError, match=field):
+        rebuild_model(load_checkpoint(with_config(path, **{field: value})))
+
+
+def test_baseline_checkpoint_round_trips(baseline_path):
+    model, vocab = rebuild_model(load_checkpoint(baseline_path))
+    assert vocab.size == 10 and model.config.kernel == 2 and model.config.hidden_dim == 3
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_arrays_are_rejected(ckpt_path, value):
     ckpt = load_checkpoint(ckpt_path)
@@ -255,7 +314,8 @@ def _nan_checkpoint(path):
 @pytest.mark.parametrize("corrupt", [
     lambda p: splice(p, **BAD_BLOCKS["vocab block without tokens"]),
     _nan_checkpoint,
-], ids=["vocab-without-tokens", "non-finite-array"])
+    lambda p: with_config(p, embed_dim=10 ** 12),
+], ids=["vocab-without-tokens", "non-finite-array", "huge-embed-dim"])
 def test_predict_on_bad_checkpoint_prints_one_error_line(ckpt_path, corrupt):
     bad = corrupt(ckpt_path)
     env = dict(os.environ, PYTHONPATH=SRC)
