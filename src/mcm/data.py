@@ -227,16 +227,15 @@ def pick_max_len(records, cap: int = 64) -> int:
 def stratified_split(records, train_fraction: float, rng: np.random.Generator):
     """Per-class shuffle, then per-class split at round(fraction * n_c).
 
-    Returns (train, test); together they partition the input records.
+    Returns (train, test); together they partition the input records. A
+    class too small to reach both sides, such as a lone record, lands
+    wholly on the side the rounding picks.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     by_class = {}
     for i, rec in enumerate(records):
         by_class.setdefault(rec.label, []).append(i)
-    for label, idxs in sorted(by_class.items()):
-        if len(idxs) < 2:
-            raise ValueError(f"class {label} has fewer than 2 records")
     train, test = [], []
     for label in sorted(by_class):
         idxs = by_class[label]

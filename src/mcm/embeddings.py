@@ -117,6 +117,12 @@ def char_compose_table(tokens: list[str], dim: int, rng: np.random.Generator,
 # skip-gram with negative sampling
 
 
+# Most pairs per block in ``train_skipgram``. A block's pair ids, negatives
+# and learning rates are built with a few array operations; only the
+# updates, which read rows that earlier pairs wrote, run pair by pair.
+_BLOCK = 4096
+
+
 def train_skipgram(corpus: list, vocab_size: int, cfg: SkipGramConfig,
                    rng: np.random.Generator, trainable: bool = True) -> EmbeddingTable:
     """Train input vectors on (center, context) pairs within the window.
@@ -125,6 +131,15 @@ def train_skipgram(corpus: list, vocab_size: int, cfg: SkipGramConfig,
     updates on the sigmoid dot-product loss, with negatives drawn from the
     unigram^0.75 distribution. With epochs=0 the returned table is exactly
     its random initialization. Single-threaded and deterministic.
+
+    The update order is fixed: every epoch visits the pad-free sentences
+    in corpus order, each sentence's centers left to right, and each
+    center's contexts left to right. Each pair in that order takes the
+    next ``negative_samples`` draws of ``rng`` and the learning rate
+    ``learning_rate * max(1 - seen / total, 1e-4)``, where ``seen`` counts
+    the pairs before it over all epochs. So the returned table, and the
+    state ``rng`` is left in, depend only on the corpus, ``cfg`` and the
+    state ``rng`` came in with, not on how the pairs are cut into blocks.
 
     The returned rows are the input (center) vectors; the output (context)
     vectors are discarded. Input vectors of words that share contexts land
@@ -137,47 +152,62 @@ def train_skipgram(corpus: list, vocab_size: int, cfg: SkipGramConfig,
     w_in = table.vectors.data
     w_out = np.zeros_like(w_in)
 
-    counts = np.zeros(vocab_size)
-    sentences = []
-    for sent in corpus:
-        ids = np.asarray([i for i in sent if i != PAD_ID], dtype=np.intp)
-        if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-            raise ValueError("token id out of range in skip-gram corpus")
-        if ids.size:
-            sentences.append(ids)
-            np.add.at(counts, ids, 1.0)
-    if not sentences:
+    sentences = [np.asarray([i for i in sent if i != PAD_ID], dtype=np.intp) for sent in corpus]
+    tokens = np.concatenate(sentences)
+    if not tokens.size:
         raise ValueError("skip-gram corpus is empty")
+    if tokens.min() < 0 or tokens.max() >= vocab_size:
+        raise ValueError("token id out of range in skip-gram corpus")
+    # the span [start, end) in ``tokens`` of each token's sentence
+    lengths = [s.size for s in sentences]
+    end = np.repeat(np.cumsum(lengths), lengths)
+    start = end - np.repeat(lengths, lengths)
 
-    noise = counts ** 0.75
+    noise = np.bincount(tokens, minlength=vocab_size).astype(np.float64) ** 0.75
     noise[PAD_ID] = 0.0
     noise_cdf = np.cumsum(noise / noise.sum())
 
-    total_pairs = sum(
-        min(c + cfg.window + 1, len(s)) - max(c - cfg.window, 0) - 1
-        for s in sentences for c in range(len(s))
-    ) * max(cfg.epochs, 1)
+    window = cfg.window
+    pos = np.arange(tokens.size)
+    pairs_per_epoch = int((np.minimum(pos + window + 1, end)
+                           - np.maximum(pos - window, start) - 1).sum())
+    total_pairs = pairs_per_epoch * max(cfg.epochs, 1)
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    span = max(1, _BLOCK // offsets.size)  # centers per block
+    labels = np.zeros(cfg.negative_samples + 1)
+    labels[0] = 1.0
     seen = 0
     for _ in range(cfg.epochs):
-        for sent in sentences:
-            for c in range(len(sent)):
-                center = sent[c]
-                lo, hi = max(c - cfg.window, 0), min(c + cfg.window + 1, len(sent))
-                for o in range(lo, hi):
-                    if o == c:
-                        continue
-                    lr = cfg.learning_rate * max(1.0 - seen / total_pairs, 1e-4)
-                    seen += 1
-                    negs = np.searchsorted(noise_cdf, rng.random(cfg.negative_samples))
-                    rows = np.concatenate(([sent[o]], negs))
-                    labels = np.zeros(len(rows))
-                    labels[0] = 1.0
-                    v = w_in[center]
-                    outs = w_out[rows]
-                    err = labels - 1.0 / (1.0 + np.exp(-outs @ v))  # label - sigmoid(score)
-                    grad_in = err @ outs
-                    np.add.at(w_out, rows, np.outer(err, v) * lr)
-                    w_in[center] += lr * grad_in
+        for lo in range(0, tokens.size, span):
+            # (center, context) positions in loop order: center, then context
+            centers = pos[lo:lo + span, None]
+            context = centers + offsets
+            valid = (context >= start[centers]) & (context < end[centers])
+            centers = np.broadcast_to(tokens[centers], context.shape)[valid]
+            m = centers.size
+            rows = np.empty((m, labels.size), dtype=np.intp)
+            rows[:, 0] = tokens[context[valid]]
+            rows[:, 1:] = np.searchsorted(noise_cdf, rng.random((m, cfg.negative_samples)))
+            lrs = cfg.learning_rate * np.maximum(1.0 - np.arange(seen, seen + m) / total_pairs,
+                                                 1e-4)
+            seen += m
+            ordered = np.sort(rows, axis=1)
+            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            for center, row, lr, repeat in zip(centers.tolist(), rows, lrs.tolist(),
+                                               repeats.tolist()):
+                v = w_in[center]
+                outs = w_out[row]
+                err = labels - 1.0 / (1.0 + np.exp(-(outs @ v)))  # label - sigmoid(score)
+                grad_in = err @ outs
+                update = err[:, None] * v
+                update *= lr
+                if repeat:  # row by row in order, as np.add.at adds into repeated rows
+                    for j, r in enumerate(row.tolist()):
+                        w_out[r] += update[j]
+                else:  # ``outs`` still holds these rows of ``w_out``
+                    outs += update
+                    w_out[row] = outs
+                v += lr * grad_in
     w_in[PAD_ID] = 0.0
     return table
 

@@ -35,6 +35,22 @@ from .layers import (
 from .tensor import Tensor
 
 
+# Longest id sequence a model takes. An SMS holds at most 160 characters,
+# so far fewer tokens. Eval and predict allocate max_len ids per message,
+# so a checkpoint above the ceiling is refused rather than trusted.
+MAX_LEN_CEILING = 1024
+
+
+def check_max_len(max_len, shortest: int) -> None:
+    """Reject a ``max_len`` that is not an int or lies outside
+    [``shortest``, ``MAX_LEN_CEILING``]; ``shortest`` is the receptive
+    field of the model's convolutions."""
+    if isinstance(max_len, bool) or not isinstance(max_len, (int, np.integer)):
+        raise ValueError(f"max_len must be an integer, got {max_len!r}")
+    if not shortest <= max_len <= MAX_LEN_CEILING:
+        raise ValueError(f"max_len {max_len} outside [{shortest}, {MAX_LEN_CEILING}]")
+
+
 @dataclass
 class McmConfig:
     vocab_size: int
@@ -52,8 +68,7 @@ class McmConfig:
     stop_disc_gradients: bool = False
 
     def validate(self) -> None:
-        if self.max_len < self.kernel1 + self.kernel2 - 1:
-            raise ValueError("max_len too short for the stacked convolutions")
+        check_max_len(self.max_len, self.kernel1 + self.kernel2 - 1)
         if min(self.vocab_size, self.embed_dim, self.num_classes, self.num_filters,
                self.hidden_dim, self.dense1_dim, self.dense2_dim) < 1:
             raise ValueError("all dimensions must be positive")
@@ -371,8 +386,7 @@ class BaselineModel:
 
 def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) -> BaselineModel:
     """Embedding -> one valid conv (ReLU) -> global max-pool -> dense -> softmax."""
-    if config.max_len < config.kernel:
-        raise ValueError("max_len shorter than the baseline kernel")
+    check_max_len(config.max_len, config.kernel)
     if embedding.vocab_size != config.vocab_size or embedding.dim != config.embed_dim:
         raise ValueError("embedding table does not match the configuration")
     if isinstance(seed_seq, (int, np.integer)):

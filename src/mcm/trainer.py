@@ -46,6 +46,7 @@ from .model import (
     baseline_predict_batch,
     build_baseline,
     build_mcm,
+    check_max_len,
     forward_batch,
     loss as mcm_loss,
 )
@@ -98,6 +99,8 @@ class TrainConfig:
             raise ValueError(f"unknown embedding mode {self.embedding_mode!r}")
         if self.select_on not in ("test", "validation"):
             raise ValueError("select_on must be 'test' or 'validation'")
+        if self.max_len is not None:
+            check_max_len(self.max_len, 2)  # encode needs at least 2 ids
 
     @property
     def resolved_embedding_dim(self) -> int:

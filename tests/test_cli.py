@@ -1,0 +1,52 @@
+"""The mcm command line end to end: gen-synth -> train -> eval -> predict,
+each in its own process. Training with domain embeddings runs skip-gram
+pretraining at its defaults (window 5, 5 epochs) through its real caller."""
+import csv
+import os
+import subprocess
+import sys
+
+from mcm.data import DEFAULT_CLASSES
+from mcm.trainer import load_checkpoint
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def mcm(cwd, *args, stdin=None):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "mcm.cli", *args], cwd=cwd, input=stdin,
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_gen_synth_train_eval_predict(tmp_path):
+    gen = mcm(tmp_path, "gen-synth", "--n", "120", "--seed", "3", "--out", "data")
+    assert gen.returncode == 0, gen.stderr
+    train_lines = (tmp_path / "data" / "train.tsv").read_text().splitlines()
+    test_lines = (tmp_path / "data" / "test.tsv").read_text().splitlines()
+    assert len(train_lines) + len(test_lines) == 120
+
+    train = mcm(tmp_path, "train", "--train", "data/train.tsv", "--test", "data/test.tsv",
+                "--out", "run", "--epochs", "1", "--embedding", "domain",
+                "--embedding-dim", "16")
+    assert train.returncode == 0, train.stderr
+    assert train.stdout.startswith("McM_D: best epoch 0")
+    for name in ("checkpoint.mcm", "results.csv", "curve_McM_D.csv"):
+        assert (tmp_path / "run" / name).stat().st_size > 0, name
+    ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.mcm")
+    assert ckpt.kind == "mcm" and ckpt.config["embed_dim"] == 16
+
+    ev = mcm(tmp_path, "eval", "--checkpoint", "run/checkpoint.mcm",
+             "--test", "data/test.tsv", "--out", "ev")
+    assert ev.returncode == 0, ev.stderr
+    with open(tmp_path / "ev" / "eval_results.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4  # three learners and the discriminator
+
+    pred = mcm(tmp_path, "predict", "--checkpoint", "run/checkpoint.mcm",
+               stdin="shukria bahut acha\n\nrishwat mangta hai\n")
+    assert pred.returncode == 0, pred.stderr
+    lines = pred.stdout.splitlines()
+    assert len(lines) == 3 and lines[1] == "UNKNOWN\t0.0000"
+    for line in (lines[0], lines[2]):
+        label, prob = line.split("\t")
+        assert label in DEFAULT_CLASSES and 0.0 < float(prob) <= 1.0

@@ -1,0 +1,123 @@
+"""Data pipeline: tokenization, vocabulary order, the skip-gram id
+sequences, stratified splitting, apportionment and the synthetic corpus."""
+import numpy as np
+import pytest
+
+from mcm.data import (
+    PAD_ID,
+    UNK_ID,
+    LabeledText,
+    apportion,
+    build_vocab,
+    gen_synthetic,
+    stratified_split,
+    table1_profile,
+    token_id_sequences,
+    tokenize,
+)
+
+
+def records(*texts):
+    return [LabeledText(t, 0) for t in texts]
+
+
+class TestTokenize:
+    def test_lowercases_and_splits_on_whitespace(self):
+        assert tokenize("Shukria  BAHUT\tacha\nhai") == ["shukria", "bahut", "acha", "hai"]
+
+    def test_strips_edge_punctuation_only(self):
+        assert tokenize("(theek!) don't ...wait... e-mail") == ["theek", "don't", "wait", "e-mail"]
+
+    def test_drops_tokens_that_are_only_punctuation(self):
+        assert tokenize("!!! ok ... ?") == ["ok"]
+        assert tokenize("   ") == []
+
+
+class TestBuildVocab:
+    def test_specials_then_frequency_then_lexicographic(self):
+        vocab = build_vocab(records("b a c b", "c b d a", "e"), min_count=1)
+        # b: 3; a, c: 2 each (a before c); d, e: 1 each (d before e)
+        assert vocab.id_to_token == ["<pad>", "<unk>", "b", "a", "c", "d", "e"]
+        assert all(vocab.token_to_id[t] == i for i, t in enumerate(vocab.id_to_token))
+
+    def test_min_count_drops_rare_words(self):
+        vocab = build_vocab(records("b a c b", "c b d a", "e"), min_count=2)
+        assert vocab.id_to_token == ["<pad>", "<unk>", "b", "a", "c"]
+        assert vocab.id("d") == UNK_ID and vocab.min_count == 2
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError):
+            build_vocab([])
+
+
+class TestTokenIdSequences:
+    def test_unknown_words_map_to_unk_and_nothing_is_padded(self):
+        vocab = build_vocab(records("acha acha theek", "theek hai"), min_count=2)
+        seqs = token_id_sequences(records("acha nahi theek", "kal", "Acha, THEEK!"), vocab)
+        acha, theek = vocab.id("acha"), vocab.id("theek")
+        assert seqs == [[acha, UNK_ID, theek], [UNK_ID], [acha, theek]]
+        assert all(PAD_ID not in s for s in seqs)
+
+
+class TestStratifiedSplit:
+    def test_partitions_the_input_per_class(self):
+        recs = [LabeledText(f"r{i} x", i % 3) for i in range(31)]
+        train, test = stratified_split(recs, 0.8, np.random.default_rng(0))
+        ids = sorted(id(r) for r in train + test)
+        assert ids == sorted(id(r) for r in recs)
+        for label in range(3):
+            n = sum(r.label == label for r in recs)
+            assert sum(r.label == label for r in train) == round(0.8 * n)
+
+    def test_same_seed_same_split(self):
+        recs = [LabeledText(f"r{i} x", i % 2) for i in range(20)]
+        a = stratified_split(recs, 0.5, np.random.default_rng(4))
+        b = stratified_split(recs, 0.5, np.random.default_rng(4))
+        assert [r.text for r in a[0]] == [r.text for r in b[0]]
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_fraction_must_lie_strictly_inside(self, fraction):
+        with pytest.raises(ValueError):
+            stratified_split(records("a b", "c d"), fraction, np.random.default_rng(0))
+
+    def test_lone_record_lands_where_the_rounding_sends_it(self):
+        # gen_synthetic's smallest corpus (n=120) holds one record of some classes
+        recs = [LabeledText("a b", 0), LabeledText("c d", 0), LabeledText("e f", 1)]
+        train, test = stratified_split(recs, 0.8, np.random.default_rng(0))
+        assert [r.label for r in train] == [0, 0, 1] and test == []
+        train, test = stratified_split(recs, 0.4, np.random.default_rng(0))
+        assert [r.label for r in train] == [0] and [r.label for r in test] == [0, 1]
+
+
+class TestApportion:
+    @pytest.mark.parametrize("n", [0, 1, 7, 120, 1000, 313_000])
+    def test_sums_to_n_and_stays_within_one_of_the_quota(self, n):
+        proportions = table1_profile().proportions
+        counts = apportion(n, proportions)
+        assert counts.sum() == n
+        assert np.all(np.abs(counts - n * proportions) < 1.0)
+
+    def test_largest_remainders_get_the_extra_units(self):
+        assert apportion(10, [0.55, 0.25, 0.2]).tolist() == [6, 2, 2]
+        assert apportion(3, [0.4, 0.35, 0.25]).tolist() == [1, 1, 1]
+
+
+class TestGenSynthetic:
+    def test_class_counts_follow_the_profile_exactly(self):
+        profile = table1_profile()
+        recs = gen_synthetic(profile, 1000, 0.5, 0.1, np.random.default_rng(2))
+        counts = np.bincount([r.label for r in recs], minlength=profile.num_classes)
+        assert counts.tolist() == apportion(1000, profile.proportions).tolist()
+
+    def test_every_record_has_3_to_12_tokens(self):
+        recs = gen_synthetic(table1_profile(), 240, 0.5, 0.0, np.random.default_rng(3))
+        assert all(3 <= len(tokenize(r.text)) <= 12 for r in recs)
+
+    def test_same_seed_same_corpus(self):
+        a = gen_synthetic(table1_profile(), 120, 0.5, 0.1, np.random.default_rng(5))
+        b = gen_synthetic(table1_profile(), 120, 0.5, 0.1, np.random.default_rng(5))
+        assert [(r.text, r.label) for r in a] == [(r.text, r.label) for r in b]
+
+    def test_too_few_records_for_the_classes_rejected(self):
+        with pytest.raises(ValueError):
+            gen_synthetic(table1_profile(), 119, 0.5, 0.1, np.random.default_rng(0))

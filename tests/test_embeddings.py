@@ -1,5 +1,6 @@
 """Embedding strategies: determinism, pad handling, trigram composition,
-skip-gram shared-context separation.
+skip-gram shared-context separation, and block-wise skip-gram against the
+pair-by-pair loop it replaced.
 
 The skip-gram corpus has two word groups, {2, 3} and {4, 5}. Within a group
 the words share their contexts; across groups words never co-occur. The
@@ -8,6 +9,7 @@ shared contexts (second-order similarity), so the groups must separate."""
 import numpy as np
 import pytest
 
+from mcm import embeddings
 from mcm import tensor as T
 from mcm.embeddings import (
     PAD_ID,
@@ -163,6 +165,116 @@ class TestSkipGram:
         cfg = SkipGramConfig(dim=8, epochs=2)
         table = train_skipgram(paired_corpus(20), 6, cfg, np.random.default_rng(5))
         assert np.array_equal(table.vectors.data[PAD_ID], np.zeros(8))
+
+
+def reference_skipgram(corpus, vocab_size, cfg, rng):
+    """The pair-by-pair SGNS loop: one rng.random(k) draw, one np.add.at
+    scatter and one learning rate per pair, in corpus order."""
+    table = init_random(vocab_size, cfg.dim, rng)
+    w_in = table.vectors.data
+    w_out = np.zeros_like(w_in)
+    counts = np.zeros(vocab_size)
+    sentences = []
+    for sent in corpus:
+        ids = np.asarray([i for i in sent if i != PAD_ID], dtype=np.intp)
+        if ids.size:
+            sentences.append(ids)
+            np.add.at(counts, ids, 1.0)
+    noise = counts ** 0.75
+    noise[PAD_ID] = 0.0
+    noise_cdf = np.cumsum(noise / noise.sum())
+    total_pairs = sum(
+        min(c + cfg.window + 1, len(s)) - max(c - cfg.window, 0) - 1
+        for s in sentences for c in range(len(s))
+    ) * max(cfg.epochs, 1)
+    seen = 0
+    for _ in range(cfg.epochs):
+        for sent in sentences:
+            for c in range(len(sent)):
+                center = sent[c]
+                lo, hi = max(c - cfg.window, 0), min(c + cfg.window + 1, len(sent))
+                for o in range(lo, hi):
+                    if o == c:
+                        continue
+                    lr = cfg.learning_rate * max(1.0 - seen / total_pairs, 1e-4)
+                    seen += 1
+                    negs = np.searchsorted(noise_cdf, rng.random(cfg.negative_samples))
+                    rows = np.concatenate(([sent[o]], negs))
+                    labels = np.zeros(len(rows))
+                    labels[0] = 1.0
+                    v = w_in[center]
+                    outs = w_out[rows]
+                    err = labels - 1.0 / (1.0 + np.exp(-outs @ v))
+                    grad_in = err @ outs
+                    np.add.at(w_out, rows, np.outer(err, v) * lr)
+                    w_in[center] += lr * grad_in
+    w_in[PAD_ID] = 0.0
+    return w_in
+
+
+def edge_corpus():
+    """Pad ids inside and around sentences, empty, all-pad and one-token
+    sentences, and words repeated within a sentence."""
+    return [[0, 2, 3, 0, 4], [], [5], [0, 0], [6, 6, 6, 7, 0, 8, 9], [0, 10],
+            [11, 2, 11, 2, 3], [4], [7, 8, 0, 0, 9, 10, 11, 2], [3, 3]]
+
+
+def four_word_corpus():
+    """Ids 1-3 only, so nearly every pair's context and negatives repeat a row."""
+    rng = np.random.default_rng(11)
+    return [list(rng.integers(1, 4, size=n)) for n in rng.integers(0, 9, size=40)]
+
+
+def long_corpus():
+    """More pairs than one block at every window below, and pads."""
+    rng = np.random.default_rng(12)
+    corpus = []
+    while sum(len(s) for s in corpus) < 2800:
+        sent = rng.integers(1, 30, size=rng.integers(0, 17))
+        sent[rng.random(sent.size) < 0.1] = PAD_ID
+        corpus.append(list(sent))
+    return corpus
+
+
+CORPORA = {"edge": (edge_corpus, 12), "four-words": (four_word_corpus, 4),
+           "long": (long_corpus, 30)}
+# (window, negative_samples, epochs)
+SCHEDULES = [(1, 1, 1), (2, 5, 1), (5, 5, 3), (2, 3, 0)]
+
+
+class TestSkipGramAgainstPairLoop:
+    @pytest.mark.parametrize("window,negatives,epochs", SCHEDULES)
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_same_table_and_generator_state(self, name, window, negatives, epochs):
+        make, vocab_size = CORPORA[name]
+        corpus = make()
+        if name == "long" and epochs:
+            pairs = sum(min(c + window + 1, n) - max(c - window, 0) - 1
+                        for n in (sum(1 for i in s if i != PAD_ID) for s in corpus)
+                        for c in range(n))
+            assert pairs > embeddings._BLOCK
+        cfg = SkipGramConfig(dim=4, window=window, negative_samples=negatives, epochs=epochs)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        table = train_skipgram(corpus, vocab_size, cfg, rng)
+        expected = reference_skipgram(corpus, vocab_size, cfg, ref_rng)
+        assert table.vectors.data.tobytes() == expected.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_result_does_not_depend_on_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(embeddings, "_BLOCK", block)
+        cfg = SkipGramConfig(dim=4, window=2, negative_samples=3, epochs=2)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        table = train_skipgram(edge_corpus(), 12, cfg, rng)
+        expected = reference_skipgram(edge_corpus(), 12, cfg, ref_rng)
+        assert table.vectors.data.tobytes() == expected.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_out_of_range_id_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            train_skipgram([[2, 6]], 6, SkipGramConfig(dim=4), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="out of range"):
+            train_skipgram([[2, -1]], 6, SkipGramConfig(dim=4), np.random.default_rng(0))
 
 
 class TestExport:

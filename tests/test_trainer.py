@@ -15,7 +15,7 @@ from mcm import cli
 from mcm import tensor as T
 from mcm.data import EncodedCorpus, Vocabulary
 from mcm.embeddings import init_random
-from mcm.model import BaselineConfig, McmConfig, build_baseline, build_mcm
+from mcm.model import MAX_LEN_CEILING, BaselineConfig, McmConfig, build_baseline, build_mcm
 from mcm.tensor import Tape, Tensor, backward
 from mcm.trainer import (
     CheckpointError,
@@ -265,6 +265,23 @@ def test_config_dimension_is_checked_against_arrays_before_building(
         rebuild_model(load_checkpoint(with_config(path, **{field: value})))
 
 
+# max_len sizes no stored tensor, yet eval and predict allocate that many
+# ids per message, so it is bounded on its own.
+@pytest.mark.parametrize("value", [10 ** 9, MAX_LEN_CEILING + 1, 1, 6.0, "6", None, True])
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_max_len_must_be_an_int_within_bounds(ckpt_path, baseline_path, kind, value):
+    path = ckpt_path if kind == "mcm" else baseline_path
+    with pytest.raises(CheckpointError, match="max_len"):
+        rebuild_model(load_checkpoint(with_config(path, max_len=value)))
+
+
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_max_len_at_the_ceiling_loads(ckpt_path, baseline_path, kind):
+    path = ckpt_path if kind == "mcm" else baseline_path
+    model, _ = rebuild_model(load_checkpoint(with_config(path, max_len=MAX_LEN_CEILING)))
+    assert model.config.max_len == MAX_LEN_CEILING
+
+
 def test_baseline_checkpoint_round_trips(baseline_path):
     model, vocab = rebuild_model(load_checkpoint(baseline_path))
     assert vocab.size == 10 and model.config.kernel == 2 and model.config.hidden_dim == 3
@@ -315,7 +332,8 @@ def _nan_checkpoint(path):
     lambda p: splice(p, **BAD_BLOCKS["vocab block without tokens"]),
     _nan_checkpoint,
     lambda p: with_config(p, embed_dim=10 ** 12),
-], ids=["vocab-without-tokens", "non-finite-array", "huge-embed-dim"])
+    lambda p: with_config(p, max_len=10 ** 9),
+], ids=["vocab-without-tokens", "non-finite-array", "huge-embed-dim", "huge-max-len"])
 def test_predict_on_bad_checkpoint_prints_one_error_line(ckpt_path, corrupt):
     bad = corrupt(ckpt_path)
     env = dict(os.environ, PYTHONPATH=SRC)
