@@ -224,26 +224,33 @@ def pick_max_len(records, cap: int = 64) -> int:
 # stratified split
 
 
-def stratified_split(records, train_fraction: float, rng: np.random.Generator):
+def stratified_indices(labels, train_fraction: float, rng: np.random.Generator):
     """Per-class shuffle, then per-class split at round(fraction * n_c).
 
-    Returns (train, test); together they partition the input records. A
-    class too small to reach both sides, such as a lone record, lands
-    wholly on the side the rounding picks.
+    Returns (train, test) lists of positions in ``labels``; together they
+    partition them. Classes come in sorted label order, each one's
+    positions in the order of its permutation, and each class draws one
+    ``rng.permutation``. A class too small to reach both sides, such as a
+    lone record, lands wholly on the side the rounding picks.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
-    by_class = {}
-    for i, rec in enumerate(records):
-        by_class.setdefault(rec.label, []).append(i)
+    labels = np.asarray(labels)
     train, test = [], []
-    for label in sorted(by_class):
-        idxs = by_class[label]
-        order = rng.permutation(len(idxs))
-        cut = int(round(train_fraction * len(idxs)))
-        for j, k in enumerate(order):
-            (train if j < cut else test).append(records[idxs[k]])
+    for label in np.unique(labels):
+        idxs = np.flatnonzero(labels == label)
+        order = rng.permutation(idxs.size)
+        cut = int(round(train_fraction * idxs.size))
+        train.extend(idxs[order[:cut]].tolist())
+        test.extend(idxs[order[cut:]].tolist())
     return train, test
+
+
+def stratified_split(records, train_fraction: float, rng: np.random.Generator):
+    """``stratified_indices`` over the records' labels; returns the
+    (train, test) records."""
+    train, test = stratified_indices([rec.label for rec in records], train_fraction, rng)
+    return [records[i] for i in train], [records[i] for i in test]
 
 
 def apportion(n: int, proportions: np.ndarray) -> np.ndarray:

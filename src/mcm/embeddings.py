@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, gather_rows
-
-PAD_ID = 0
-UNK_ID = 1
+from .data import PAD_ID, UNK_ID
+from .tensor import GatheredRows, Tensor, gather_rows
 
 
 @dataclass
@@ -57,16 +55,26 @@ def init_random(vocab_size: int, dim: int, rng: np.random.Generator,
     return EmbeddingTable(vocab_size, dim, Tensor(vecs, requires_grad=trainable), trainable)
 
 
+def _checked_ids(table: EmbeddingTable, ids) -> np.ndarray:
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= table.vocab_size):
+        raise ValueError(f"token id out of range for vocab of {table.vocab_size}")
+    return idx
+
+
 def lookup(table: EmbeddingTable, ids) -> Tensor:
     """Gather rows for a flat id sequence: (l,) -> (l, dim).
 
     The gradient scatter-adds back to the looked-up rows only; the pad row
     is excluded so it stays zero for the lifetime of the table.
     """
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.vocab_size):
-        raise ValueError(f"token id out of range for vocab of {table.vocab_size}")
-    return gather_rows(table.vectors, idx, skip_row=PAD_ID)
+    return gather_rows(table.vectors, _checked_ids(table, ids), skip_row=PAD_ID)
+
+
+def lookup_distinct(table: EmbeddingTable, ids) -> GatheredRows:
+    """``lookup`` held as the distinct ids, for layers that project the
+    embedded rows (see ``GatheredRows``); the pad row gets no gradient."""
+    return GatheredRows(table.vectors, _checked_ids(table, ids), skip_row=PAD_ID)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,16 @@ matrix, the input projection for all timesteps is a single matmul before
 the time loop, and backpropagation through time is written out by hand, so
 a sequence records 2 tape nodes. ``lstm_step`` keeps the op-by-op cell as
 the public single-step form and as its test oracle. The convolution builds
-its windows from k contiguous row slices, so its backward is k slice-adds.
+its windows from k contiguous row slices, so its backward is k slice-adds;
+its affine map and ReLU are one op.
+
+The LSTM and the convolution with k = 1 also take their input as
+``GatheredRows``: embedded token rows held as the distinct ids. Their
+input projection then runs once per distinct id and is spread over the
+token slots, and the backward sums the slots' gradients per distinct id
+before the weight and table gradient matmuls, so those three matmuls cost
+in distinct ids, not in slots. ``_affine`` computes the projection and its
+gradients for either input kind.
 """
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
+    GatheredRows,
     ShapeError,
     Tensor,
     add,
@@ -178,6 +188,24 @@ class AttentionParams:
 
 
 # ---------------------------------------------------------------------------
+# input projection
+
+
+def _affine(x, w: np.ndarray, b: np.ndarray):
+    """z = x @ w.T + b for w (out, d), b (out,), over a dense (rows, d)
+    Tensor or ``GatheredRows``.
+
+    Returns z, the tensor the op reads (``x``, or the table the rows are
+    gathered from), and ``input_grads(dz)``, which gives (dW, the gradient
+    of that tensor) from dz = dL/dz.
+    """
+    if isinstance(x, GatheredRows):
+        return x.project(w, b), x.table, lambda dz: x.project_grads(dz, w)
+    xd = x.data
+    return xd @ w.T + b, x, lambda dz: (dz.T @ xd, dz @ w if x.requires_grad else None)
+
+
+# ---------------------------------------------------------------------------
 # convolution
 
 
@@ -201,19 +229,31 @@ def _conv_windows(x: Tensor, n: int, l: int, k: int) -> Tensor:
                     (x,), grad_fn)
 
 
-def conv1d_batch(x: Tensor, n: int, l: int, p: Conv1dParams) -> Tensor:
+def conv1d_batch(x, n: int, l: int, p: Conv1dParams) -> Tensor:
     """Valid 1-d convolution with ReLU over a step-major batch.
 
-    (l*n, d) -> ((l-k+1)*n, F).
+    (l*n, d) -> ((l-k+1)*n, F). ``x`` is a dense Tensor or ``GatheredRows``;
+    with k = 1 the windows are the rows, so gathered rows are projected once
+    per distinct row, and with k > 1 they are gathered densely first. The
+    affine map and ReLU are one op.
     """
     k, d, f = p.kernel_size, p.in_dim, p.num_filters
-    if x.data.ndim != 2 or x.data.shape != (l * n, d):
-        raise ShapeError(f"conv1d: expected ({l * n}, {d}) input, got {x.data.shape}")
+    if x.shape != (l * n, d):
+        raise ShapeError(f"conv1d: expected ({l * n}, {d}) input, got {x.shape}")
     if l < k:
         raise ValueError(f"conv1d: input length {l} shorter than kernel size {k}")
-    windows = x if k == 1 else _conv_windows(x, n, l, k)
-    w2d = reshape(p.weights, (k * d, f))
-    return relu(add(matmul(windows, w2d), expand_rows(p.bias, (l - k + 1) * n)))
+    if k > 1:
+        x = _conv_windows(x.dense() if isinstance(x, GatheredRows) else x, n, l, k)
+    w = p.weights.data.reshape(k * d, f).T  # (F, k*d) view
+    z, source, input_grads = _affine(x, w, p.bias.data)
+    mask = z > 0
+
+    def grad_fn(g):
+        dz = g * mask
+        dw, dx = input_grads(dz)
+        return dx, dw.T.reshape(k, d, f), dz.sum(axis=0)
+
+    return apply_op(np.where(mask, z, 0.0), (source, p.weights, p.bias), grad_fn)
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
@@ -245,7 +285,7 @@ def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
     return h_t, c_t
 
 
-def lstm_sequence_batch(x: Tensor, n: int, l: int, p: LstmParams):
+def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
     """Run an LSTM over a step-major batch, zero initial state.
 
     Returns (H, h_last): H is (l*n, hidden) step-major, h_last is the
@@ -261,20 +301,26 @@ def lstm_sequence_batch(x: Tensor, n: int, l: int, p: LstmParams):
     weight and input gradients with four matmuls, and splits those back
     onto the 12 per-gate tensors. ``lstm_step`` computes the same cell
     op by op.
+
+    ``x`` is a dense (l*n, d) Tensor or ``GatheredRows``. Gathered rows are
+    projected once per distinct row, x_r @ W.T + b, and the result spread
+    over the slots is the gates buffer itself, so no (l*n, d) copy of the
+    input exists. In the backward, dZ is summed per distinct row (S) and
+    dW = S.T @ x_r and the table gradient S @ W are matmuls over distinct
+    rows; the recurrence and BPTT are the same for both input kinds.
     """
     if l < 1:
         raise ValueError("lstm_sequence: empty sequence")
-    if x.data.shape != (l * n, p.input_dim):
-        raise ShapeError(f"lstm: expected ({l * n}, {p.input_dim}) input, got {x.data.shape}")
+    if x.shape != (l * n, p.input_dim):
+        raise ShapeError(f"lstm: expected ({l * n}, {p.input_dim}) input, got {x.shape}")
     hd = p.hidden_dim
     params = [t for _, t in p.tensors()]  # w_i..w_u, u_i..u_u, b_i..b_u
     w = np.concatenate([t.data for t in params[0:4]])     # (4H, d)
     u = np.concatenate([t.data for t in params[4:8]])     # (4H, H)
     b = np.concatenate([t.data for t in params[8:12]])    # (4H,)
-    xd = x.data
 
     # Forward. After step t, gates[rows] holds the activated i, f, o, u.
-    gates = xd @ w.T + b
+    gates, source, input_grads = _affine(x, w, b)
     h_all = np.empty((l * n, hd))
     c_all = np.empty((l * n, hd))
     tanh_c = np.empty((l * n, hd))
@@ -310,14 +356,13 @@ def lstm_sequence_batch(x: Tensor, n: int, l: int, p: LstmParams):
             dz[:, 3 * hd:] = dc * gi * (1.0 - gu * gu)
             dc_next = dc * gf
             dh_rec = dz @ u
-        dw = dz_all.T @ xd
+        dw, dx = input_grads(dz_all)
         du = dz_all[n:].T @ h_all[:-n]
         db = dz_all.sum(axis=0)
-        dx = dz_all @ w if x.requires_grad else None
         split = [np.split(a, 4) for a in (dw, du, db)]
         return (dx, *split[0], *split[1], *split[2])
 
-    h_seq = apply_op(h_all, [x] + params, grad_fn)
+    h_seq = apply_op(h_all, [source] + params, grad_fn)
     return h_seq, slice_rows(h_seq, (l - 1) * n, l * n)
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .embeddings import EmbeddingTable, lookup
+from .embeddings import EmbeddingTable, lookup, lookup_distinct
 from .layers import (
     AttentionParams,
     BatchNormParams,
@@ -244,49 +244,40 @@ def _pool_time(flat: Tensor, n: int, steps: int, width: int) -> Tensor:
 
 
 def forward_batch(model: McmModel, ids: np.ndarray, mode: str,
-                  rng: Optional[np.random.Generator] = None,
-                  trace: Optional[dict] = None) -> McmOutput:
-    """Run all four components over an (n, max_len) id batch."""
+                  rng: Optional[np.random.Generator] = None) -> McmOutput:
+    """Run all four components over an (n, max_len) id batch.
+
+    The embedded batch is gathered once as its distinct ids, and the first
+    layer of each cascade (``cnn1``, ``lstm_s1``, ``lstm_enc``) projects
+    those rows instead of every token slot.
+    """
     cfg = model.config
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
         raise ValueError(f"expected (n, {cfg.max_len}) ids, got {ids.shape}")
     n, l = ids.shape
-    x = lookup(model.embedding, ids.T.reshape(-1))  # step-major (l*n, d)
-
-    def note(key, t):
-        if trace is not None:
-            trace[key] = t.data.copy()
-
-    note("embedded", x)
+    x = lookup_distinct(model.embedding, ids.T.reshape(-1))  # step-major (l*n, d)
 
     # stacked-CNN cascade
     c1 = conv1d_batch(x, n, l, model.cnn1)
     w1 = l - cfg.kernel1 + 1
-    note("cnn1", c1)
     if model.att_cnn is not None:
         c1 = soft_attention_batch(c1, n, w1, model.att_cnn)
-        note("cnn1_attended", c1)
     c2 = conv1d_batch(c1, n, w1, model.cnn2)
     w2 = w1 - cfg.kernel2 + 1
-    note("cnn2", c2)
     cnn_pooled = _pool_time(c2, n, w2, cfg.num_filters)
     logits_cnn, feat_cnn = _head_forward(cnn_pooled, model.head_cnn, mode, rng)
 
     # stacked-LSTM cascade
     h1, _ = lstm_sequence_batch(x, n, l, model.lstm_s1)
-    note("slstm_h1", h1)
     if model.att_lstm is not None:
         h1 = soft_attention_batch(h1, n, l, model.att_lstm)
-        note("slstm_h1_attended", h1)
     h2, _ = lstm_sequence_batch(h1, n, l, model.lstm_s2)
-    note("slstm_h2", h2)
     slstm_pooled = _pool_time(h2, n, l, cfg.hidden_dim)
     logits_slstm, feat_slstm = _head_forward(slstm_pooled, model.head_slstm, mode, rng)
 
     # LSTM encoder cascade: the final hidden state summarizes the text
     _, h_last = lstm_sequence_batch(x, n, l, model.lstm_enc)
-    note("lstm_last", h_last)
     logits_lstm, feat_lstm = _head_forward(h_last, model.head_lstm, mode, rng)
 
     # discriminator over the fused learner features
@@ -337,10 +328,6 @@ def predict(model: McmModel, ids):
     out = forward(model, ids, mode="infer")
     p = out.probs_disc.data
     return int(np.argmax(p)), p
-
-
-def param_count(model) -> int:
-    return sum(t.size for _, t in model.named_tensors())
 
 
 # ---------------------------------------------------------------------------

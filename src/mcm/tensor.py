@@ -356,6 +356,18 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return apply_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, grad_fn)
 
 
+def _row_indices(m: Tensor, indices) -> np.ndarray:
+    """``indices`` as a flat intp array of valid row numbers of rank-2 ``m``."""
+    if m.data.ndim != 2:
+        raise ShapeError(f"gather_rows expects rank-2, got {m.data.shape}")
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError("gather_rows indices must be a flat sequence")
+    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
+        raise ValueError(f"gather_rows index out of range for {m.data.shape[0]} rows")
+    return idx
+
+
 def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
     """Gather rows of a rank-2 tensor; gradient scatter-adds back.
 
@@ -368,13 +380,7 @@ def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
     to it, without writing every row of a large table. ``m.grad`` stays a
     dense array.
     """
-    if m.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects rank-2, got {m.data.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows indices must be a flat sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
-        raise ValueError(f"gather_rows index out of range for {m.data.shape[0]} rows")
+    idx = _row_indices(m, indices)
 
     def grad_fn(g):
         if not m.requires_grad:
@@ -390,6 +396,66 @@ def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
         return (RowGrad(rows, values),)
 
     return apply_op(m.data[idx], (m,), grad_fn)
+
+
+class GatheredRows:
+    """The rows ``m[indices]`` of a rank-2 tensor, held as its distinct rows.
+
+    It stands for the dense ``gather_rows(m, indices, skip_row)`` where a
+    layer's first step is an affine map: ``project`` applies the map once
+    per distinct row and spreads the results over the slots, and
+    ``project_grads`` turns the slots' gradients into the weight gradient
+    and a ``RowGrad`` for ``m``. Both then cost in distinct rows instead of
+    slots. Slots of ``skip_row`` gather normally but send ``m`` no gradient.
+    """
+
+    __slots__ = ("table", "indices", "skip_row", "rows", "inverse", "order", "bounds", "values")
+
+    def __init__(self, m: Tensor, indices, skip_row: Optional[int] = None):
+        self.table = m
+        self.indices = _row_indices(m, indices)
+        self.skip_row = skip_row
+        self.rows, self.inverse, counts = np.unique(self.indices, return_inverse=True,
+                                                    return_counts=True)
+        # order[bounds[k]:bounds[k + 1]] are the slots of rows[k], in slot order
+        self.order = np.argsort(self.inverse, kind="stable")
+        self.bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        self.values = m.data[self.rows]
+
+    @property
+    def shape(self) -> tuple:
+        return (self.indices.size, self.table.data.shape[1])
+
+    def dense(self) -> Tensor:
+        """The gathered rows as one (slots, d) tensor on the tape."""
+        return gather_rows(self.table, self.indices, self.skip_row)
+
+    def project(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``m[indices] @ w.T + b`` for w (out, d) and b (out,)."""
+        return (self.values @ w.T + b)[self.inverse]
+
+    def segment_sum(self, g: np.ndarray) -> np.ndarray:
+        """(distinct rows, out): row k sums the rows of ``g`` at the slots of
+        ``rows[k]`` one by one in slot order, the additions ``np.add.at``
+        makes. (``np.add.reduceat`` reassociates them.)"""
+        by_row = g[self.order]
+        out = np.empty((self.rows.size, g.shape[1]))
+        for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
+            by_row[lo:hi].sum(axis=0, out=out[k])
+        return out
+
+    def project_grads(self, dz: np.ndarray, w: np.ndarray):
+        """(dW, gradient of ``m``) of ``z = project(w, b)`` from dz = dL/dz.
+
+        The gradient of ``m`` is a ``RowGrad`` over the distinct rows other
+        than ``skip_row``, or None when ``m`` takes no gradient.
+        """
+        s = self.segment_sum(dz)
+        dw = s.T @ self.values
+        if not self.table.requires_grad:
+            return dw, None
+        keep = self.rows != self.skip_row
+        return dw, RowGrad(self.rows[keep], s[keep] @ w)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:

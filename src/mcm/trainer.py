@@ -10,7 +10,6 @@ curves and checkpoints.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -26,7 +25,7 @@ from .data import (
     build_vocab,
     encode,
     pick_max_len,
-    stratified_split,
+    stratified_indices,
     token_id_sequences,
 )
 from .embeddings import (
@@ -517,18 +516,13 @@ def _batch_slices(n: int, batch_size: int, order: np.ndarray):
 
 
 def _carve_validation(corpus: EncodedCorpus, rng: np.random.Generator):
-    """Per-class 80/20 split of an encoded corpus, for selection only."""
-    train_idx, val_idx = [], []
-    for label in np.unique(corpus.labels):
-        idxs = np.flatnonzero(corpus.labels == label)
-        order = rng.permutation(len(idxs))
-        cut = int(round(0.8 * len(idxs)))
-        train_idx.extend(idxs[order[:cut]])
-        val_idx.extend(idxs[order[cut:]])
-    tr = np.asarray(sorted(train_idx))
-    va = np.asarray(sorted(val_idx))
-    return (EncodedCorpus(corpus.sequences[tr], corpus.labels[tr], corpus.max_len),
-            EncodedCorpus(corpus.sequences[va], corpus.labels[va], corpus.max_len))
+    """Per-class 80/20 split of an encoded corpus, for selection only; each
+    part keeps the corpus order."""
+    parts = []
+    for idx in stratified_indices(corpus.labels, 0.8, rng):
+        idx = np.sort(np.asarray(idx, dtype=np.intp))
+        parts.append(EncodedCorpus(corpus.sequences[idx], corpus.labels[idx], corpus.max_len))
+    return tuple(parts)
 
 
 def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
@@ -748,27 +742,3 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
                                         status=f"error: {exc}"))
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     return rows
-
-
-def grid_search(train_records, base_cfg: TrainConfig, grid: dict, class_names):
-    """Sweep config values on a 20% stratified validation carve-out.
-
-    ``grid`` maps TrainConfig field names to candidate lists. Returns the
-    best configuration (by validation discriminator macro-F1) and one
-    result row per combination. The caller retrains on the full training
-    set afterwards - the carve-out is for selection only.
-    """
-    rng = np.random.default_rng(seed_streams(base_cfg.seed)["validation"])
-    fit_part, val_part = stratified_split(train_records, 0.8, rng)
-    keys = sorted(grid)
-    rows = []
-    best_cfg, best_f1 = None, -1.0
-    for values in itertools.product(*(grid[k] for k in keys)):
-        combo = dict(zip(keys, values))
-        cfg = replace(base_cfg, **combo)
-        _, ckpt, records, _ = run_training(fit_part, val_part, cfg, class_names)
-        f1 = records[ckpt.config["best_epoch"]].macro_f1("discriminator")
-        rows.append({**combo, "macro_f1": f1})
-        if f1 > best_f1:
-            best_f1, best_cfg = f1, cfg
-    return best_cfg, rows

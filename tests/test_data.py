@@ -10,6 +10,7 @@ from mcm.data import (
     apportion,
     build_vocab,
     gen_synthetic,
+    stratified_indices,
     stratified_split,
     table1_profile,
     token_id_sequences,
@@ -87,6 +88,39 @@ class TestStratifiedSplit:
         assert [r.label for r in train] == [0, 0, 1] and test == []
         train, test = stratified_split(recs, 0.4, np.random.default_rng(0))
         assert [r.label for r in train] == [0] and [r.label for r in test] == [0, 1]
+
+
+def record_level_split(records, train_fraction, rng):
+    """stratified_split as it was before the index-level split existed."""
+    by_class = {}
+    for i, rec in enumerate(records):
+        by_class.setdefault(rec.label, []).append(i)
+    train, test = [], []
+    for label in sorted(by_class):
+        idxs = by_class[label]
+        order = rng.permutation(len(idxs))
+        cut = int(round(train_fraction * len(idxs)))
+        for j, k in enumerate(order):
+            (train if j < cut else test).append(records[idxs[k]])
+    return train, test
+
+
+class TestStratifiedIndices:
+    @pytest.mark.parametrize("labels", [[0, 1, 0, 2, 1, 0, 0, 2, 1, 1, 0],
+                                        [3, 3, 1], [5], list(range(7)) * 9])
+    @pytest.mark.parametrize("fraction", [0.8, 0.5, 0.25])
+    def test_stratified_split_is_unchanged(self, labels, fraction):
+        recs = [LabeledText(f"r{i}", label) for i, label in enumerate(labels)]
+        new_rng, old_rng = np.random.default_rng(9), np.random.default_rng(9)
+        new = stratified_split(recs, fraction, new_rng)
+        old = record_level_split(recs, fraction, old_rng)
+        assert [[r.text for r in part] for part in new] == [[r.text for r in part] for part in old]
+        assert new_rng.random() == old_rng.random()  # the same draws were consumed
+
+    def test_positions_partition_the_labels(self):
+        train, test = stratified_indices(np.array([2, 0, 2, 2, 0]), 0.5, np.random.default_rng(0))
+        assert sorted(train + test) == list(range(5))
+        assert stratified_indices([], 0.5, np.random.default_rng(0)) == ([], [])
 
 
 class TestApportion:

@@ -9,7 +9,7 @@ shared contexts (second-order similarity), so the groups must separate."""
 import numpy as np
 import pytest
 
-from mcm import embeddings
+from mcm import data, embeddings
 from mcm import tensor as T
 from mcm.embeddings import (
     PAD_ID,
@@ -79,6 +79,9 @@ class TestLookup:
         t = init_random(6, 3, np.random.default_rng(10))
         with pytest.raises(ValueError):
             lookup(t, [6])
+
+    def test_special_ids_are_the_data_modules(self):
+        assert (embeddings.PAD_ID, embeddings.UNK_ID) == (data.PAD_ID, data.UNK_ID)
 
 
 class TestCharCompose:

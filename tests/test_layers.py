@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mcm import tensor as T
+from mcm.embeddings import PAD_ID, init_random, lookup, lookup_distinct
 from mcm.layers import (
     AttentionParams,
     BatchNormParams,
@@ -339,6 +340,87 @@ class TestFusedLstm:
         with Tape() as tape:
             lstm_sequence_batch(x, 2, 5, p)
         assert len(tape) == 2
+
+
+def first_layer_run(embed, layers, table, ids, n, l):
+    """Outputs and gradients (every layer's parameters, then the table) of
+    a weighted sum over the layers, all fed one ``embed(table, ids)``."""
+    params = [t for _, p in layers for _, t in p.tensors()] + [table.vectors]
+    for t in params:
+        t.zero_grad()
+    with Tape() as tape:
+        x = embed(table, ids)
+        outs = []
+        for layer, p in layers:
+            out = layer(x, n, l, p)
+            outs.extend(out if isinstance(out, tuple) else [out])
+        total = weighted_sum(outs, np.random.default_rng(0))
+    backward(total, tape)
+    return [o.data.copy() for o in outs], [None if t.grad is None else t.grad.copy()
+                                           for t in params]
+
+
+def first_layers(kind, d, rng):
+    """(layer, params) pairs with every bias off zero."""
+    layers = {"lstm": [(lstm_sequence_batch, LstmParams.init(d, 3, rng))],
+              "conv1": [(conv1d_batch, Conv1dParams.init(1, d, 4, rng))],
+              "conv2": [(conv1d_batch, Conv1dParams.init(2, d, 4, rng))]}
+    layers["all"] = [layers["conv1"][0], layers["lstm"][0],
+                     (lstm_sequence_batch, LstmParams.init(d, 2, rng))]
+    for _, p in layers[kind]:
+        for name, t in p.tensors():
+            if name.startswith("b"):
+                t.data[...] = rng.normal(size=t.shape)
+    return layers[kind]
+
+
+class TestGatheredInput:
+    """lstm_sequence_batch and conv1d_batch fed ``lookup_distinct`` against
+    the same layers fed the dense ``lookup``."""
+
+    VOCAB = 9
+    CASES = {
+        "repeated": (3, 4, [[2, 5, 2, 2], [5, 5, 3, 2], [2, 2, 2, 7]]),
+        "pad": (3, 4, [[2, 4, 0, 0], [6, 0, 0, 0], [4, 4, 2, 0]]),
+        "all-pad": (2, 3, [[0, 0, 0], [0, 0, 0]]),
+        "n=1": (1, 5, [[3, 1, 3, 0, 0]]),
+        "l=1": (4, 1, [[3], [0], [3], [8]]),
+        "range-ends": (2, 4, [[0, 1, 8, 8], [8, 1, 0, 0]]),
+        "long": (8, 12, np.random.default_rng(3).integers(0, 5, size=(8, 12)).tolist()),
+    }
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("case,kind", [(case, kind) for case in CASES
+                                           for kind in ("lstm", "conv1", "conv2", "all")
+                                           if not (kind == "conv2" and case == "l=1")])
+    def test_matches_dense_lookup(self, case, kind, frozen):
+        n, l, rows = self.CASES[case]
+        rng = np.random.default_rng(60)
+        d = 5
+        table = init_random(self.VOCAB, d, rng, trainable=not frozen)
+        layers = first_layers(kind, d, rng)
+        ids = np.asarray(rows).T.reshape(-1)  # step-major
+        outs_g, grads_g = first_layer_run(lookup_distinct, layers, table, ids, n, l)
+        outs_d, grads_d = first_layer_run(lookup, layers, table, ids, n, l)
+        for got, want in zip(outs_g, outs_d):
+            assert max_rel_err(got, want) <= 1e-12
+        for got, want in zip(grads_g, grads_d):
+            if want is None:
+                assert got is None
+            else:
+                assert max_rel_err(got, want) <= 1e-12
+        if frozen:
+            assert grads_g[-1] is None
+        else:
+            assert np.all(grads_g[-1][PAD_ID] == 0.0)
+            assert np.all(grads_g[-1][ids[ids != PAD_ID]] != 0.0)
+
+    def test_id_out_of_range_rejected_as_lookup_does(self):
+        table = init_random(self.VOCAB, 3, np.random.default_rng(0))
+        for embed in (lookup, lookup_distinct):
+            for bad in ([[1, self.VOCAB]], [[-1, 2]]):
+                with pytest.raises(ValueError, match="out of range"):
+                    embed(table, np.asarray(bad).reshape(-1))
 
 
 class TestDense:

@@ -1,20 +1,33 @@
-"""McM model: guards on the shape of its training graph, and the max_len
-bounds that training shares with checkpoint loading."""
+"""McM model: guards on the shape of its training graph, the max_len
+bounds that training shares with checkpoint loading, the single-example
+entry points against the batch, and a finite-difference check of the
+whole model's gradient."""
 import numpy as np
 import pytest
 
-from mcm.embeddings import init_random
+from mcm.embeddings import PAD_ID, init_random
 from mcm.model import (
     MAX_LEN_CEILING,
     BaselineConfig,
     McmConfig,
     build_baseline,
     build_mcm,
+    forward,
     forward_batch,
     loss,
+    predict,
 )
 from mcm.tensor import Tape, backward
 from mcm.trainer import TrainConfig
+
+from .helpers import max_rel_err, numerical_grad
+
+# step-major batches hold few distinct ids: repeats within and across rows,
+# and right-padding
+IDS = np.array([[2, 5, 2, 7, 0, 0],
+                [5, 5, 5, 5, 5, 3],
+                [9, 2, 0, 0, 0, 0],
+                [1, 9, 4, 2, 5, 0]])
 
 
 def test_training_step_tape_stays_small():
@@ -42,3 +55,84 @@ def test_training_configs_refuse_what_loading_refuses(max_len):
                                       max_len=max_len), table, 0)
     with pytest.raises(ValueError, match="max_len"):
         TrainConfig(max_len=max_len)
+
+
+def tiny_mcm(seed=0, **overrides):
+    cfg = McmConfig(**{**dict(vocab_size=10, embed_dim=3, num_classes=3, max_len=IDS.shape[1],
+                              num_filters=2, hidden_dim=2, dense1_dim=3, dense2_dim=2,
+                              attention=True, dropout=0.0), **overrides})
+    rng = np.random.default_rng(seed)
+    model = build_mcm(cfg, init_random(cfg.vocab_size, cfg.embed_dim, rng), seed)
+    return model, rng
+
+
+def test_forward_row_equals_forward_batch_row():
+    model, _ = tiny_mcm(dropout=0.2)
+    batch = forward_batch(model, IDS, "infer")
+    for i, row in enumerate(IDS):
+        single = forward(model, row)
+        for name, value in vars(single).items():
+            want = getattr(batch, name).data[i]
+            assert value.data.shape == want.shape
+            assert max_rel_err(value.data, want) <= 1e-12, name
+        label, probs = predict(model, row)
+        assert label == int(np.argmax(batch.probs_disc.data[i]))
+        assert max_rel_err(probs, batch.probs_disc.data[i]) <= 1e-12
+
+
+def shift_biases_off_zero(model, rng):
+    # Pad rows and zero biases put the ReLUs exactly on their kink, where a
+    # finite difference is meaningless.
+    for name, t in model.named_tensors():
+        if name.rsplit(".", 1)[1] in ("bias", "beta", "score_b", "b_i", "b_f", "b_o", "b_u"):
+            t.data[...] += rng.uniform(0.1, 0.5, size=t.shape) * rng.choice([-1.0, 1.0], t.shape)
+
+
+def model_gradcheck(model, ids, mode, targets):
+    """Per parameter name, the tape's gradient of ``loss`` and its central
+    difference. The pad row of the table is frozen (its tape gradient is
+    zero by design), so it is left out."""
+    def value():
+        return loss(forward_batch(model, ids, mode), targets)
+
+    model.zero_grad()
+    with Tape() as tape:
+        total = value()
+    backward(total, tape)
+    grads = {}
+    for name, t in model.named_tensors():
+        numeric = numerical_grad(lambda: float(value().data), t)
+        analytic = t.grad
+        if name == "embedding.vectors":
+            assert np.all(analytic[PAD_ID] == 0.0)
+            numeric, analytic = numeric[PAD_ID + 1:], analytic[PAD_ID + 1:]
+        grads[name] = analytic, numeric
+    return grads
+
+
+def test_whole_model_gradcheck_infer_mode():
+    model, rng = tiny_mcm(1)
+    shift_biases_off_zero(model, rng)
+    grads = model_gradcheck(model, IDS, "infer", rng.integers(0, 3, size=len(IDS)))
+    assert max(max_rel_err(a, n) for a, n in grads.values()) < 1e-4
+
+
+def test_whole_model_gradcheck_train_mode():
+    # Train-mode batchnorm folds each forward's batch statistics into the
+    # running estimates; the check restores them so the model leaves as it
+    # came. Eight rows keep the batch statistics well away from zero variance.
+    model, rng = tiny_mcm(2)
+    shift_biases_off_zero(model, rng)
+    ids = np.concatenate([IDS, IDS[:, ::-1]])
+    saved = [(a, a.copy()) for _, a in model.named_buffers()]
+    try:
+        grads = model_gradcheck(model, ids, "train", rng.integers(0, 3, size=len(ids)))
+    finally:
+        for a, copy in saved:
+            a[...] = copy
+    # Here a parameter that shifts a feature equally across the batch before
+    # a batchnorm (a dense bias, or cnn2's bias where its ReLU is active
+    # everywhere) has a true gradient of 0, and its difference quotient is
+    # rounding noise of ~1e-10: hence the absolute tolerance.
+    for name, (analytic, numeric) in grads.items():
+        assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-8), name

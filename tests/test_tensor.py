@@ -265,6 +265,60 @@ class TestRowSparseGrad:
         assert np.array_equal(m.grad, expected)
 
 
+class TestGatheredRows:
+    """GatheredRows against the dense gather it stands for."""
+
+    # 300 slots over 6 rows: long runs of equal keys, which an unstable sort
+    # would reorder (short arrays sort stably either way)
+    MANY = np.random.default_rng(7).integers(0, 6, size=300).tolist()
+
+    @pytest.mark.parametrize("indices", [[3, 0, 3, 5, 3, 0, 7], [0, 0, 0], [6], MANY])
+    def test_segment_sum_equals_add_at_scatter_bitwise(self, indices):
+        rng = np.random.default_rng(len(indices))
+        x = T.GatheredRows(Tensor(rng.normal(size=(9, 4))), indices)
+        g = rng.normal(size=(len(indices), 5))
+        scatter = np.zeros((9, 5))
+        np.add.at(scatter, np.asarray(indices), g)
+        assert x.segment_sum(g).tobytes() == scatter[x.rows].tobytes()
+
+    @pytest.mark.parametrize("indices", [[3, 0, 3, 5, 3, 0, 7], [6], MANY])
+    def test_project_equals_dense_affine(self, indices):
+        rng = np.random.default_rng(11)
+        m = Tensor(rng.normal(size=(9, 4)))
+        w, b = rng.normal(size=(5, 4)), rng.normal(size=5)
+        x = T.GatheredRows(m, indices)
+        assert x.shape == (len(indices), 4)
+        assert max_rel_err(x.project(w, b), m.data[indices] @ w.T + b) <= 1e-12
+        assert np.array_equal(x.dense().data, m.data[indices])
+
+    @pytest.mark.parametrize("skip_row", [None, 0])
+    def test_project_grads_equal_dense_rule(self, skip_row):
+        rng = np.random.default_rng(12)
+        idx = np.asarray(self.MANY)
+        m = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        w, dz = rng.normal(size=(5, 4)), rng.normal(size=(idx.size, 5))
+        dw, dm = T.GatheredRows(m, idx, skip_row).project_grads(dz, w)
+        keep = idx != skip_row
+        dense = np.zeros((9, 4))
+        np.add.at(dense, idx[keep], (dz @ w)[keep])
+        assert max_rel_err(dw, dz.T @ m.data[idx]) <= 1e-12
+        assert list(dm.rows) == sorted(set(idx[keep].tolist()))
+        assert max_rel_err(dm.values, dense[dm.rows]) <= 1e-12
+        m.requires_grad = False
+        assert T.GatheredRows(m, idx, skip_row).project_grads(dz, w)[1] is None
+
+    def test_checks_its_indices_as_gather_rows_does(self):
+        m = Tensor(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="out of range"):
+            T.GatheredRows(m, [1, 4])
+        with pytest.raises(ValueError, match="out of range"):
+            T.GatheredRows(m, [-1])
+        with pytest.raises(ShapeError):
+            T.GatheredRows(m, [[1]])
+        with pytest.raises(ShapeError):
+            T.GatheredRows(Tensor(np.zeros(4)), [1])
+
+
 class TestBackward:
     def test_sum_gives_ones_any_shape(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)

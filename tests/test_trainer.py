@@ -19,6 +19,7 @@ from mcm.model import MAX_LEN_CEILING, BaselineConfig, McmConfig, build_baseline
 from mcm.tensor import Tape, Tensor, backward
 from mcm.trainer import (
     CheckpointError,
+    _carve_validation,
     Optimizer,
     TrainConfig,
     fit,
@@ -31,6 +32,37 @@ from mcm.trainer import (
 from .helpers import weighted_sum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# ---------------------------------------------------------------------------
+# validation carve-out
+
+
+def carve_by_label(corpus, rng):
+    """fit's validation carve-out as it was before it shared
+    data.stratified_indices."""
+    train_idx, val_idx = [], []
+    for label in np.unique(corpus.labels):
+        idxs = np.flatnonzero(corpus.labels == label)
+        order = rng.permutation(len(idxs))
+        cut = int(round(0.8 * len(idxs)))
+        train_idx.extend(idxs[order[:cut]])
+        val_idx.extend(idxs[order[cut:]])
+    tr, va = np.asarray(sorted(train_idx)), np.asarray(sorted(val_idx))
+    return (EncodedCorpus(corpus.sequences[tr], corpus.labels[tr], corpus.max_len),
+            EncodedCorpus(corpus.sequences[va], corpus.labels[va], corpus.max_len))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validation_carve_out_is_unchanged(seed):
+    rng = np.random.default_rng(100 + seed)
+    labels = rng.integers(0, 4, size=37)
+    corpus = EncodedCorpus(rng.integers(0, 50, size=(37, 5)), labels, 5)
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for new, old in zip(_carve_validation(corpus, new_rng), carve_by_label(corpus, old_rng)):
+        assert np.array_equal(new.sequences, old.sequences)
+        assert np.array_equal(new.labels, old.labels)
+    assert new_rng.random() == old_rng.random()
+
 
 # ---------------------------------------------------------------------------
 # optimizer: block-wise updates against one whole-array update
