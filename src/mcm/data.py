@@ -9,6 +9,7 @@ non-standard orthography of romanized text.
 """
 from __future__ import annotations
 
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -100,22 +101,31 @@ class TsvLoadResult:
         return len(self.records) + len(self.rejections)
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def load_tsv(path, class_names=None, text_col: int = 0, label_col: int = 1) -> TsvLoadResult:
     """Read "text<TAB>label" lines into labeled records.
 
-    Malformed lines (missing tab, unknown label, fewer than two tokens)
-    are collected into the rejection report instead of aborting the load.
-    ``text_col``/``label_col`` remap other column layouts.
+    Malformed lines (invalid UTF-8, missing tab, unknown label, fewer than
+    two tokens) are collected into the rejection report instead of aborting
+    the load. Lines end at LF, CR or CRLF. ``text_col``/``label_col`` remap
+    other column layouts.
     """
     names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
     label_ids = {name: i for i, name in enumerate(names)}
     records = []
     rejections = []
-    with open(path, encoding="utf-8") as fh:
+    # surrogateescape decodes each invalid byte to a lone surrogate, which
+    # valid UTF-8 never holds, so bad bytes spoil their own line only.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 rejections.append((line_no, "empty line"))
+                continue
+            if _SURROGATE.search(line):
+                rejections.append((line_no, "invalid UTF-8"))
                 continue
             if (text_col, label_col) == (0, 1):
                 text, sep, label = line.rpartition("\t")

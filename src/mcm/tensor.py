@@ -28,12 +28,38 @@ class ShapeError(ValueError):
 class Tensor:
     """Shape-tagged dense array of float64 with optional gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "_grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
+        self._grad = None  # None, a dense array, or one summed RowGrad
         self.requires_grad = bool(requires_grad)
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        """The gradient as a dense array, or None.
+
+        A gradient that has received only row-sparse writes is held as one
+        ``RowGrad`` (``row_grad``); each read spreads it into zeros and
+        leaves it row-sparse.
+        """
+        g = self._grad
+        if isinstance(g, RowGrad):
+            dense = np.zeros(self.data.shape)
+            dense[g.rows] = g.values
+            return dense
+        return g
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._grad = value
+
+    @property
+    def row_grad(self) -> Optional["RowGrad"]:
+        """The gradient as one summed ``RowGrad`` while every write to it has
+        been row-sparse; None when it is dense or absent."""
+        g = self._grad
+        return g if isinstance(g, RowGrad) else None
 
     @property
     def shape(self) -> tuple:
@@ -133,22 +159,42 @@ class RowGrad(NamedTuple):
 
 
 def _accumulate(t: Tensor, g) -> None:
-    # The first write copies: a grad_fn may hand one array to several inputs
-    # (``add`` returns ``(g, g)``) or return a view of its output's gradient,
-    # and later writes add into ``t.grad`` in place. The copy takes the
-    # layout of ``t.data``, not of ``g`` (a transposed view is F-ordered).
-    # A row-sparse first write starts from ``np.zeros``, which maps its pages
-    # lazily (``np.zeros_like`` would write them all), so only the written
-    # rows of a large table cost anything.
+    """Add one gradient contribution ``g`` (an array or a ``RowGrad``) into
+    ``t``'s gradient.
+
+    While only ``RowGrad``s arrive, the gradient stays one ``RowGrad`` over
+    the union of their rows, and each row's value is ``0.0 +`` each
+    contribution in tape order: the additions a dense scatter into zeros
+    makes, so ``t.grad`` reads bitwise as that scatter (a ``-0.0`` value
+    becomes ``0.0``) and no table-sized array is built. A dense write
+    spreads it into zeros first. A ``RowGrad`` with no rows is still a
+    gradient (of zeros).
+
+    The first dense write copies: a grad_fn may hand one array to several
+    inputs (``add`` returns ``(g, g)``) or return a view of its output's
+    gradient, and later writes add into the gradient in place. The copy
+    takes the layout of ``t.data``, not of ``g`` (a transposed view is
+    F-ordered).
+    """
+    cur = t._grad
     if isinstance(g, RowGrad):
-        if t.grad is None:
-            t.grad = np.zeros(t.data.shape)
-        t.grad[g.rows] += g.values
-    elif t.grad is None:
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g
+        if cur is None:
+            t._grad = RowGrad(g.rows, 0.0 + g.values)
+        elif isinstance(cur, RowGrad):
+            rows = np.union1d(cur.rows, g.rows)
+            values = np.zeros((rows.size,) + cur.values.shape[1:])
+            values[np.searchsorted(rows, cur.rows)] = cur.values
+            values[np.searchsorted(rows, g.rows)] += g.values
+            t._grad = RowGrad(rows, values)
+        else:
+            cur[g.rows] += g.values
+    elif cur is None:
+        t._grad = np.empty_like(t.data)
+        t._grad[...] = g
     else:
-        t.grad += g
+        if isinstance(cur, RowGrad):
+            cur = t._grad = t.grad
+        cur += g
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -377,8 +423,9 @@ def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
     The gradient is a ``RowGrad`` over the distinct gathered rows: each
     row's sum is built with ``np.add.at`` in index order from 0.0, the same
     additions a dense ``(rows, d)`` scatter makes, so it is bitwise equal
-    to it, without writing every row of a large table. ``m.grad`` stays a
-    dense array.
+    to it, without writing every row of a large table. ``m`` keeps it
+    row-sparse (``m.row_grad``) until a dense write arrives; ``m.grad``
+    reads it as the dense array.
     """
     idx = _row_indices(m, indices)
 

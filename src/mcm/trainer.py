@@ -128,7 +128,10 @@ class Adam:
     """Bias-corrected Adam; one elementwise update rule, applied in place to
     one array (or block of one) at a time.
 
-    Its two state slots are the first and second moments.
+    Its two state slots are the first and second moments. ``g=None`` is the
+    zero-gradient form: ``m - c*m`` has the bits of ``m + c*(0.0 - m)``,
+    because ``0.0 - m == -m`` and ``c*(-m) == -(c*m)`` under
+    round-to-nearest.
     """
 
     slots = 2
@@ -142,16 +145,39 @@ class Adam:
         self.corr1 = 1.0 - self.beta1 ** self.t
         self.corr2 = 1.0 - self.beta2 ** self.t
 
-    def update(self, p, g, lr: float, m, v) -> None:
-        m += (1.0 - self.beta1) * (g - m)
-        v += (1.0 - self.beta2) * (g * g - v)
-        p -= lr * (m / self.corr1) / (np.sqrt(v / self.corr2) + self.epsilon)
+    def update(self, p, g, lr: float, tmp, m, v) -> None:
+        a, b = tmp
+        if g is None:
+            np.multiply(m, 1.0 - self.beta1, out=a)
+            m -= a
+            np.multiply(v, 1.0 - self.beta2, out=a)
+            v -= a
+        else:
+            np.subtract(g, m, out=a)
+            a *= 1.0 - self.beta1
+            m += a
+            np.multiply(g, g, out=a)
+            a -= v
+            a *= 1.0 - self.beta2
+            v += a
+        # p -= lr * (m / corr1) / (sqrt(v / corr2) + epsilon)
+        np.divide(m, self.corr1, out=a)
+        a *= lr
+        np.divide(v, self.corr2, out=b)
+        np.sqrt(b, out=b)
+        b += self.epsilon
+        a /= b
+        p -= a
 
 
 class Adadelta:
     """Adadelta; its state slots are the running squared gradient and
     squared update. Classical Adadelta needs no learning rate; lr acts as a
-    plain multiplier (use ~1.0 with this optimizer)."""
+    plain multiplier (use ~1.0 with this optimizer).
+
+    ``g=None`` is the zero-gradient form: both averages decay as in Adam's,
+    and the update is ``-0.0``, which leaves every ``p`` as it is.
+    """
 
     slots = 2
 
@@ -161,33 +187,61 @@ class Adadelta:
     def begin_step(self) -> None:
         pass
 
-    def update(self, p, g, lr: float, eg, ed) -> None:
-        eg += (1.0 - self.rho) * (g * g - eg)
-        delta = -np.sqrt((ed + self.epsilon) / (eg + self.epsilon)) * g
-        ed += (1.0 - self.rho) * (delta * delta - ed)
-        p += lr * delta
+    def update(self, p, g, lr: float, tmp, eg, ed) -> None:
+        a, b = tmp
+        if g is None:
+            np.multiply(eg, 1.0 - self.rho, out=a)
+            eg -= a
+            np.multiply(ed, 1.0 - self.rho, out=a)
+            ed -= a
+            return
+        np.multiply(g, g, out=a)
+        a -= eg
+        a *= 1.0 - self.rho
+        eg += a
+        # delta = -sqrt((ed + epsilon) / (eg + epsilon)) * g, in a
+        np.add(ed, self.epsilon, out=a)
+        np.add(eg, self.epsilon, out=b)
+        a /= b
+        np.sqrt(a, out=a)
+        np.negative(a, out=a)
+        a *= g
+        np.multiply(a, a, out=b)
+        b -= ed
+        b *= 1.0 - self.rho
+        ed += b
+        a *= lr
+        p += a
 
 
 class Sgd:
-    """Plain gradient descent; no state."""
+    """Plain gradient descent; no state. ``g=None`` leaves ``p`` as it is."""
 
     slots = 0
 
     def begin_step(self) -> None:
         pass
 
-    def update(self, p, g, lr: float) -> None:
-        p -= lr * g
+    def update(self, p, g, lr: float, tmp) -> None:
+        if g is not None:
+            p -= np.multiply(g, lr, out=tmp[0])
 
 
 _RULES = {"adam": Adam, "adadelta": Adadelta, "sgd": Sgd}
 
 
 # Elements per block in ``Optimizer.step``: a block's four arrays and the
-# rule's temporaries then fit a 2 MB L2 cache. One Adam step on a
+# rule's two scratch arrays then fit a 2 MB L2 cache. One Adam step on a
 # 50000 x 300 table took 150-175 ms for blocks of 16k-64k elements,
 # 200-290 ms for 128k-256k and 415-450 ms as one whole-array update
-# (2 vCPUs, numpy 2.4, medians of 5-9 repeats).
+# (2 vCPUs, numpy 2.4, medians of 5-9 repeats). The rules write their
+# intermediates into two block-sized scratch arrays that the ``Optimizer``
+# owns (``out=``) instead of allocating temporaries: a 256 KB temporary per
+# operation is mapped and unmapped each time under glibc's default malloc
+# thresholds. Adam's zero-gradient pass over that table took 270-286 ms
+# with temporaries, 127-131 ms with the scratch arrays, and 128-133 ms with
+# temporaries once those thresholds were raised for the measurement
+# (medians of 7 repeats in 3 processes each).
 _BLOCK = 32768
 
 
@@ -212,6 +266,18 @@ class Optimizer:
         self.rule = _RULES[kind]()
         self.state = [tuple(np.zeros(p.data.shape) for _ in range(self.rule.slots))
                       for p in self.params]
+        # large enough for the biggest block of any parameter
+        size = max([_BLOCK] + [math.prod(p.data.shape[1:]) for p in self.params])
+        self._scratch = (np.empty(size), np.empty(size))
+
+    def _update(self, p: np.ndarray, g: Optional[np.ndarray], state) -> None:
+        """The rule over ``p``, ``g`` (None: the zero-gradient form) and the
+        state, block by block."""
+        for b in _row_blocks(p.shape):
+            pb = p[b]
+            tmp = tuple(s[:pb.size].reshape(pb.shape) for s in self._scratch)
+            self.rule.update(pb, None if g is None else g[b], self.lr, tmp,
+                             *(s[b] for s in state))
 
     def step(self) -> None:
         """Apply the update rule to every parameter that has a gradient.
@@ -222,17 +288,35 @@ class Optimizer:
         table through memory several times. Every rule is elementwise and
         each element sees the same operations in the same order, so the
         result is bitwise that of one whole-array update.
+
+        A purely row-sparse gradient (``Tensor.row_grad``, such as the
+        embedding table's) is never made dense. The rule runs on copies of
+        the gradient's rows of the parameter and its state; the
+        zero-gradient form (``g=None``), which equals the rule at a zero
+        gradient bit for bit, runs over the whole array; then the copied
+        rows are written back. Every row is updated as a dense zero-filled
+        gradient would update it, and only the zero-gradient pass touches
+        the whole table.
         """
         self.rule.begin_step()
         for param, state in zip(self.params, self.state):
+            p = param.data
+            rg = param.row_grad
+            if rg is not None:
+                rows = rg.rows
+                p_rows, state_rows = p[rows], tuple(s[rows] for s in state)
+                self._update(p_rows, rg.values, state_rows)
+                self._update(p, None, state)
+                p[rows] = p_rows
+                for s, s_rows in zip(state, state_rows):
+                    s[rows] = s_rows
+                continue
             g = param.grad
             if g is None:
                 continue
-            if g.shape != param.data.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match parameter "
-                                 f"{param.data.shape}")
-            for b in _row_blocks(g.shape):
-                self.rule.update(param.data[b], g[b], self.lr, *(s[b] for s in state))
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+            self._update(p, g, state)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -544,6 +628,9 @@ def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainCo
     select = train_part = train
     if cfg.select_on == "validation":
         train_part, select = _carve_validation(train, np.random.default_rng(streams["validation"]))
+        if len(select) == 0:
+            raise ValueError("select_on='validation' needs a class with at least 3 training "
+                             "records: the 80/20 carve-out left no validation records")
 
     opt = Optimizer(cfg.optimizer, model.parameters(), cfg.learning_rate)
     records = []

@@ -50,3 +50,20 @@ def test_gen_synth_train_eval_predict(tmp_path):
     for line in (lines[0], lines[2]):
         label, prob = line.split("\t")
         assert label in DEFAULT_CLASSES and 0.0 < float(prob) <= 1.0
+
+
+def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):
+    # 2 records per class leave the 80/20 validation carve-out empty
+    words = ["shukria bahut acha", "bahut acha kaam", "rishwat mangta hai",
+             "rishwat di gayi", "doctor nahi aya", "koi doctor nahi"]
+    labels = ["Appreciation", "Appreciation", "Corruption", "Corruption",
+              "Unresponsive", "Unresponsive"]
+    (tmp_path / "train.tsv").write_text("".join(f"{w}\t{l}\n" for w, l in zip(words, labels)))
+    (tmp_path / "test.tsv").write_text("".join(f"{w}\t{l}\n" for w, l in
+                                               zip(words[::2], labels[::2])))
+    run = mcm(tmp_path, "train", "--train", "train.tsv", "--test", "test.tsv", "--out", "run",
+              "--epochs", "1", "--embedding-dim", "8", "--select-on", "validation")
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "validation" in lines[0]
+    assert run.stdout == ""

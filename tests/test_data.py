@@ -1,15 +1,21 @@
 """Data pipeline: tokenization, vocabulary order, the skip-gram id
-sequences, stratified splitting, apportionment and the synthetic corpus."""
+sequences, stratified splitting, apportionment, the synthetic corpus and
+TSV loading over arbitrary bytes."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mcm.data import (
+    DEFAULT_CLASSES,
     PAD_ID,
     UNK_ID,
     LabeledText,
+    TsvLoadResult,
     apportion,
     build_vocab,
     gen_synthetic,
+    load_tsv,
     stratified_indices,
     stratified_split,
     table1_profile,
@@ -155,3 +161,115 @@ class TestGenSynthetic:
     def test_too_few_records_for_the_classes_rejected(self):
         with pytest.raises(ValueError):
             gen_synthetic(table1_profile(), 119, 0.5, 0.1, np.random.default_rng(0))
+
+
+def strict_load_tsv(path, class_names=None, text_col=0, label_col=1):
+    """load_tsv as it was before it took invalid UTF-8: strict decoding, so
+    one bad byte raised UnicodeDecodeError and failed the whole load."""
+    names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
+    label_ids = {name: i for i, name in enumerate(names)}
+    records, rejections = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                rejections.append((line_no, "empty line"))
+                continue
+            if (text_col, label_col) == (0, 1):
+                text, sep, label = line.rpartition("\t")
+                if not sep:
+                    rejections.append((line_no, "missing tab separator"))
+                    continue
+            else:
+                parts = line.split("\t")
+                if max(text_col, label_col) >= len(parts):
+                    rejections.append((line_no, "too few columns"))
+                    continue
+                text, label = parts[text_col], parts[label_col]
+            label = label.strip()
+            if label not in label_ids:
+                rejections.append((line_no, f"unknown label {label!r}"))
+                continue
+            if len(tokenize(text)) < 2:
+                rejections.append((line_no, "fewer than 2 tokens"))
+                continue
+            records.append(LabeledText(text, label_ids[label]))
+    return TsvLoadResult(records, rejections)
+
+
+def byte_lines(raw: bytes) -> list:
+    """The lines of a file as text-mode reading splits them: at LF, CR and
+    CRLF (neither byte occurs inside a multi-byte UTF-8 sequence)."""
+    text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = text.split(b"\n")
+    return lines[:-1] if lines[-1] == b"" else lines
+
+
+def is_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+# Valid pieces: words, labels (one with a slash), an empty-label tab, Urdu
+# script, punctuation, and a 6000-byte run of words.
+TEXT_PIECES = ["\t", "\r", "\n", "\r\n", " ", "  \t ", "shukria", "bahut", "acha", "é",
+               "ڈاکٹر", "!!", "Appreciation", "Satisfied", "Obnoxious/irrelevant", "\t\n",
+               "a " * 3000]
+# Invalid UTF-8: a stray continuation byte, 0xff, a truncated 2- and 3-byte
+# sequence, an encoded surrogate and an overlong encoding.
+BAD_BYTES = [b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+@st.composite
+def tsv_lines(draw):
+    """One line: words with bad bytes or stray tabs mixed in, a separator
+    (usually a tab), a label (maybe empty or unknown) and a line end."""
+    word = st.sampled_from(["shukria", "bahut", "acha", "ڈاکٹر", "é!", "a " * 3000]).map(str.encode)
+    junk = st.one_of(st.sampled_from(BAD_BYTES + [b"\t"]), st.binary(max_size=4))
+    words = draw(st.lists(st.one_of(word, junk) if draw(st.booleans()) else word, max_size=6))
+    sep = draw(st.sampled_from([b"\t", b"\t", b"\t", b" ", b""]))
+    label = draw(st.sampled_from(["Appreciation", "Satisfied", " Corruption ", "", "nope"]))
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r", b""]))
+    return b" ".join(words) + sep + label.encode() + end
+
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestLoadTsv:
+    @FUZZ
+    @given(lines=st.lists(tsv_lines(), max_size=12), tail=st.binary(max_size=12))
+    def test_any_bytes_give_records_and_rejections(self, tmp_path, lines, tail):
+        raw = b"".join(lines) + tail
+        path = tmp_path / "fuzz.tsv"
+        path.write_bytes(raw)
+        result = load_tsv(path)
+        lines = byte_lines(raw)
+        assert result.records_in == len(lines)
+        invalid = {no for no, line in enumerate(lines, start=1) if not is_utf8(line)}
+        assert {no for no, reason in result.rejections if reason == "invalid UTF-8"} == invalid
+        for rec in result.records:
+            assert 0 <= rec.label < len(DEFAULT_CLASSES) and len(tokenize(rec.text)) >= 2
+
+    @FUZZ
+    @given(pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=40),
+           layout=st.sampled_from([(0, 1), (1, 0)]))
+    def test_valid_utf8_loads_as_strict_decoding_did(self, tmp_path, pieces, layout):
+        path = tmp_path / "valid.tsv"
+        path.write_bytes("".join(pieces).encode("utf-8"))
+        assert load_tsv(path, None, *layout) == strict_load_tsv(path, None, *layout)
+
+    def test_bad_byte_rejects_its_line_only(self, tmp_path):
+        path = tmp_path / "mixed.tsv"
+        path.write_bytes(b"shukria bahut acha\tAppreciation\r\n"
+                         b"bahut \xff acha\tSatisfied\n"
+                         b"acha shukria\tSatisfied\r")
+        with pytest.raises(UnicodeDecodeError):
+            strict_load_tsv(path)
+        result = load_tsv(path)
+        assert [(r.text, r.label) for r in result.records] == [("shukria bahut acha", 0),
+                                                               ("acha shukria", 1)]
+        assert result.rejections == [(2, "invalid UTF-8")]

@@ -17,6 +17,7 @@ from mcm.model import (
     loss,
     predict,
 )
+from mcm.layers import softmax_ce
 from mcm.tensor import Tape, backward
 from mcm.trainer import TrainConfig
 
@@ -78,6 +79,37 @@ def test_forward_row_equals_forward_batch_row():
         label, probs = predict(model, row)
         assert label == int(np.argmax(batch.probs_disc.data[i]))
         assert max_rel_err(probs, batch.probs_disc.data[i]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_every_output_field_has_its_shape(n):
+    model, _ = tiny_mcm(num_classes=4, dense2_dim=5)
+    # class scores are num_classes wide, the learner features dense2_dim
+    widths = {f"{kind}_{head}": 4 for kind in ("probs", "logits")
+              for head in ("cnn", "slstm", "lstm", "disc")}
+    widths.update({f"features_{head}": 5 for head in ("cnn", "slstm", "lstm")})
+    batch = forward_batch(model, IDS[:n], "infer")
+    assert {name: t.shape for name, t in vars(batch).items()} == {
+        name: (n, w) for name, w in widths.items()}
+    single = forward(model, IDS[0])
+    assert {name: t.shape for name, t in vars(single).items()} == {
+        name: (w,) for name, w in widths.items()}
+
+
+@pytest.mark.parametrize("stop", [True, False])
+def test_stop_disc_gradients_keeps_the_discriminator_loss_out_of_the_learners(stop):
+    model, rng = tiny_mcm(3, stop_disc_gradients=stop)
+    shift_biases_off_zero(model, rng)
+    with Tape() as tape:
+        out = forward_batch(model, IDS, "train", rng)
+        _, disc_ce = softmax_ce(out.logits_disc, rng.integers(0, 3, size=len(IDS)))
+    backward(disc_ce, tape)
+    # Compared per component: in train mode the shift before a batchnorm has
+    # a true gradient of 0, which rounding may or may not leave at 0.
+    components = {name.split(".")[0] for name, _ in model.named_tensors()}
+    reached = {name.split(".")[0] for name, t in model.named_tensors()
+               if t.grad is not None and np.any(t.grad != 0)}
+    assert reached == ({"disc"} if stop else components)
 
 
 def shift_biases_off_zero(model, rng):

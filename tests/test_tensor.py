@@ -264,6 +264,80 @@ class TestRowSparseGrad:
         expected[2] = 1.0
         assert np.array_equal(m.grad, expected)
 
+    @staticmethod
+    def hand_grads(m, grads):
+        """Backward of a graph that hands ``m`` each of ``grads`` (dense
+        arrays or RowGrads) in list order."""
+        with Tape() as tape:
+            parts = [T.apply_op(np.zeros(()), (m,), lambda g, gi=gi: (gi,))
+                     for gi in reversed(grads)]
+            total = parts[0]
+            for part in parts[1:]:
+                total = T.add(total, part)
+        backward(total, tape)
+
+    @staticmethod
+    def dense_accumulation(shape, grads):
+        """The gradient a dense accumulation builds: a row-sparse first write
+        starts from zeros, a dense one copies, and later writes add in place."""
+        z = None
+        for gi in grads:
+            if isinstance(gi, T.RowGrad):
+                z = np.zeros(shape) if z is None else z
+                z[gi.rows] += gi.values
+            else:
+                z = gi.copy() if z is None else z + gi
+        return z
+
+    # Each write holds -0.0 values: a row's first -0.0 reads as 0.0 + -0.0.
+    ROW_WRITES = [([1, 4, 6], [[-0.0, 1.5], [2.0, -0.0], [-0.0, -0.0]]),
+                  ([0, 4, 7], [[0.25, -0.0], [-3.0, -0.0], [-0.0, -0.0]]),
+                  ([4, 6, 7], [[-0.0, 7.0], [1e-300, -0.0], [-0.0, 0.5]])]
+
+    @pytest.mark.parametrize("dense", ["none", "first", "last"])
+    @pytest.mark.parametrize("writes", [1, 2, 3])
+    def test_reads_as_dense_accumulation_bitwise(self, writes, dense):
+        grads = [T.RowGrad(np.asarray(r), np.asarray(v)) for r, v in self.ROW_WRITES[:writes]]
+        if dense != "none":
+            d = np.random.default_rng(writes).normal(size=(8, 2))
+            d[3] = -0.0
+            grads = [d] + grads if dense == "first" else grads + [d]
+        m = Tensor(np.ones((8, 2)), requires_grad=True)
+        self.hand_grads(m, grads)
+        want = self.dense_accumulation((8, 2), grads)
+        assert m.grad.tobytes() == want.tobytes()
+        assert (m.row_grad is not None) == (dense == "none")
+        # reading keeps the row-sparse form
+        assert m.grad.tobytes() == want.tobytes()
+        assert (m.row_grad is not None) == (dense == "none")
+        if dense == "none":
+            rows = sorted({row for rows, _ in self.ROW_WRITES[:writes] for row in rows})
+            assert m.row_grad.rows.tolist() == rows
+            assert m.row_grad.values.tobytes() == want[rows].tobytes()
+
+    def test_gradient_arrays_handed_over_are_not_written(self):
+        g1 = T.RowGrad(np.array([2]), np.array([[1.0, 2.0]]))
+        g2 = T.RowGrad(np.array([2, 3]), np.array([[4.0, 8.0], [16.0, 32.0]]))
+        dense = np.ones((5, 2))
+        m = Tensor(np.zeros((5, 2)), requires_grad=True)
+        self.hand_grads(m, [g1, g2, dense])
+        assert g1.values.tolist() == [[1.0, 2.0]] and dense.tolist() == [[1.0, 1.0]] * 5
+
+    def test_empty_row_grad_is_a_zero_gradient(self):
+        m = Tensor(np.ones((4, 3)), requires_grad=True)
+        self.hand_grads(m, [T.RowGrad(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))])
+        assert m.row_grad is not None and m.row_grad.rows.size == 0
+        assert m.grad.tobytes() == np.zeros((4, 3)).tobytes()
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_zero_grad_clears_either_form(self, dense):
+        m = Tensor(np.ones((4, 3)), requires_grad=True)
+        grads = [T.RowGrad(np.array([1]), np.ones((1, 3)))] + [np.ones((4, 3))] * dense
+        self.hand_grads(m, grads)
+        assert m.grad is not None
+        m.zero_grad()
+        assert m.grad is None and m.row_grad is None
+
 
 class TestGatheredRows:
     """GatheredRows against the dense gather it stands for."""

@@ -64,6 +64,21 @@ def test_validation_carve_out_is_unchanged(seed):
     assert new_rng.random() == old_rng.random()
 
 
+def test_validation_selection_with_no_validation_records_is_refused():
+    # 2 records per class: round(0.8 * 2) == 2 sends all of them to training
+    rng = np.random.default_rng(0)
+    train = EncodedCorpus(rng.integers(2, 10, size=(6, 6)), np.array([0, 0, 1, 1, 2, 2]), 6)
+    test = EncodedCorpus(rng.integers(2, 10, size=(3, 6)), np.array([0, 1, 2]), 6)
+    cfg = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_filters=2,
+                    hidden_dim=2, dense1_dim=2, dense2_dim=2)
+    model = build_mcm(cfg, init_random(10, 4, np.random.default_rng(1)), 0)
+    before = {name: t.data.copy() for name, t in model.named_tensors()}
+    with pytest.raises(ValueError, match="no validation records"):
+        fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"))
+    # refused before the first epoch: nothing was trained
+    assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.named_tensors())
+
+
 # ---------------------------------------------------------------------------
 # optimizer: block-wise updates against one whole-array update
 
@@ -129,6 +144,109 @@ def test_blockwise_steps_equal_whole_array_updates_bitwise(kind):
                 reference_update(kind, ref[k], param.grad, ref_state[k], t, 0.05)
         opt.step()
         opt.zero_grad()
+        for (k, param), slots in zip(params.items(), opt.state):
+            assert param.data.tobytes() == ref[k].tobytes(), f"{kind} {k} after step {t}"
+            for got, want in zip(slots, ref_state[k]):
+                assert got.tobytes() == want.tobytes(), f"{kind} {k} state after step {t}"
+
+
+def neg_zero_rows(table, rows):
+    """A scalar whose gradient is -0.0 on ``rows`` of ``table``.
+    (``gather_rows`` sums from 0.0, so it never yields -0.0 itself.)"""
+    values = np.full((len(rows), table.shape[1]), -0.0)
+    return T.apply_op(np.zeros(()), (table,), lambda g: (T.RowGrad(np.asarray(rows), values),))
+
+
+def table_terms(ids, use_dense):
+    """SCHEDULE's table use as terms: ("gather", ids), ("dense", None)."""
+    return ([] if ids is None else [("gather", ids)]) + ([("dense", None)] if use_dense else [])
+
+
+# SCHEDULE, then a step with two gathers over different row sets and a -0.0
+# gradient on rows 10, 11 and 997, of which only 11 nobody else writes; and
+# a step where the -0.0 row 14 arrives after a gather. The table rows the
+# -0.0 writes reach hold -0.0 themselves before step 9, so an update by a
+# -0.0 gradient instead of 0.0 + -0.0 flips their sign under sgd and adadelta.
+SPARSE_SCHEDULE = [table_terms(ids, dense) for ids, dense in SCHEDULE] + [
+    [("gather", [12, 500, 10]), ("gather", [13, 997, 0, 13]), ("neg_zero", [10, 11, 997])],
+    [("neg_zero", [14, 15]), ("gather", [15, 16])],
+]
+NEG_ZERO_ROWS = [10, 11, 14]
+ROW_SPARSE_STEPS = {1, 2, 4, 6, 8, 9, 10}
+
+
+def dense_table_grad(terms, weights):
+    """The table gradient as a dense accumulation builds it from the terms'
+    contributions, which backward visits last term first."""
+    z = None
+    for (kind, rows), r in reversed(list(zip(terms, weights))):
+        if kind == "dense":
+            z = r.copy() if z is None else z + r
+            continue
+        z = np.zeros(SHAPES["table"]) if z is None else z
+        idx = np.asarray(rows)
+        if kind == "neg_zero":
+            z[idx] += -0.0
+        else:
+            keep = idx != 0
+            sums = np.zeros((1000, 70))
+            np.add.at(sums, idx[keep], r[keep])
+            unique = np.unique(idx[keep])
+            z[unique] += sums[unique]
+    return z
+
+
+@pytest.mark.parametrize("read_grad", [True, False], ids=["reads-grad", "never-reads-grad"])
+@pytest.mark.parametrize("kind", ["adam", "adadelta", "sgd"])
+def test_row_sparse_gradients_take_the_row_sparse_path_bitwise(kind, read_grad):
+    rng = np.random.default_rng(6)
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in SHAPES.items()}
+    ref = {k: t.data.copy() for k, t in params.items()}
+    opt = Optimizer(kind, list(params.values()), 0.05)
+    ref_state = {k: [np.zeros_like(s) for s in slots] for k, slots in zip(params, opt.state)}
+    zero_forms = []
+    rule_update = opt.rule.update
+
+    def spy(p, g, *rest):
+        zero_forms.append(g is None)
+        rule_update(p, g, *rest)
+
+    opt.rule.update = spy
+    table = params["table"]
+    for t, terms in enumerate(SPARSE_SCHEDULE, start=1):
+        if t == 9:
+            table.data[NEG_ZERO_ROWS] = ref["table"][NEG_ZERO_ROWS] = -0.0
+        dense_weights = {k: rng.normal(size=SHAPES[k]) for k in ("weight", "bias", "scale")}
+        weights = [rng.normal(size=(len(rows), 70)) if kind_ == "gather" else
+                   rng.normal(size=SHAPES["table"]) if kind_ == "dense" else None
+                   for kind_, rows in terms]
+        with Tape() as tape:
+            total = weighted_sum(params["scale"], dense_weights["scale"])
+            for k in ("weight", "bias"):
+                total = T.add(total, weighted_sum(params[k], dense_weights[k]))
+            for (kind_, rows), r in zip(terms, weights):
+                if kind_ == "gather":
+                    term = weighted_sum(T.gather_rows(table, rows, skip_row=0), r)
+                elif kind_ == "dense":
+                    term = weighted_sum(table, r)
+                else:
+                    term = neg_zero_rows(table, rows)
+                total = T.add(total, term)
+        backward(total, tape)
+        grads = dict(dense_weights, table=dense_table_grad(terms, weights))
+        assert (table.row_grad is not None) == (t in ROW_SPARSE_STEPS), f"step {t}"
+        if read_grad:
+            for k, param in params.items():
+                got, want = param.grad, grads[k]
+                assert (got is None) == (want is None), f"{k} gradient at step {t}"
+                assert want is None or got.tobytes() == want.tobytes(), f"{k} at step {t}"
+        for k in params:
+            if grads[k] is not None:
+                reference_update(kind, ref[k], grads[k], ref_state[k], t, 0.05)
+        zero_forms.clear()
+        opt.step()
+        opt.zero_grad()
+        assert any(zero_forms) == (t in ROW_SPARSE_STEPS), f"{kind} path at step {t}"
         for (k, param), slots in zip(params.items(), opt.state):
             assert param.data.tobytes() == ref[k].tobytes(), f"{kind} {k} after step {t}"
             for got, want in zip(slots, ref_state[k]):
