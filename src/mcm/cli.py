@@ -13,13 +13,13 @@ import sys
 import numpy as np
 
 from .data import (
-    DEFAULT_CLASSES,
     encode_tokens,
     gen_synthetic,
     load_tsv,
     stratified_split,
     table1_profile,
     tokenize,
+    tsv_class_names,
     write_tsv,
 )
 from .model import baseline_forward_batch, forward_batch
@@ -127,10 +127,14 @@ def _require(opts: dict, keys, command: str) -> None:
         raise ValueError(f"{command} requires --" + ", --".join(m.replace("_", "-") for m in missing))
 
 
-def _load_records(path, what: str, rejection_log=None):
+def _check_exists(path, what: str) -> None:
     if not os.path.exists(path):
         raise OSError(f"{what} file not found: {path}")
-    result = load_tsv(path)
+
+
+def _load_records(path, what: str, class_names, rejection_log=None):
+    _check_exists(path, what)
+    result = load_tsv(path, class_names=class_names)
     if result.rejections:
         print(f"{what}: rejected {len(result.rejections)} of {result.records_in} lines",
               file=sys.stderr)
@@ -141,6 +145,20 @@ def _load_records(path, what: str, rejection_log=None):
     if not result.records:
         raise ValueError(f"{what} file {path} contains no usable records")
     return result
+
+
+def _load_splits(opts: dict, rejection_dir=None):
+    """(class names, train records, test records) for ``opts``' train and
+    test files, labelled by the class names of the training file
+    (``tsv_class_names``). With ``rejection_dir``, each file's rejected
+    lines are written there."""
+    _check_exists(opts["train"], "train")
+    names = tsv_class_names(opts["train"])
+    records = []
+    for what in ("train", "test"):
+        log = os.path.join(rejection_dir, f"rejections_{what}.txt") if rejection_dir else None
+        records.append(_load_records(opts[what], what, names, log).records)
+    return (names, *records)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +189,8 @@ def cmd_train(args) -> int:
     cfg = _train_config(opts)
     out_dir = opts["out"]
     os.makedirs(out_dir, exist_ok=True)
-    train_records = _load_records(opts["train"], "train",
-                                  os.path.join(out_dir, "rejections_train.txt")).records
-    test_records = _load_records(opts["test"], "test",
-                                 os.path.join(out_dir, "rejections_test.txt")).records
-
-    model, ckpt, records, vocab = run_training(train_records, test_records, cfg,
-                                               DEFAULT_CLASSES)
+    class_names, train_records, test_records = _load_splits(opts, out_dir)
+    model, ckpt, records, vocab = run_training(train_records, test_records, cfg, class_names)
     variant = cfg.variant_name
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.mcm"))
     best = records[ckpt.config["best_epoch"]]
@@ -266,9 +279,8 @@ def cmd_matrix(args) -> int:
     cfg = _train_config(opts)
     out_dir = opts["out"]
     os.makedirs(out_dir, exist_ok=True)
-    train_records = _load_records(opts["train"], "train").records
-    test_records = _load_records(opts["test"], "test").records
-    rows = run_experiment_matrix(train_records, test_records, cfg, out_dir, DEFAULT_CLASSES)
+    class_names, train_records, test_records = _load_splits(opts)
+    rows = run_experiment_matrix(train_records, test_records, cfg, out_dir, class_names)
     failures = [row for row in rows if row["status"] != "ok"]
     for row in rows:
         print("{model:<8} {component:<22} acc={accuracy} f1={f1} [{status}]".format(**row))

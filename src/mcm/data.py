@@ -104,49 +104,69 @@ class TsvLoadResult:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def load_tsv(path, class_names=None, text_col: int = 0, label_col: int = 1) -> TsvLoadResult:
-    """Read "text<TAB>label" lines into labeled records.
-
-    Malformed lines (invalid UTF-8, missing tab, unknown label, fewer than
-    two tokens) are collected into the rejection report instead of aborting
-    the load. Lines end at LF, CR or CRLF. ``text_col``/``label_col`` remap
-    other column layouts.
-    """
-    names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
-    label_ids = {name: i for i, name in enumerate(names)}
-    records = []
-    rejections = []
+def _read_tsv(path, text_col: int, label_col: int):
+    """Yield (line number, text, label, None) for each line that splits into
+    a text and a stripped label, and (line number, None, None, reason) for
+    each line that does not."""
     # surrogateescape decodes each invalid byte to a lone surrogate, which
     # valid UTF-8 never holds, so bad bytes spoil their own line only.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
-                rejections.append((line_no, "empty line"))
+                yield line_no, None, None, "empty line"
                 continue
             if _SURROGATE.search(line):
-                rejections.append((line_no, "invalid UTF-8"))
+                yield line_no, None, None, "invalid UTF-8"
                 continue
             if (text_col, label_col) == (0, 1):
                 text, sep, label = line.rpartition("\t")
                 if not sep:
-                    rejections.append((line_no, "missing tab separator"))
+                    yield line_no, None, None, "missing tab separator"
                     continue
             else:
                 parts = line.split("\t")
                 if max(text_col, label_col) >= len(parts):
-                    rejections.append((line_no, "too few columns"))
+                    yield line_no, None, None, "too few columns"
                     continue
                 text, label = parts[text_col], parts[label_col]
-            label = label.strip()
-            if label not in label_ids:
-                rejections.append((line_no, f"unknown label {label!r}"))
-                continue
-            if len(tokenize(text)) < 2:
-                rejections.append((line_no, "fewer than 2 tokens"))
-                continue
+            yield line_no, text, label.strip(), None
+
+
+def load_tsv(path, class_names=None, text_col: int = 0, label_col: int = 1) -> TsvLoadResult:
+    """Read "text<TAB>label" lines into labeled records.
+
+    Malformed lines (invalid UTF-8, missing tab, unknown label, fewer than
+    two tokens) are collected into the rejection report instead of aborting
+    the load. Lines end at LF, CR or CRLF. ``text_col``/``label_col`` remap
+    other column layouts. ``class_names`` defaults to ``DEFAULT_CLASSES``.
+    """
+    names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
+    label_ids = {name: i for i, name in enumerate(names)}
+    records = []
+    rejections = []
+    for line_no, text, label, reason in _read_tsv(path, text_col, label_col):
+        if reason is None and label not in label_ids:
+            reason = f"unknown label {label!r}"
+        elif reason is None and len(tokenize(text)) < 2:
+            reason = "fewer than 2 tokens"
+        if reason is None:
             records.append(LabeledText(text, label_ids[label]))
+        else:
+            rejections.append((line_no, reason))
     return TsvLoadResult(records, rejections)
+
+
+def tsv_class_names(path, text_col: int = 0, label_col: int = 1) -> list:
+    """The class names to train on a TSV with.
+
+    When every label of its loadable lines is a Table-1 name, these are
+    ``DEFAULT_CLASSES`` in their order, so Table-1 corpora keep their class
+    ids. Otherwise they are the sorted distinct labels of those lines.
+    """
+    labels = {label for _, text, label, reason in _read_tsv(path, text_col, label_col)
+              if reason is None and label and len(tokenize(text)) >= 2}
+    return list(DEFAULT_CLASSES) if labels <= set(DEFAULT_CLASSES) else sorted(labels)
 
 
 def write_tsv(records, path, class_names=None) -> None:

@@ -9,13 +9,14 @@ step t of example e. With n=1 the two layouts coincide, so the per-example
 functions are the batched ones specialized.
 
 The hot paths have fused backward rules. ``lstm_sequence_batch`` is one
-tape op for the whole recurrence: the four gates are stacked into one
-matrix, the input projection for all timesteps is a single matmul before
-the time loop, and backpropagation through time is written out by hand, so
-a sequence records 2 tape nodes. ``lstm_step`` keeps the op-by-op cell as
-the public single-step form and as its test oracle. The convolution builds
-its windows from k contiguous row slices, so its backward is k slice-adds;
-its affine map and ReLU are one op.
+tape op for the whole recurrence: it reads the four gates from the stacks
+that are ``LstmParams``' storage, the input projection for all timesteps
+is a single matmul before the time loop, and backpropagation through time
+is written out by hand, so a sequence records 2 tape nodes.
+``lstm_step`` keeps the op-by-op cell as the public single-step form and
+as its test oracle. The convolution builds its windows from k contiguous
+row slices, so its backward is k slice-adds; its affine map and ReLU are
+one op, as are ``dense``'s.
 
 The LSTM and the convolution with k = 1 also take their input as
 ``GatheredRows``: embedded token rows held as the distinct ids. Their
@@ -38,12 +39,9 @@ from .tensor import (
     add,
     apply_op,
     expand_cols,
-    expand_rows,
     expand_scalar,
-    matmul,
     matvec,
     mul,
-    relu,
     reshape,
     scale,
     sigmoid,
@@ -89,7 +87,15 @@ class Conv1dParams:
 
 @dataclass
 class LstmParams:
-    """Gate and recurrent weights for one LSTM layer."""
+    """Gate and recurrent weights for one LSTM layer.
+
+    The storage is three stacks in the gate order i, f, o, u: ``w`` (4H, d),
+    ``u`` (4H, H) and ``b`` (4H,). Each of the 12 per-gate tensors holds a
+    row-block view of its stack (``w_f.data`` is ``w[H:2H]``), so the fused
+    sequence reads the stacks directly, and an in-place write to a gate
+    (the optimizer, checkpoint loading) is a write to its stack. Rebinding
+    a gate's ``.data``, or a ``copy.deepcopy``, detaches it from the stack.
+    """
 
     input_dim: int
     hidden_dim: int
@@ -105,6 +111,23 @@ class LstmParams:
     b_f: Tensor
     b_o: Tensor
     b_u: Tensor
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        hd, gates = self.hidden_dim, [t for _, t in self.tensors()]
+        stacks = []
+        for k, shape in zip((0, 4, 8), ((hd, self.input_dim), (hd, hd), (hd,))):
+            group = gates[k:k + 4]
+            if any(t.data.shape != shape for t in group):
+                raise ShapeError(f"lstm: gate shapes {[t.data.shape for t in group]}, "
+                                 f"expected {shape}")
+            stack = np.concatenate([t.data for t in group])
+            for j, t in enumerate(group):
+                t.data = stack[j * hd:(j + 1) * hd]
+            stacks.append(stack)
+        self.w, self.u, self.b = stacks
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -293,14 +316,15 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
 
     The whole recurrence is one fused op with a hand-written BPTT backward,
     so a sequence records 2 tape nodes (H, and the slice that is h_last).
-    The four gates are stacked into one W (4H, d), U (4H, H) and b (4H,) in
-    the order i, f, o, u, and the input projection x @ W.T + b is computed
-    for all timesteps in one matmul before the time loop; each step then
-    costs one h @ U.T. The backward fills one dZ (l*n, 4H) of gate
-    pre-activation gradients walking time in reverse, turns it into the
-    weight and input gradients with four matmuls, and splits those back
-    onto the 12 per-gate tensors. ``lstm_step`` computes the same cell
-    op by op.
+    It reads the stacks that are ``p``'s storage, W = ``p.w`` (4H, d),
+    U = ``p.u`` (4H, H) and b = ``p.b`` (4H,) in the gate order i, f, o, u,
+    so no per-call concatenation happens. The input projection
+    x @ W.T + b is computed for all timesteps in one matmul before the time
+    loop; each step then costs one h @ U.T. The backward fills one
+    dZ (l*n, 4H) of gate pre-activation gradients walking time in reverse,
+    turns it into the weight and input gradients with four matmuls, and
+    splits those onto the 12 per-gate tensors, whose data are row blocks of
+    the stacks. ``lstm_step`` computes the same cell op by op.
 
     ``x`` is a dense (l*n, d) Tensor or ``GatheredRows``. Gathered rows are
     projected once per distinct row, x_r @ W.T + b, and the result spread
@@ -315,9 +339,7 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
         raise ShapeError(f"lstm: expected ({l * n}, {p.input_dim}) input, got {x.shape}")
     hd = p.hidden_dim
     params = [t for _, t in p.tensors()]  # w_i..w_u, u_i..u_u, b_i..b_u
-    w = np.concatenate([t.data for t in params[0:4]])     # (4H, d)
-    u = np.concatenate([t.data for t in params[4:8]])     # (4H, H)
-    b = np.concatenate([t.data for t in params[8:12]])    # (4H,)
+    w, u, b = p.w, p.u, p.b
 
     # Forward. After step t, gates[rows] holds the activated i, f, o, u.
     gates, source, input_grads = _affine(x, w, b)
@@ -380,14 +402,31 @@ def lstm_sequence(x: Tensor, p: LstmParams) -> Tensor:
 
 
 def dense(x: Tensor, p: DenseParams) -> Tensor:
-    """activation(W x + b). Accepts a single (in,) vector or an (n, in) batch."""
-    if x.data.ndim == 1:
-        out = add(matvec(p.weights, x), p.bias)
-    elif x.data.ndim == 2:
-        out = add(matmul(x, transpose(p.weights)), expand_rows(p.bias, x.data.shape[0]))
-    else:
-        raise ShapeError(f"dense expects rank 1 or 2, got {x.data.shape}")
-    return relu(out) if p.activation == "relu" else out
+    """activation(x @ W.T + b) as one op, for a single (in,) vector or an
+    (n, in) batch.
+
+    The backward gives dx = g @ W, dW = g.T @ x and db = g summed over the
+    batch, with g masked by the ReLU; a vector input is the batch of one.
+    """
+    xd, w = x.data, p.weights.data
+    if xd.ndim not in (1, 2):
+        raise ShapeError(f"dense expects rank 1 or 2, got {xd.shape}")
+    if xd.shape[-1] != w.shape[1]:
+        raise ShapeError(f"dense: expected input width {w.shape[1]}, got {xd.shape}")
+    z = xd @ w.T + p.bias.data
+    relu_on = p.activation == "relu"
+    if relu_on:
+        mask = z > 0
+        z = np.where(mask, z, 0.0)
+
+    def grad_fn(g):
+        if relu_on:
+            g = g * mask
+        g2 = g.reshape(-1, w.shape[0])
+        return (g @ w if x.requires_grad else None,
+                g2.T @ xd.reshape(-1, w.shape[1]), g2.sum(axis=0))
+
+    return apply_op(z, (x, p.weights, p.bias), grad_fn)
 
 
 def batchnorm(x: Tensor, p: BatchNormParams, mode: str) -> Tensor:

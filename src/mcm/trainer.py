@@ -609,6 +609,22 @@ def _carve_validation(corpus: EncodedCorpus, rng: np.random.Generator):
     return tuple(parts)
 
 
+def _selection_split(train: EncodedCorpus, cfg: TrainConfig, streams: dict):
+    """(the part of ``train`` to fit, the validation part to select on).
+
+    With ``select_on="test"`` the whole split is fitted and the validation
+    part is None. A validation part left empty by the carve-out is refused
+    before any training.
+    """
+    if cfg.select_on != "validation":
+        return train, None
+    train_part, select = _carve_validation(train, np.random.default_rng(streams["validation"]))
+    if len(select) == 0:
+        raise ValueError("select_on='validation' needs a class with at least 3 training "
+                         "records: the 80/20 carve-out left no validation records")
+    return train_part, select
+
+
 def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
         vocab: Optional[Vocabulary] = None, class_names=None):
     """Train, evaluate all four components each epoch, and return the best
@@ -625,13 +641,7 @@ def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainCo
     shuffle_rng = np.random.default_rng(streams["shuffle"])
     dropout_rng = np.random.default_rng(streams["dropout"])
 
-    select = train_part = train
-    if cfg.select_on == "validation":
-        train_part, select = _carve_validation(train, np.random.default_rng(streams["validation"]))
-        if len(select) == 0:
-            raise ValueError("select_on='validation' needs a class with at least 3 training "
-                             "records: the 80/20 carve-out left no validation records")
-
+    train_part, select = _selection_split(train, cfg, streams)
     opt = Optimizer(cfg.optimizer, model.parameters(), cfg.learning_rate)
     records = []
     best_f1 = -1.0
@@ -654,10 +664,10 @@ def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainCo
 
         reports = evaluate_components(model, test)
         records.append(EpochRecord(epoch, loss_sum / n, reports))
-        if cfg.select_on == "validation":
-            selection_f1 = evaluate_components(model, select)["discriminator"].macro_f1
-        else:
+        if select is None:
             selection_f1 = reports["discriminator"].macro_f1
+        else:
+            selection_f1 = evaluate_components(model, select)["discriminator"].macro_f1
         if selection_f1 > best_f1:
             best_f1 = selection_f1
             best_arrays = model_arrays(model)
@@ -678,33 +688,41 @@ def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainCo
 
 def fit_baseline(model: BaselineModel, train: EncodedCorpus, test: EncodedCorpus,
                  cfg: TrainConfig):
-    """Same protocol for the single-component baseline; returns the report
-    at the best epoch and the per-epoch reports."""
+    """Same protocol for the single-component baseline, selecting on macro-F1
+    of the split ``cfg.select_on`` names as ``fit`` does; returns the test
+    report at the best epoch and the per-epoch test reports."""
     streams = seed_streams(cfg.seed)
     shuffle_rng = np.random.default_rng(streams["shuffle"])
+    train_part, select = _selection_split(train, cfg, streams)
     opt = Optimizer(cfg.optimizer, model.parameters(), cfg.learning_rate)
     c = model.config.num_classes
+
+    def report_on(corpus):
+        preds = np.concatenate([baseline_predict_batch(model, corpus.sequences[lo:lo + 256])
+                                for lo in range(0, len(corpus), 256)])
+        return evaluate(corpus.labels, preds, c)
+
     best = None
+    best_f1 = -1.0
     best_arrays = None
     history = []
-    n = len(train)
+    n = len(train_part)
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for b, batch in enumerate(_batch_slices(n, cfg.batch_size, order)):
             with Tape() as tape:
-                total = baseline_loss(model, train.sequences[batch], train.labels[batch])
+                total = baseline_loss(model, train_part.sequences[batch],
+                                      train_part.labels[batch])
             if not np.isfinite(total.data):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
             backward(total, tape)
             opt.step()
             opt.zero_grad()
-        preds = np.concatenate([
-            baseline_predict_batch(model, test.sequences[lo:lo + 256])
-            for lo in range(0, len(test), 256)])
-        report = evaluate(test.labels, preds, c)
+        report = report_on(test)
         history.append(report)
-        if best is None or report.macro_f1 > best.macro_f1:
-            best = report
+        selection_f1 = report.macro_f1 if select is None else report_on(select).macro_f1
+        if selection_f1 > best_f1:
+            best, best_f1 = report, selection_f1
             best_arrays = model_arrays(model)
     for name, t in model.named_tensors():
         t.data[...] = best_arrays[name]

@@ -52,6 +52,36 @@ def test_gen_synth_train_eval_predict(tmp_path):
         assert label in DEFAULT_CLASSES and 0.0 < float(prob) <= 1.0
 
 
+def test_class_names_come_from_the_training_file(tmp_path):
+    texts = {"praise": ["shukria bahut acha", "bahut acha kaam", "acha kaam kiya"],
+             "complaint": ["doctor nahi aya", "koi doctor nahi", "dawai nahi mili"],
+             "question": ["hospital kab khulta", "doctor kab aye ga", "kab milay gi dawai"]}
+    rows = [(t, label) for label, ts in texts.items() for t in ts]
+    (tmp_path / "train.tsv").write_text("".join(f"{t}\t{label}\n" for t, label in rows))
+    (tmp_path / "test.tsv").write_text("".join(f"{t}\t{label}\n" for t, label in rows[::2]))
+
+    train = mcm(tmp_path, "train", "--train", "train.tsv", "--test", "test.tsv", "--out", "run",
+                "--epochs", "1", "--embedding-dim", "8", "--min-count", "1")
+    assert train.returncode == 0, train.stderr
+    assert "rejected" not in train.stderr
+    ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.mcm")
+    assert ckpt.class_names == ["complaint", "praise", "question"]
+    assert ckpt.config["num_classes"] == 3
+
+    ev = mcm(tmp_path, "eval", "--checkpoint", "run/checkpoint.mcm", "--test", "test.tsv",
+             "--out", "ev")
+    assert ev.returncode == 0, ev.stderr
+    with open(tmp_path / "ev" / "eval_results.csv", newline="", encoding="utf-8") as fh:
+        assert len(list(csv.DictReader(fh))) == 4
+
+    pred = mcm(tmp_path, "predict", "--checkpoint", "run/checkpoint.mcm",
+               stdin="doctor nahi aya\nshukria bahut acha\n")
+    assert pred.returncode == 0, pred.stderr
+    lines = pred.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.split("\t")[0] in ckpt.class_names for line in lines)
+
+
 def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):
     # 2 records per class leave the 80/20 validation carve-out empty
     words = ["shukria bahut acha", "bahut acha kaam", "rishwat mangta hai",

@@ -21,6 +21,7 @@ from mcm.data import (
     table1_profile,
     token_id_sequences,
     tokenize,
+    tsv_class_names,
 )
 
 
@@ -273,3 +274,38 @@ class TestLoadTsv:
         assert [(r.text, r.label) for r in result.records] == [("shukria bahut acha", 0),
                                                                ("acha shukria", 1)]
         assert result.rejections == [(2, "invalid UTF-8")]
+
+
+class TestTsvClassNames:
+    def test_table1_labels_keep_the_default_order(self, tmp_path):
+        path = tmp_path / "t1.tsv"
+        path.write_text("rishwat mangta hai\tCorruption\nshukria bahut\tSatisfied\n")
+        assert tsv_class_names(path) == DEFAULT_CLASSES
+
+    def test_other_labels_are_sorted_and_unloadable_lines_ignored(self, tmp_path):
+        path = tmp_path / "own.tsv"
+        path.write_text("good service today\tpraise\n"
+                        "why so slow\tcomplaint\n"
+                        "when do you open\tquestion\n"
+                        "thanks again\tAppreciation\n"
+                        "alone\tone-token\n"
+                        "no separator here\n"
+                        "empty label here\t \n"
+                        "why so slow again\tcomplaint\n")
+        names = tsv_class_names(path)
+        assert names == ["Appreciation", "complaint", "praise", "question"]
+        result = load_tsv(path, names)
+        assert [r.label for r in result.records] == [2, 1, 3, 0, 1]
+        assert [no for no, _ in result.rejections] == [5, 6, 7]
+
+    @FUZZ
+    @given(lines=st.lists(tsv_lines(), max_size=12))
+    def test_every_derived_class_has_a_record(self, tmp_path, lines):
+        path = tmp_path / "fuzz.tsv"
+        path.write_bytes(b"".join(lines))
+        names = tsv_class_names(path)
+        labels = {r.label for r in load_tsv(path, names).records}
+        if names == DEFAULT_CLASSES:
+            assert labels <= set(range(len(DEFAULT_CLASSES)))
+        else:
+            assert labels == set(range(len(names)))

@@ -25,7 +25,8 @@ from mcm.layers import (
 )
 from mcm.tensor import Tape, Tensor, backward
 
-from .helpers import away_from_zero, gradcheck, max_rel_err
+from . import helpers
+from .helpers import away_from_zero, gates_are_stack_views, gradcheck, max_rel_err
 
 
 def conv_oracle(x, weights, bias):
@@ -342,6 +343,38 @@ class TestFusedLstm:
         assert len(tape) == 2
 
 
+class TestStackedGates:
+    """The stacks ``w``, ``u``, ``b`` are ``LstmParams``' storage and each
+    per-gate tensor is a row block of them."""
+
+    def test_init_and_constructor_make_views(self):
+        rng = np.random.default_rng(54)
+        p = LstmParams.init(3, 2, rng)
+        assert gates_are_stack_views(p)
+        assert p.w.shape == (8, 3) and p.u.shape == (8, 2) and p.b.shape == (8,)
+        assert np.array_equal(p.b, [0, 0, 1, 1, 0, 0, 0, 0])  # forget bias +1
+        q = zero_lstm(3, 2)
+        assert gates_are_stack_views(q) and not q.w.any()
+
+    def test_misshapen_gate_rejected(self):
+        z = lambda *s: Tensor(np.zeros(s))
+        with pytest.raises(ValueError, match="gate shapes"):
+            LstmParams(3, 2, z(2, 3), z(2, 3), z(2, 3), z(3, 3),
+                       z(2, 2), z(2, 2), z(2, 2), z(2, 2), z(2), z(2), z(2), z(2))
+
+    def test_in_place_gate_edit_reaches_the_sequence(self):
+        rng = np.random.default_rng(55)
+        n, l = 2, 3
+        p = LstmParams.init(3, 4, rng)
+        x = Tensor(rng.normal(size=(l * n, 3)))
+        before = lstm_sequence_batch(x, n, l, p)[0].data.copy()
+        p.w_f.data[...] = rng.normal(size=p.w_f.shape)
+        after = lstm_sequence_batch(x, n, l, p)[0].data
+        assert not np.allclose(after, before)
+        fresh = LstmParams(3, 4, *(Tensor(t.data.copy()) for _, t in p.tensors()))
+        assert np.array_equal(after, lstm_sequence_batch(x, n, l, fresh)[0].data)
+
+
 def first_layer_run(embed, layers, table, ids, n, l):
     """Outputs and gradients (every layer's parameters, then the table) of
     a weighted sum over the layers, all fed one ``embed(table, ids)``."""
@@ -423,7 +456,56 @@ class TestGatheredInput:
                     embed(table, np.asarray(bad).reshape(-1))
 
 
+def dense_composition(x, p):
+    """dense as the four tape ops it once was: matvec, or matmul by a
+    transposed copy of W plus the bias expanded over the rows."""
+    if x.data.ndim == 1:
+        out = T.add(T.matvec(p.weights, x), p.bias)
+    else:
+        out = T.add(T.matmul(x, T.transpose(p.weights)),
+                    T.expand_rows(p.bias, x.data.shape[0]))
+    return T.relu(out) if p.activation == "relu" else out
+
+
 class TestDense:
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (6, 4)])
+    def test_one_op_matches_composition(self, shape, activation):
+        rng = np.random.default_rng(14)
+        p = DenseParams.init(4, 3, rng, activation)
+        p.bias.data[...] = rng.normal(size=3)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        r = rng.normal(size=shape[:-1] + (3,))
+        results = []
+        for fn in (dense, dense_composition):
+            for t in (x, p.weights, p.bias):
+                t.zero_grad()
+            with Tape() as tape:
+                out = fn(x, p)
+                backward(helpers.weighted_sum(out, r), tape)
+            results.append([out.data] + [t.grad.copy() for t in (x, p.weights, p.bias)])
+            if fn is dense:
+                assert len(tape) == 2  # dense and the weighted sum
+        if activation == "relu":
+            assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert max_rel_err(got, want) <= 1e-12
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(15)
+        p = DenseParams.init(4, 3, rng)
+        x = Tensor(rng.normal(size=(2, 4)))
+        with Tape() as tape:
+            backward(helpers.weighted_sum(dense(x, p), np.ones((2, 3))), tape)
+        assert x.grad is None and p.weights.grad.shape == (3, 4)
+
+    def test_width_mismatch_rejected(self):
+        p = DenseParams.init(4, 3, np.random.default_rng(16))
+        for shape in ((5,), (2, 5), (2, 2, 4)):
+            with pytest.raises(T.ShapeError):
+                dense(Tensor(np.zeros(shape)), p)
+
     def test_identity_weights_relu(self):
         p = DenseParams(Tensor(np.eye(2)), Tensor(np.zeros(2)), "relu")
         assert np.array_equal(dense(Tensor([1.0, -1.0]), p).data, [1.0, 0.0])

@@ -1,5 +1,6 @@
 """Trainer: block-wise optimizer steps against whole-array updates, bitwise
 determinism of fit, and checkpoint validation down to the CLI."""
+import dataclasses
 import json
 import os
 import struct
@@ -11,11 +12,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mcm import cli
+from mcm import cli, trainer
 from mcm import tensor as T
 from mcm.data import EncodedCorpus, Vocabulary
 from mcm.embeddings import init_random
-from mcm.model import MAX_LEN_CEILING, BaselineConfig, McmConfig, build_baseline, build_mcm
+from mcm.model import (
+    MAX_LEN_CEILING,
+    BaselineConfig,
+    McmConfig,
+    build_baseline,
+    build_mcm,
+    forward_batch,
+    loss as mcm_loss,
+)
 from mcm.tensor import Tape, Tensor, backward
 from mcm.trainer import (
     CheckpointError,
@@ -23,13 +32,15 @@ from mcm.trainer import (
     Optimizer,
     TrainConfig,
     fit,
+    fit_baseline,
     load_checkpoint,
     make_checkpoint,
+    model_arrays,
     rebuild_model,
     save_checkpoint,
 )
 
-from .helpers import weighted_sum
+from .helpers import gates_are_stack_views, weighted_sum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -77,6 +88,113 @@ def test_validation_selection_with_no_validation_records_is_refused():
         fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"))
     # refused before the first epoch: nothing was trained
     assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.named_tensors())
+
+
+def baseline_case(per_class):
+    rng = np.random.default_rng(0)
+    train = EncodedCorpus(rng.integers(2, 10, size=(3 * per_class, 6)),
+                          np.repeat([0, 1, 2], per_class), 6)
+    test = EncodedCorpus(rng.integers(2, 10, size=(6, 6)), np.array([0, 1, 2, 0, 1, 2]), 6)
+    cfg = BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, kernel=2,
+                         num_filters=2, hidden_dim=3)
+    return build_baseline(cfg, init_random(10, 4, np.random.default_rng(1)), 0), train, test
+
+
+@pytest.mark.parametrize("select_on,best_epoch", [("test", 2), ("validation", 1)])
+def test_fit_baseline_selects_on_the_split_select_on_names(monkeypatch, select_on, best_epoch):
+    model, train, test = baseline_case(5)
+    f1_by_split = {"test": [0.1, 0.2, 0.3], "validation": [0.3, 0.9, 0.1]}
+    seen = {"test": [], "validation": []}  # the parameters at each evaluation
+    real_evaluate = trainer.evaluate
+
+    def scripted(labels, preds, c):
+        split = "test" if labels is test.labels else "validation"
+        f1 = f1_by_split[split][len(seen[split])]
+        seen[split].append(model_arrays(model))
+        return dataclasses.replace(real_evaluate(labels, preds, c), macro_f1=f1)
+
+    monkeypatch.setattr(trainer, "evaluate", scripted)
+    best, history = fit_baseline(model, train, test,
+                                 TrainConfig(epochs=3, batch_size=4, select_on=select_on))
+    assert len(history) == 3 and best is history[best_epoch]
+    assert len(seen["validation"]) == (3 if select_on == "validation" else 0)
+    for epoch, arrays in enumerate(seen["test"]):  # the best epoch's parameters are restored
+        holds = all(np.array_equal(t.data, arrays[name]) for name, t in model.named_tensors())
+        assert holds == (epoch == best_epoch)
+
+
+def test_fit_baseline_refuses_an_empty_validation_part():
+    model, train, test = baseline_case(2)
+    before = {name: t.data.copy() for name, t in model.named_tensors()}
+    with pytest.raises(ValueError, match="no validation records"):
+        fit_baseline(model, train, test, TrainConfig(epochs=1, batch_size=4,
+                                                     select_on="validation"))
+    assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.named_tensors())
+
+
+# ---------------------------------------------------------------------------
+# LSTM gate storage: every in-place writer keeps the per-gate tensors views
+# of their layer's stacks
+
+LSTMS = ("lstm_s1", "lstm_s2", "lstm_enc")
+SMALL_MCM = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_filters=2,
+                      hidden_dim=2, dense1_dim=2, dense2_dim=2)
+
+
+def stacks_hold(model, arrays):
+    """Each LSTM's gates are views of its stacks, and the stacks hold the
+    gates' ``arrays``."""
+    for name in LSTMS:
+        p = getattr(model, name)
+        assert gates_are_stack_views(p)
+        for stack, prefix in ((p.w, "w"), (p.u, "u"), (p.b, "b")):
+            want = np.concatenate([arrays[f"{name}.{prefix}_{g}"] for g in "ifou"])
+            assert np.array_equal(stack, want)
+
+
+def test_build_and_rebuild_keep_gate_views(ckpt_path):
+    ckpt = load_checkpoint(ckpt_path)
+    built = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
+    stacks_hold(built, ckpt.arrays)  # the fixture saved this same model
+    ckpt.arrays = {name: a + 0.5 for name, a in ckpt.arrays.items()}
+    model, _ = rebuild_model(ckpt)
+    stacks_hold(model, ckpt.arrays)
+
+
+def test_optimizer_step_writes_through_gate_views():
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
+    rng = np.random.default_rng(1)
+    opt = Optimizer("adam", model.parameters(), 0.01)
+    with Tape() as tape:
+        total = mcm_loss(forward_batch(model, rng.integers(2, 10, size=(4, 6)), "train", rng),
+                         np.array([0, 1, 2, 0]))
+    backward(total, tape)
+    before = model_arrays(model)
+    opt.step()
+    after = model_arrays(model)
+    stacks_hold(model, after)
+    assert all(not np.array_equal(after[f"{name}.w_f"], before[f"{name}.w_f"])
+               for name in LSTMS)
+
+
+def test_fit_restoring_an_earlier_epoch_keeps_gate_views(monkeypatch):
+    real_evaluate = trainer.evaluate_components
+    seen = []  # the parameters at each evaluation
+
+    def falling(model, corpus, batch_size=256):  # epoch 0 scores best
+        seen.append(model_arrays(model))
+        return {c: dataclasses.replace(r, macro_f1=1.0 / len(seen))
+                for c, r in real_evaluate(model, corpus, batch_size).items()}
+
+    monkeypatch.setattr(trainer, "evaluate_components", falling)
+    rng = np.random.default_rng(0)
+    train = EncodedCorpus(rng.integers(2, 10, size=(8, 6)), rng.integers(0, 3, size=8), 6)
+    test = EncodedCorpus(rng.integers(2, 10, size=(4, 6)), rng.integers(0, 3, size=4), 6)
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(1)), 0)
+    ckpt, _ = fit(model, train, test, TrainConfig(epochs=3, batch_size=4, seed=2))
+    assert ckpt.config["best_epoch"] == 0
+    stacks_hold(model, seen[0])
+    assert not np.array_equal(seen[0]["lstm_s1.w_f"], seen[-1]["lstm_s1.w_f"])
 
 
 # ---------------------------------------------------------------------------
