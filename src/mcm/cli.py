@@ -13,13 +13,14 @@ import sys
 import numpy as np
 
 from .data import (
+    DEFAULT_CLASSES,
     encode_tokens,
     gen_synthetic,
+    load_training_tsv,
     load_tsv,
     stratified_split,
     table1_profile,
     tokenize,
-    tsv_class_names,
     write_tsv,
 )
 from .model import baseline_forward_batch, forward_batch
@@ -132,9 +133,7 @@ def _check_exists(path, what: str) -> None:
         raise OSError(f"{what} file not found: {path}")
 
 
-def _load_records(path, what: str, class_names, rejection_log=None):
-    _check_exists(path, what)
-    result = load_tsv(path, class_names=class_names)
+def _report_rejections(result, path, what: str, rejection_log=None):
     if result.rejections:
         print(f"{what}: rejected {len(result.rejections)} of {result.records_in} lines",
               file=sys.stderr)
@@ -144,21 +143,29 @@ def _load_records(path, what: str, class_names, rejection_log=None):
                     fh.write(f"line {line_no}: {reason}\n")
     if not result.records:
         raise ValueError(f"{what} file {path} contains no usable records")
-    return result
 
 
 def _load_splits(opts: dict, rejection_dir=None):
     """(class names, train records, test records) for ``opts``' train and
     test files, labelled by the class names of the training file
-    (``tsv_class_names``). With ``rejection_dir``, each file's rejected
+    (``load_training_tsv``). With ``rejection_dir``, each file's rejected
     lines are written there."""
+    def log(what):
+        return os.path.join(rejection_dir, f"rejections_{what}.txt") if rejection_dir else None
+
     _check_exists(opts["train"], "train")
-    names = tsv_class_names(opts["train"])
-    records = []
-    for what in ("train", "test"):
-        log = os.path.join(rejection_dir, f"rejections_{what}.txt") if rejection_dir else None
-        records.append(_load_records(opts[what], what, names, log).records)
-    return (names, *records)
+    names, train = load_training_tsv(opts["train"])
+    if len(names) < 2:
+        raise ValueError(f"train file {opts['train']} has one class label, {names[0]!r}; "
+                         "a classifier needs at least 2")
+    if names != DEFAULT_CLASSES:
+        print(f"train: labels are not the Table-1 classes; training on {len(names)} "
+              f"classes: {', '.join(names)}", file=sys.stderr)
+    _report_rejections(train, opts["train"], "train", log("train"))
+    _check_exists(opts["test"], "test")
+    test = load_tsv(opts["test"], class_names=names)
+    _report_rejections(test, opts["test"], "test", log("test"))
+    return names, train.records, test.records
 
 
 # ---------------------------------------------------------------------------

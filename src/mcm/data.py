@@ -105,9 +105,13 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _read_tsv(path, text_col: int, label_col: int):
-    """Yield (line number, text, label, None) for each line that splits into
-    a text and a stripped label, and (line number, None, None, reason) for
-    each line that does not."""
+    """Yield (line number, text, label, reason) for each line of ``path``.
+
+    ``reason`` is None for a loadable line: one that splits into a text of
+    at least two tokens and a non-empty label. Otherwise it says why the
+    line cannot load, and ``label`` is the stripped label if the line split
+    into one (None if it did not).
+    """
     # surrogateescape decodes each invalid byte to a lone surrogate, which
     # valid UTF-8 never holds, so bad bytes spoil their own line only.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -130,7 +134,30 @@ def _read_tsv(path, text_col: int, label_col: int):
                     yield line_no, None, None, "too few columns"
                     continue
                 text, label = parts[text_col], parts[label_col]
-            yield line_no, text, label.strip(), None
+            label = label.strip()
+            if not label:
+                yield line_no, text, label, "empty label"
+            elif len(tokenize(text)) < 2:
+                yield line_no, text, label, "fewer than 2 tokens"
+            else:
+                yield line_no, text, label, None
+
+
+def _label_lines(lines, names) -> TsvLoadResult:
+    """Records of the loadable ``lines`` (as ``_read_tsv`` yields them)
+    whose label is one of ``names``; every other line is a rejection."""
+    label_ids = {name: i for i, name in enumerate(names)}
+    records = []
+    rejections = []
+    for line_no, text, label, reason in lines:
+        # an unknown label is reported before the line's other faults
+        if label is not None and label not in label_ids:
+            reason = f"unknown label {label!r}"
+        if reason is None:
+            records.append(LabeledText(text, label_ids[label]))
+        else:
+            rejections.append((line_no, reason))
+    return TsvLoadResult(records, rejections)
 
 
 def load_tsv(path, class_names=None, text_col: int = 0, label_col: int = 1) -> TsvLoadResult:
@@ -142,31 +169,22 @@ def load_tsv(path, class_names=None, text_col: int = 0, label_col: int = 1) -> T
     other column layouts. ``class_names`` defaults to ``DEFAULT_CLASSES``.
     """
     names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
-    label_ids = {name: i for i, name in enumerate(names)}
-    records = []
-    rejections = []
-    for line_no, text, label, reason in _read_tsv(path, text_col, label_col):
-        if reason is None and label not in label_ids:
-            reason = f"unknown label {label!r}"
-        elif reason is None and len(tokenize(text)) < 2:
-            reason = "fewer than 2 tokens"
-        if reason is None:
-            records.append(LabeledText(text, label_ids[label]))
-        else:
-            rejections.append((line_no, reason))
-    return TsvLoadResult(records, rejections)
+    return _label_lines(_read_tsv(path, text_col, label_col), names)
 
 
-def tsv_class_names(path, text_col: int = 0, label_col: int = 1) -> list:
-    """The class names to train on a TSV with.
+def load_training_tsv(path) -> tuple:
+    """(class names, ``TsvLoadResult``) for a "text<TAB>label" training file,
+    read once.
 
-    When every label of its loadable lines is a Table-1 name, these are
-    ``DEFAULT_CLASSES`` in their order, so Table-1 corpora keep their class
-    ids. Otherwise they are the sorted distinct labels of those lines.
+    When every label of its loadable lines is a Table-1 name, the class
+    names are ``DEFAULT_CLASSES`` in their order, so Table-1 corpora keep
+    their class ids. Otherwise they are the sorted distinct labels of those
+    lines. The records are labelled by these names, as ``load_tsv`` would.
     """
-    labels = {label for _, text, label, reason in _read_tsv(path, text_col, label_col)
-              if reason is None and label and len(tokenize(text)) >= 2}
-    return list(DEFAULT_CLASSES) if labels <= set(DEFAULT_CLASSES) else sorted(labels)
+    lines = list(_read_tsv(path, 0, 1))
+    labels = {label for _, _, label, reason in lines if reason is None}
+    names = list(DEFAULT_CLASSES) if labels <= set(DEFAULT_CLASSES) else sorted(labels)
+    return names, _label_lines(lines, names)
 
 
 def write_tsv(records, path, class_names=None) -> None:

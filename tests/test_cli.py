@@ -64,6 +64,7 @@ def test_class_names_come_from_the_training_file(tmp_path):
                 "--epochs", "1", "--embedding-dim", "8", "--min-count", "1")
     assert train.returncode == 0, train.stderr
     assert "rejected" not in train.stderr
+    assert "training on 3 classes: complaint, praise, question" in train.stderr
     ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.mcm")
     assert ckpt.class_names == ["complaint", "praise", "question"]
     assert ckpt.config["num_classes"] == 3
@@ -80,6 +81,19 @@ def test_class_names_come_from_the_training_file(tmp_path):
     lines = pred.stdout.splitlines()
     assert len(lines) == 2
     assert all(line.split("\t")[0] in ckpt.class_names for line in lines)
+
+
+def test_train_on_a_single_non_table1_label_prints_one_error(tmp_path):
+    rows = ["shukria bahut acha", "bahut acha kaam", "acha kaam kiya", "kaam bahut acha"]
+    (tmp_path / "train.tsv").write_text("".join(f"{t}\tpraise\n" for t in rows))
+    (tmp_path / "test.tsv").write_text(f"{rows[0]}\tpraise\n")
+    train = mcm(tmp_path, "train", "--train", "train.tsv", "--test", "test.tsv", "--out", "run",
+                "--epochs", "1", "--embedding-dim", "8", "--min-count", "1")
+    assert train.returncode == 1
+    assert train.stderr.splitlines() == [
+        "error: train file train.tsv has one class label, 'praise'; "
+        "a classifier needs at least 2"]
+    assert not (tmp_path / "run" / "checkpoint.mcm").exists()
 
 
 def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):

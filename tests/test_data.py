@@ -15,13 +15,13 @@ from mcm.data import (
     apportion,
     build_vocab,
     gen_synthetic,
+    load_training_tsv,
     load_tsv,
     stratified_indices,
     stratified_split,
     table1_profile,
     token_id_sequences,
     tokenize,
-    tsv_class_names,
 )
 
 
@@ -276,11 +276,13 @@ class TestLoadTsv:
         assert result.rejections == [(2, "invalid UTF-8")]
 
 
-class TestTsvClassNames:
+class TestLoadTrainingTsv:
     def test_table1_labels_keep_the_default_order(self, tmp_path):
         path = tmp_path / "t1.tsv"
         path.write_text("rishwat mangta hai\tCorruption\nshukria bahut\tSatisfied\n")
-        assert tsv_class_names(path) == DEFAULT_CLASSES
+        names, result = load_training_tsv(path)
+        assert names == DEFAULT_CLASSES
+        assert result == load_tsv(path)
 
     def test_other_labels_are_sorted_and_unloadable_lines_ignored(self, tmp_path):
         path = tmp_path / "own.tsv"
@@ -292,19 +294,22 @@ class TestTsvClassNames:
                         "no separator here\n"
                         "empty label here\t \n"
                         "why so slow again\tcomplaint\n")
-        names = tsv_class_names(path)
+        names, result = load_training_tsv(path)
         assert names == ["Appreciation", "complaint", "praise", "question"]
-        result = load_tsv(path, names)
         assert [r.label for r in result.records] == [2, 1, 3, 0, 1]
-        assert [no for no, _ in result.rejections] == [5, 6, 7]
+        assert result.rejections == [(5, "unknown label 'one-token'"),
+                                     (6, "missing tab separator"),
+                                     (7, "unknown label ''")]
+        assert result == load_tsv(path, names)
 
     @FUZZ
     @given(lines=st.lists(tsv_lines(), max_size=12))
     def test_every_derived_class_has_a_record(self, tmp_path, lines):
         path = tmp_path / "fuzz.tsv"
         path.write_bytes(b"".join(lines))
-        names = tsv_class_names(path)
-        labels = {r.label for r in load_tsv(path, names).records}
+        names, result = load_training_tsv(path)
+        assert result == load_tsv(path, names)
+        labels = {r.label for r in result.records}
         if names == DEFAULT_CLASSES:
             assert labels <= set(range(len(DEFAULT_CLASSES)))
         else:
