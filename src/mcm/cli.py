@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import (
     DEFAULT_CLASSES,
+    encode,
     encode_tokens,
     gen_synthetic,
     load_training_tsv,
@@ -23,14 +24,15 @@ from .data import (
     tokenize,
     write_tsv,
 )
-from .model import baseline_forward_batch, forward_batch
+from .model import probabilities
 from .trainer import (
     COMPONENT_TITLES,
-    COMPONENTS,
     CheckpointError,
     TrainConfig,
     TrainingDiverged,
     _metric_row,
+    best_rows,
+    evaluate_components,
     load_checkpoint,
     rebuild_model,
     run_experiment_matrix,
@@ -105,21 +107,15 @@ def _merged_options(args) -> dict:
     return merged
 
 
-_DEFAULTS = {"seed": 1, "epochs": 20, "batch_size": 128, "lr": 0.002,
-             "optimizer": "adam", "dropout": 0.2, "embedding": "random",
-             "attention": False, "min_count": 2, "select_on": "test"}
+# option name -> TrainConfig field, where the two differ
+_FIELD_NAMES = {"lr": "learning_rate", "embedding": "embedding_mode"}
 
 
 def _train_config(opts: dict) -> TrainConfig:
-    merged = {**_DEFAULTS, **{k: v for k, v in opts.items() if v is not None}}
-    return TrainConfig(
-        epochs=merged["epochs"], batch_size=merged["batch_size"],
-        learning_rate=merged["lr"], optimizer=merged["optimizer"],
-        dropout=merged["dropout"], seed=merged["seed"],
-        attention=merged["attention"], embedding_mode=merged["embedding"],
-        embedding_dim=merged.get("embedding_dim"), max_len=merged.get("max_len"),
-        min_count=merged["min_count"], select_on=merged["select_on"],
-    )
+    """Every option but the file locations, set by flag or config file;
+    each field left unset keeps ``TrainConfig``'s default."""
+    return TrainConfig(**{_FIELD_NAMES.get(k, k): v for k, v in opts.items()
+                          if k not in ("train", "test", "out")})
 
 
 def _require(opts: dict, keys, command: str) -> None:
@@ -201,8 +197,7 @@ def cmd_train(args) -> int:
     variant = cfg.variant_name
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.mcm"))
     best = records[ckpt.config["best_epoch"]]
-    rows = [_metric_row(variant, COMPONENT_TITLES[c], best.reports[c]) for c in COMPONENTS]
-    write_results_csv(rows, os.path.join(out_dir, "results.csv"))
+    write_results_csv(best_rows(model, ckpt, records), os.path.join(out_dir, "results.csv"))
     write_curve_csv(records, os.path.join(out_dir, f"curve_{variant}.csv"))
     print(f"{variant}: best epoch {ckpt.config['best_epoch']}, "
           f"discriminator macro-F1 {best.macro_f1('discriminator'):.4f}, "
@@ -221,30 +216,16 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{len(unknown)} records carry labels unseen in training: {listing}")
     if not result.records:
         raise ValueError(f"{args.test} contains no usable records")
-    from .data import encode
-
     corpus = encode(result.records, vocab, ckpt.config["max_len"])
     os.makedirs(args.out, exist_ok=True)
+    reports = evaluate_components(model, corpus)
+    variant = ckpt.config.get("variant", model.name)
     rows = []
-    if ckpt.kind == "mcm":
-        from .trainer import evaluate_components
-
-        reports = evaluate_components(model, corpus)
-        for comp in COMPONENTS:
-            title = COMPONENT_TITLES[comp]
-            print(f"{title}:")
-            print("  " + reports[comp].to_text().replace("\n", "\n  "))
-            rows.append(_metric_row(ckpt.config.get("variant", "McM"), title, reports[comp]))
-    else:
-        from .metrics import evaluate as eval_metrics
-
-        preds = np.concatenate([
-            np.argmax(baseline_forward_batch(model, corpus.sequences[lo:lo + 256]).data, axis=1)
-            for lo in range(0, len(corpus), 256)])
-        report = eval_metrics(corpus.labels, preds, ckpt.config["num_classes"])
-        print("Baseline:")
-        print("  " + report.to_text().replace("\n", "\n  "))
-        rows.append(_metric_row("Baseline", "-", report))
+    for head in model.heads:
+        title = COMPONENT_TITLES[head]
+        print(f"{title if len(model.heads) > 1 else variant}:")  # a lone head goes by the model
+        print("  " + reports[head].to_text().replace("\n", "\n  "))
+        rows.append(_metric_row(variant, title, reports[head]))
     write_results_csv(rows, os.path.join(args.out, "eval_results.csv"))
     return 0
 
@@ -266,12 +247,7 @@ def cmd_predict(args) -> int:
     for lo in range(0, len(pending), 256):
         chunk = pending[lo:lo + 256]
         ids = np.stack([row for _, row in chunk])
-        if ckpt.kind == "mcm":
-            probs = forward_batch(model, ids, "infer").probs_disc.data
-        else:
-            logits = baseline_forward_batch(model, ids).data
-            z = np.exp(logits - logits.max(axis=1, keepdims=True))
-            probs = z / z.sum(axis=1, keepdims=True)
+        probs = probabilities(model.head_logits(ids, "infer")[-1]).data
         for (i, _), p in zip(chunk, probs):
             c = int(np.argmax(p))
             outputs[i] = f"{names[c]}\t{p[c]:.4f}"

@@ -94,7 +94,9 @@ class LstmParams:
     row-block view of its stack (``w_f.data`` is ``w[H:2H]``), so the fused
     sequence reads the stacks directly, and an in-place write to a gate
     (the optimizer, checkpoint loading) is a write to its stack. Rebinding
-    a gate's ``.data``, or a ``copy.deepcopy``, detaches it from the stack.
+    a gate's ``.data`` detaches it from the stack; a copy or a pickle round
+    trip passes the gates back through the constructor, which stacks them
+    anew.
     """
 
     input_dim: int
@@ -128,6 +130,9 @@ class LstmParams:
                 t.data = stack[j * hd:(j + 1) * hd]
             stacks.append(stack)
         self.w, self.u, self.b = stacks
+
+    def __reduce__(self):
+        return type(self), (self.input_dim, self.hidden_dim, *(t for _, t in self.tensors()))
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator):

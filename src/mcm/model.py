@@ -11,7 +11,7 @@ feature boundary for strictly local supervision of the learners.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -76,6 +76,18 @@ class McmConfig:
             raise ValueError("dropout must lie in [0, 1)")
 
 
+def _prefixed(obj, method: str) -> list:
+    """("field.name", value) for each entry of ``method()`` of every field
+    of the dataclass ``obj``, in field order; a field without that method
+    (a config, a rate, an absent part) adds none."""
+    out = []
+    for f in fields(obj):
+        part = getattr(obj, f.name)
+        if hasattr(part, method):
+            out.extend((f"{f.name}.{n}", v) for n, v in getattr(part, method)())
+    return out
+
+
 @dataclass
 class LearnerHead:
     """dense -> batchnorm -> relu -> dropout, twice, then a linear output.
@@ -104,18 +116,44 @@ class LearnerHead:
         )
 
     def tensors(self):
-        out = []
-        for part_name in ("dense1", "bn1", "dense2", "bn2", "out"):
-            part = getattr(self, part_name)
-            out.extend((f"{part_name}.{n}", t) for n, t in part.tensors())
-        return out
+        return _prefixed(self, "tensors")
 
     def buffers(self):
-        out = []
-        for part_name in ("bn1", "bn2"):
-            part = getattr(self, part_name)
-            out.extend((f"{part_name}.{n}", a) for n, a in part.buffers())
+        return _prefixed(self, "buffers")
+
+
+class Model:
+    """What training, evaluation, checkpoints and serving use of a model.
+
+    ``heads`` names its supervised outputs; the last one is the prediction.
+    ``head_logits(ids, mode, rng)`` returns one logits tensor per head for
+    an (n, max_len) id batch. Subclasses are dataclasses whose parameter
+    groups are fields; their field order is the order of the named tensors,
+    and so of a checkpoint's arrays.
+    """
+
+    heads: tuple = ()
+    name = ""  # how reports name a checkpoint that records no variant
+
+    def named_tensors(self):
+        return _prefixed(self, "tensors")
+
+    def named_buffers(self):
+        return _prefixed(self, "buffers")
+
+    def arrays(self) -> dict:
+        """Every stored array by name, not copied: each tensor's data, then
+        each buffer."""
+        out = {name: t.data for name, t in self.named_tensors()}
+        out.update(self.named_buffers())
         return out
+
+    def parameters(self):
+        return [t for _, t in self.named_tensors() if t.requires_grad]
+
+    def zero_grad(self):
+        for p in self.parameters():
+            p.zero_grad()
 
 
 def _head_forward(x: Tensor, head: LearnerHead, mode: str,
@@ -131,7 +169,10 @@ def _head_forward(x: Tensor, head: LearnerHead, mode: str,
 
 
 @dataclass
-class McmModel:
+class McmModel(Model):
+    heads = ("cnn", "slstm", "lstm", "discriminator")
+    name = "McM"
+
     config: McmConfig
     embedding: EmbeddingTable
     cnn1: Conv1dParams
@@ -146,35 +187,8 @@ class McmModel:
     att_cnn: Optional[AttentionParams] = None
     att_lstm: Optional[AttentionParams] = None
 
-    def _components(self):
-        comps = [("embedding", self.embedding), ("cnn1", self.cnn1), ("cnn2", self.cnn2),
-                 ("lstm_s1", self.lstm_s1), ("lstm_s2", self.lstm_s2),
-                 ("lstm_enc", self.lstm_enc), ("head_cnn", self.head_cnn),
-                 ("head_slstm", self.head_slstm), ("head_lstm", self.head_lstm),
-                 ("disc", self.disc)]
-        if self.att_cnn is not None:
-            comps += [("att_cnn", self.att_cnn), ("att_lstm", self.att_lstm)]
-        return comps
-
-    def named_tensors(self):
-        out = []
-        for prefix, comp in self._components():
-            out.extend((f"{prefix}.{n}", t) for n, t in comp.tensors())
-        return out
-
-    def named_buffers(self):
-        out = []
-        for prefix, comp in self._components():
-            if hasattr(comp, "buffers"):
-                out.extend((f"{prefix}.{n}", a) for n, a in comp.buffers())
-        return out
-
-    def parameters(self):
-        return [t for _, t in self.named_tensors() if t.requires_grad]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+    def head_logits(self, ids, mode, rng=None):
+        return forward_batch(self, ids, mode, rng).logits()
 
 
 def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmModel:
@@ -230,8 +244,13 @@ class McmOutput:
     features_slstm: Tensor
     features_lstm: Tensor
 
+    def logits(self):
+        """One logits tensor per head, in ``McmModel.heads`` order."""
+        return [self.logits_cnn, self.logits_slstm, self.logits_lstm, self.logits_disc]
 
-def _probs_np(logits: Tensor) -> Tensor:
+
+def probabilities(logits: Tensor) -> Tensor:
+    """Softmax over the last axis, off the tape."""
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return Tensor(e / e.sum(axis=-1, keepdims=True))
@@ -287,8 +306,8 @@ def forward_batch(model: McmModel, ids: np.ndarray, mode: str,
     logits_disc, _ = _head_forward(feats, model.disc, mode, rng)
 
     return McmOutput(
-        probs_cnn=_probs_np(logits_cnn), probs_slstm=_probs_np(logits_slstm),
-        probs_lstm=_probs_np(logits_lstm), probs_disc=_probs_np(logits_disc),
+        probs_cnn=probabilities(logits_cnn), probs_slstm=probabilities(logits_slstm),
+        probs_lstm=probabilities(logits_lstm), probs_disc=probabilities(logits_disc),
         logits_cnn=logits_cnn, logits_slstm=logits_slstm,
         logits_lstm=logits_lstm, logits_disc=logits_disc,
         features_cnn=feat_cnn, features_slstm=feat_slstm, features_lstm=feat_lstm,
@@ -309,17 +328,22 @@ def forward(model: McmModel, ids, mode: str = "infer",
     return McmOutput(**{k: squeeze(v) for k, v in vars(out).items()})
 
 
-def loss(out: McmOutput, target) -> Tensor:
-    """Equal-weight sum of the four heads' categorical cross-entropies.
+def heads_loss(logits, target) -> Tensor:
+    """Equal-weight sum of each head's categorical cross-entropy.
 
     ``target`` is an int for single outputs, an (n,) array for batched
     ones (each head's term is then the batch mean).
     """
     total = None
-    for logits in (out.logits_cnn, out.logits_slstm, out.logits_lstm, out.logits_disc):
-        _, term = softmax_ce(logits, target)
+    for head_logits in logits:
+        _, term = softmax_ce(head_logits, target)
         total = term if total is None else T.add(total, term)
     return total
+
+
+def loss(out: McmOutput, target) -> Tensor:
+    """The sum of the four heads' cross-entropies (``heads_loss``)."""
+    return heads_loss(out.logits(), target)
 
 
 def predict(model: McmModel, ids):
@@ -346,29 +370,30 @@ class BaselineConfig:
 
 
 @dataclass
-class BaselineModel:
+class BaselineModel(Model):
+    heads = ("baseline",)
+    name = "Baseline"
+
     config: BaselineConfig
     embedding: EmbeddingTable
     conv: Conv1dParams
     hidden: DenseParams
     out: DenseParams
 
-    def named_tensors(self):
-        out = []
-        for prefix, comp in (("embedding", self.embedding), ("conv", self.conv),
-                             ("hidden", self.hidden), ("out", self.out)):
-            out.extend((f"{prefix}.{n}", t) for n, t in comp.tensors())
-        return out
-
-    def named_buffers(self):
-        return []
-
-    def parameters(self):
-        return [t for _, t in self.named_tensors() if t.requires_grad]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+    def head_logits(self, ids, mode, rng=None):
+        """Logits (n, C) for an (n, max_len) id batch, as the one head. The
+        baseline has no dropout or batchnorm, so ``mode`` and ``rng`` change
+        nothing."""
+        cfg = self.config
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
+            raise ValueError(f"expected (n, {cfg.max_len}) ids, got {ids.shape}")
+        n, l = ids.shape
+        x = lookup(self.embedding, ids.T.reshape(-1))
+        c = conv1d_batch(x, n, l, self.conv)
+        cube = T.reshape(c, (l - cfg.kernel + 1, n, cfg.num_filters))
+        pooled = T.reduce_max(cube, 0)
+        return [dense(dense(pooled, self.hidden), self.out)]
 
 
 def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) -> BaselineModel:
@@ -387,26 +412,3 @@ def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) 
         out=DenseParams.init(config.hidden_dim, config.num_classes, rngs[2]),
     )
 
-
-def baseline_forward_batch(model: BaselineModel, ids: np.ndarray) -> Tensor:
-    """Logits (n, C) for an (n, max_len) id batch."""
-    cfg = model.config
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
-        raise ValueError(f"expected (n, {cfg.max_len}) ids, got {ids.shape}")
-    n, l = ids.shape
-    x = lookup(model.embedding, ids.T.reshape(-1))
-    c = conv1d_batch(x, n, l, model.conv)
-    cube = T.reshape(c, (l - cfg.kernel + 1, n, cfg.num_filters))
-    pooled = T.reduce_max(cube, 0)
-    return dense(dense(pooled, model.hidden), model.out)
-
-
-def baseline_loss(model: BaselineModel, ids, targets) -> Tensor:
-    _, ce = softmax_ce(baseline_forward_batch(model, ids), targets)
-    return ce
-
-
-def baseline_predict_batch(model: BaselineModel, ids) -> np.ndarray:
-    logits = baseline_forward_batch(model, ids)
-    return np.argmax(logits.data, axis=1)

@@ -1,7 +1,7 @@
-"""Deterministic mini-batch training: Adam (plus minimal Adadelta/SGD),
-per-epoch evaluation of all four components, best-checkpoint selection on
-discriminator macro-F1, binary checkpoints, and the 6-variant experiment
-matrix with per-epoch error curves.
+"""Deterministic mini-batch training of McM or the baseline: Adam (plus
+minimal Adadelta/SGD), per-epoch evaluation of every head, best-checkpoint
+selection on the prediction head's macro-F1, binary checkpoints, and the
+6-variant experiment matrix with per-epoch error curves.
 
 All randomness flows from one seed: it is forked into fixed named streams
 (embedding init, skip-gram, model init, shuffling, dropout, validation
@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -41,22 +41,21 @@ from .model import (
     BaselineModel,
     McmConfig,
     McmModel,
-    baseline_loss,
-    baseline_predict_batch,
     build_baseline,
     build_mcm,
     check_max_len,
-    forward_batch,
-    loss as mcm_loss,
+    heads_loss,
+    probabilities,
 )
 from .tensor import Tape, Tensor, backward
 
-COMPONENTS = ("cnn", "slstm", "lstm", "discriminator")
+COMPONENTS = McmModel.heads
 COMPONENT_TITLES = {
     "cnn": "Stacked-CNN Learner",
     "slstm": "Stacked-LSTM Learner",
     "lstm": "LSTM Learner",
     "discriminator": "Discriminator",
+    "baseline": "-",
 }
 
 _EMBEDDING_MODES = ("elmo_like", "random", "domain")
@@ -88,8 +87,10 @@ class TrainConfig:
     stop_disc_gradients: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("invalid training configuration")
+        if min(self.epochs, self.batch_size, self.min_count, self.resolved_embedding_dim) < 1:
+            raise ValueError("epochs, batch_size, min_count and embedding_dim must be at least 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.optimizer not in ("adam", "adadelta", "sgd"):
@@ -327,26 +328,23 @@ class Optimizer:
 # evaluation
 
 
-def evaluate_components(model: McmModel, corpus: EncodedCorpus,
-                        batch_size: int = 256) -> dict:
-    """Infer-mode evaluation of all four heads; never mutates the model."""
-    c = model.config.num_classes
-    preds = {comp: [] for comp in COMPONENTS}
+def evaluate_components(model, corpus: EncodedCorpus, batch_size: int = 256) -> dict:
+    """Infer-mode evaluation of every head, each predicting the argmax of
+    its probabilities; never mutates the model."""
+    preds = {head: [] for head in model.heads}
     for lo in range(0, len(corpus), batch_size):
-        out = forward_batch(model, corpus.sequences[lo:lo + batch_size], "infer")
-        preds["cnn"].append(np.argmax(out.probs_cnn.data, axis=1))
-        preds["slstm"].append(np.argmax(out.probs_slstm.data, axis=1))
-        preds["lstm"].append(np.argmax(out.probs_lstm.data, axis=1))
-        preds["discriminator"].append(np.argmax(out.probs_disc.data, axis=1))
-    return {comp: evaluate(corpus.labels, np.concatenate(p), c)
-            for comp, p in preds.items()}
+        logits = model.head_logits(corpus.sequences[lo:lo + batch_size], "infer")
+        for head, head_logits in zip(model.heads, logits):
+            preds[head].append(np.argmax(probabilities(head_logits).data, axis=1))
+    return {head: evaluate(corpus.labels, np.concatenate(p), model.config.num_classes)
+            for head, p in preds.items()}
 
 
 @dataclass
 class EpochRecord:
     epoch: int
     train_loss: float
-    reports: dict  # component -> EvalReport on the test split
+    reports: dict  # head -> EvalReport on the test split
 
     def test_error(self, component: str) -> float:
         return 1.0 - self.reports[component].accuracy
@@ -360,6 +358,12 @@ class EpochRecord:
 
 _MAGIC = b"MCM1"
 
+# checkpoint kind -> (model class, config class, builder)
+_KINDS = {
+    "mcm": (McmModel, McmConfig, build_mcm),
+    "baseline": (BaselineModel, BaselineConfig, build_baseline),
+}
+
 
 @dataclass
 class Checkpoint:
@@ -372,39 +376,16 @@ class Checkpoint:
 
 
 def model_arrays(model) -> dict:
-    out = {name: t.data.copy() for name, t in model.named_tensors()}
-    out.update({name: a.copy() for name, a in model.named_buffers()})
-    return out
+    return {name: a.copy() for name, a in model.arrays().items()}
 
 
 def make_checkpoint(model, vocab: Optional[Vocabulary], class_names,
                     arrays: Optional[dict] = None, extra: Optional[dict] = None) -> Checkpoint:
-    if isinstance(model, McmModel):
-        kind = "mcm"
-        cfg = model.config
-        config = {
-            "vocab_size": cfg.vocab_size, "embed_dim": cfg.embed_dim,
-            "num_classes": cfg.num_classes, "max_len": cfg.max_len,
-            "num_filters": cfg.num_filters, "hidden_dim": cfg.hidden_dim,
-            "dense1_dim": cfg.dense1_dim, "dense2_dim": cfg.dense2_dim,
-            "kernel1": cfg.kernel1, "kernel2": cfg.kernel2,
-            "attention": cfg.attention, "dropout": cfg.dropout,
-            "stop_disc_gradients": cfg.stop_disc_gradients,
-            "embedding_trainable": model.embedding.trainable,
-        }
-    elif isinstance(model, BaselineModel):
-        kind = "baseline"
-        cfg = model.config
-        config = {
-            "vocab_size": cfg.vocab_size, "embed_dim": cfg.embed_dim,
-            "num_classes": cfg.num_classes, "max_len": cfg.max_len,
-            "kernel": cfg.kernel, "num_filters": cfg.num_filters,
-            "hidden_dim": cfg.hidden_dim,
-            "embedding_trainable": model.embedding.trainable,
-        }
-    else:
+    kind = next((k for k, (cls, _, _) in _KINDS.items() if type(model) is cls), None)
+    if kind is None:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    config.update(extra or {})
+    config = {**asdict(model.config), "embedding_trainable": model.embedding.trainable,
+              **(extra or {})}
     return Checkpoint(
         kind=kind, config=config,
         vocab_tokens=list(vocab.id_to_token) if vocab is not None else [],
@@ -479,7 +460,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("malformed checkpoint: vocabulary block is not an object")
     kind = header.pop("kind", None)
     class_names = header.pop("class_names", [])
-    if kind not in ("mcm", "baseline"):
+    if kind not in _KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     tokens = vocab_block.get("tokens")
     min_count = vocab_block.get("min_count")
@@ -531,54 +512,33 @@ def rebuild_model(ckpt: Checkpoint):
     stored tensor against the rebuilt skeleton before any assignment."""
     cfg = ckpt.config
     _check_sizing_fields(ckpt)
+    _, config_cls, build = _KINDS[ckpt.kind]
     try:
         trainable = cfg["embedding_trainable"]
         table = EmbeddingTable(cfg["vocab_size"], cfg["embed_dim"],
                                Tensor(np.zeros((cfg["vocab_size"], cfg["embed_dim"])),
                                       requires_grad=trainable),
                                trainable)
-        if ckpt.kind == "mcm":
-            mcfg = McmConfig(
-                vocab_size=cfg["vocab_size"], embed_dim=cfg["embed_dim"],
-                num_classes=cfg["num_classes"], max_len=cfg["max_len"],
-                num_filters=cfg["num_filters"], hidden_dim=cfg["hidden_dim"],
-                dense1_dim=cfg["dense1_dim"], dense2_dim=cfg["dense2_dim"],
-                kernel1=cfg["kernel1"], kernel2=cfg["kernel2"],
-                attention=cfg["attention"], dropout=cfg["dropout"],
-                stop_disc_gradients=cfg.get("stop_disc_gradients", False),
-            )
-            model = build_mcm(mcfg, table, 0)
-        else:
-            bcfg = BaselineConfig(
-                vocab_size=cfg["vocab_size"], embed_dim=cfg["embed_dim"],
-                num_classes=cfg["num_classes"], max_len=cfg["max_len"],
-                kernel=cfg["kernel"], num_filters=cfg["num_filters"],
-                hidden_dim=cfg["hidden_dim"],
-            )
-            model = build_baseline(bcfg, table, 0)
+        model = build(config_cls(**{f.name: cfg[f.name] for f in fields(config_cls)}), table, 0)
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
 
-    slots = dict(model.named_tensors())
-    buffers = dict(model.named_buffers())
-    expected = set(slots) | set(buffers)
+    targets = model.arrays()
+    expected = set(targets)
     stored = set(ckpt.arrays)
     if expected != stored:
         missing = sorted(expected - stored)
         extra = sorted(stored - expected)
         raise CheckpointError(f"tensor set mismatch: missing {missing}, unexpected {extra}")
-    for name in expected:
-        target = slots[name].data if name in slots else buffers[name]
-        if target.shape != ckpt.arrays[name].shape:
+    for name in sorted(expected):  # the same error names the same tensor every run
+        if targets[name].shape != ckpt.arrays[name].shape:
             raise CheckpointError(
                 f"shape of {name} disagrees: checkpoint {ckpt.arrays[name].shape}, "
-                f"model {target.shape}")
+                f"model {targets[name].shape}")
         if not np.isfinite(ckpt.arrays[name]).all():
             raise CheckpointError(f"{name} holds non-finite values")
-    for name, t in slots.items():
-        t.data[...] = ckpt.arrays[name]
-    for name, buf in buffers.items():
-        buf[...] = ckpt.arrays[name]
+    for name, a in targets.items():
+        a[...] = ckpt.arrays[name]
     vocab = Vocabulary({tok: i for i, tok in enumerate(ckpt.vocab_tokens)},
                        list(ckpt.vocab_tokens), ckpt.vocab_min_count)
     return model, vocab
@@ -625,13 +585,16 @@ def _selection_split(train: EncodedCorpus, cfg: TrainConfig, streams: dict):
     return train_part, select
 
 
-def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
+def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
         vocab: Optional[Vocabulary] = None, class_names=None):
-    """Train, evaluate all four components each epoch, and return the best
-    checkpoint (by discriminator macro-F1, earlier epoch on ties) together
-    with the full per-epoch curve data.
+    """Train either model on the sum of its heads' cross-entropies,
+    evaluate every head each epoch, and return the best checkpoint (by the
+    macro-F1 of the last head, the prediction, on the split ``cfg.select_on``
+    names; earlier epoch on ties) together with the full per-epoch curve
+    data.
 
-    The model is left holding the checkpointed parameters.
+    The model is left holding the checkpointed parameters. Parameters that
+    turn non-finite raise ``TrainingDiverged``.
     """
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test splits must be nonempty")
@@ -643,6 +606,7 @@ def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainCo
 
     train_part, select = _selection_split(train, cfg, streams)
     opt = Optimizer(cfg.optimizer, model.parameters(), cfg.learning_rate)
+    prediction = model.heads[-1]
     records = []
     best_f1 = -1.0
     best_arrays = None
@@ -653,80 +617,36 @@ def fit(model: McmModel, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainCo
         loss_sum = 0.0
         for b, batch in enumerate(_batch_slices(n, cfg.batch_size, order)):
             with Tape() as tape:
-                out = forward_batch(model, train_part.sequences[batch], "train", dropout_rng)
-                total = mcm_loss(out, train_part.labels[batch])
+                logits = model.head_logits(train_part.sequences[batch], "train", dropout_rng)
+                total = heads_loss(logits, train_part.labels[batch])
             if not np.isfinite(total.data):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
             backward(total, tape)
             opt.step()
             opt.zero_grad()
             loss_sum += float(total.data) * len(batch)
+        # A loss sees an update only through later batches and the rows they
+        # read, so every parameter is checked once an epoch.
+        bad = [name for name, t in model.named_tensors() if not np.isfinite(t.data).all()]
+        if bad:
+            raise TrainingDiverged(f"non-finite parameters after epoch {epoch}: {', '.join(bad)}")
 
         reports = evaluate_components(model, test)
         records.append(EpochRecord(epoch, loss_sum / n, reports))
         if select is None:
-            selection_f1 = reports["discriminator"].macro_f1
+            selection_f1 = reports[prediction].macro_f1
         else:
-            selection_f1 = evaluate_components(model, select)["discriminator"].macro_f1
+            selection_f1 = evaluate_components(model, select)[prediction].macro_f1
         if selection_f1 > best_f1:
             best_f1 = selection_f1
             best_arrays = model_arrays(model)
             best_epoch = epoch
 
-    slots = dict(model.named_tensors())
-    buffers = dict(model.named_buffers())
-    for name, arr in best_arrays.items():
-        if name in slots:
-            slots[name].data[...] = arr
-        else:
-            buffers[name][...] = arr
+    for name, a in model.arrays().items():
+        a[...] = best_arrays[name]
     ckpt = make_checkpoint(model, vocab, class_names, arrays=best_arrays,
-                           extra={"variant": cfg.variant_name, "best_epoch": best_epoch,
-                                  "seed": cfg.seed})
+                           extra={"best_epoch": best_epoch, "seed": cfg.seed})
     return ckpt, records
-
-
-def fit_baseline(model: BaselineModel, train: EncodedCorpus, test: EncodedCorpus,
-                 cfg: TrainConfig):
-    """Same protocol for the single-component baseline, selecting on macro-F1
-    of the split ``cfg.select_on`` names as ``fit`` does; returns the test
-    report at the best epoch and the per-epoch test reports."""
-    streams = seed_streams(cfg.seed)
-    shuffle_rng = np.random.default_rng(streams["shuffle"])
-    train_part, select = _selection_split(train, cfg, streams)
-    opt = Optimizer(cfg.optimizer, model.parameters(), cfg.learning_rate)
-    c = model.config.num_classes
-
-    def report_on(corpus):
-        preds = np.concatenate([baseline_predict_batch(model, corpus.sequences[lo:lo + 256])
-                                for lo in range(0, len(corpus), 256)])
-        return evaluate(corpus.labels, preds, c)
-
-    best = None
-    best_f1 = -1.0
-    best_arrays = None
-    history = []
-    n = len(train_part)
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        for b, batch in enumerate(_batch_slices(n, cfg.batch_size, order)):
-            with Tape() as tape:
-                total = baseline_loss(model, train_part.sequences[batch],
-                                      train_part.labels[batch])
-            if not np.isfinite(total.data):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
-            backward(total, tape)
-            opt.step()
-            opt.zero_grad()
-        report = report_on(test)
-        history.append(report)
-        selection_f1 = report.macro_f1 if select is None else report_on(select).macro_f1
-        if selection_f1 > best_f1:
-            best, best_f1 = report, selection_f1
-            best_arrays = model_arrays(model)
-    for name, t in model.named_tensors():
-        t.data[...] = best_arrays[name]
-    return best, history
 
 
 # ---------------------------------------------------------------------------
@@ -746,39 +666,44 @@ def build_embedding_table(cfg: TrainConfig, vocab: Vocabulary, train_records,
                           np.random.default_rng(streams["skipgram"]))
 
 
+def _encode_splits(train_records, test_records, cfg: TrainConfig, shortest: int = 2):
+    """The training vocabulary and both splits encoded to ``cfg.max_len``
+    ids (by default the 95th-percentile rule's), but at least ``shortest``."""
+    vocab = build_vocab(train_records, cfg.min_count)
+    max_len = max(cfg.max_len if cfg.max_len is not None else pick_max_len(train_records),
+                  shortest)
+    return vocab, encode(train_records, vocab, max_len), encode(test_records, vocab, max_len)
+
+
 def run_training(train_records, test_records, cfg: TrainConfig, class_names):
     """Vocab -> embedding -> model -> fit, all from one seed."""
     streams = seed_streams(cfg.seed)
-    vocab = build_vocab(train_records, cfg.min_count)
-    max_len = cfg.max_len if cfg.max_len is not None else pick_max_len(train_records)
-    enc_train = encode(train_records, vocab, max_len)
-    enc_test = encode(test_records, vocab, max_len)
+    vocab, enc_train, enc_test = _encode_splits(train_records, test_records, cfg)
     table = build_embedding_table(cfg, vocab, train_records, streams)
     mcfg = McmConfig(
         vocab_size=vocab.size, embed_dim=cfg.resolved_embedding_dim,
-        num_classes=len(class_names), max_len=max_len,
+        num_classes=len(class_names), max_len=enc_train.max_len,
         attention=cfg.attention, dropout=cfg.dropout,
         stop_disc_gradients=cfg.stop_disc_gradients,
     )
     model = build_mcm(mcfg, table, streams["model"])
-    ckpt, records = fit(model, enc_train, enc_test, cfg, vocab=vocab,
-                        class_names=class_names)
+    ckpt, records = fit(model, enc_train, enc_test, cfg, vocab, class_names)
+    ckpt.config["variant"] = cfg.variant_name
     return model, ckpt, records, vocab
 
 
 def run_baseline_training(train_records, test_records, cfg: TrainConfig, class_names):
+    """The single-CNN baseline, always on a random table, trained by ``fit``."""
+    cfg = replace(cfg, embedding_mode="random")
     streams = seed_streams(cfg.seed)
-    vocab = build_vocab(train_records, cfg.min_count)
-    max_len = max(cfg.max_len if cfg.max_len is not None else pick_max_len(train_records), 3)
-    enc_train = encode(train_records, vocab, max_len)
-    enc_test = encode(test_records, vocab, max_len)
-    d = 300 if cfg.embedding_dim is None else cfg.embedding_dim
-    table = init_random(vocab.size, d, np.random.default_rng(streams["embedding"]))
-    bcfg = BaselineConfig(vocab_size=vocab.size, embed_dim=d,
-                          num_classes=len(class_names), max_len=max_len)
+    vocab, enc_train, enc_test = _encode_splits(train_records, test_records, cfg, 3)
+    table = build_embedding_table(cfg, vocab, train_records, streams)
+    bcfg = BaselineConfig(vocab_size=vocab.size, embed_dim=cfg.resolved_embedding_dim,
+                          num_classes=len(class_names), max_len=enc_train.max_len)
     model = build_baseline(bcfg, table, streams["model"])
-    report, history = fit_baseline(model, enc_train, enc_test, cfg)
-    return model, report, history, vocab
+    ckpt, records = fit(model, enc_train, enc_test, cfg, vocab, class_names)
+    ckpt.config["variant"] = model.name
+    return model, ckpt, records, vocab
 
 
 MATRIX_VARIANTS = (
@@ -786,6 +711,13 @@ MATRIX_VARIANTS = (
     ("random", False), ("random", True),
     ("domain", False), ("domain", True),
 )
+
+
+def best_rows(model, ckpt: Checkpoint, records) -> list:
+    """One results row per head at the checkpoint's best epoch."""
+    best = records[ckpt.config["best_epoch"]]
+    return [_metric_row(ckpt.config["variant"], COMPONENT_TITLES[head], best.reports[head])
+            for head in model.heads]
 
 
 def _metric_row(variant, component_title, report, status="ok"):
@@ -826,9 +758,9 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     try:
-        _, report, _, _ = run_baseline_training(train_records, test_records,
-                                                base_cfg, class_names)
-        rows.append(_metric_row("Baseline", "-", report))
+        model, ckpt, records, _ = run_baseline_training(train_records, test_records,
+                                                        base_cfg, class_names)
+        rows += best_rows(model, ckpt, records)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         rows.append(_metric_row("Baseline", "-", None, status=f"error: {exc}"))
 
@@ -836,10 +768,8 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
         cfg = replace(base_cfg, embedding_mode=mode, attention=attention)
         variant = cfg.variant_name
         try:
-            _, ckpt, records, _ = run_training(train_records, test_records, cfg, class_names)
-            best = records[ckpt.config["best_epoch"]]
-            for comp in COMPONENTS:
-                rows.append(_metric_row(variant, COMPONENT_TITLES[comp], best.reports[comp]))
+            model, ckpt, records, _ = run_training(train_records, test_records, cfg, class_names)
+            rows += best_rows(model, ckpt, records)
             write_curve_csv(records, os.path.join(out_dir, f"curve_{variant}.csv"))
         except Exception as exc:  # noqa: BLE001
             for comp in COMPONENTS:

@@ -9,7 +9,8 @@ import sys
 from mcm.data import DEFAULT_CLASSES
 from mcm.trainer import load_checkpoint
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def mcm(cwd, *args, stdin=None):
@@ -96,6 +97,17 @@ def test_train_on_a_single_non_table1_label_prints_one_error(tmp_path):
     assert not (tmp_path / "run" / "checkpoint.mcm").exists()
 
 
+def test_train_with_a_nan_learning_rate_prints_one_error(tmp_path):
+    gen = mcm(tmp_path, "gen-synth", "--n", "120", "--seed", "3", "--out", "data")
+    assert gen.returncode == 0, gen.stderr
+    run = mcm(tmp_path, "train", "--train", "data/train.tsv", "--test", "data/test.tsv",
+              "--out", "run", "--epochs", "1", "--embedding-dim", "8", "--lr", "nan")
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: learning rate"), run.stderr
+    assert run.stdout == "" and not (tmp_path / "run" / "checkpoint.mcm").exists()
+
+
 def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):
     # 2 records per class leave the 80/20 validation carve-out empty
     words = ["shukria bahut acha", "bahut acha kaam", "rishwat mangta hai",
@@ -111,3 +123,34 @@ def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "validation" in lines[0]
     assert run.stdout == ""
+
+
+def test_eval_and_predict_take_a_baseline_checkpoint(tmp_path):
+    ckpt_file = os.path.join(TESTS, "fixtures", "baseline.mcm")  # classes a, b, c
+    (tmp_path / "test.tsv").write_text("w1 w2 w3\ta\nw4 w5\tb\nw6 w7 w0\tc\nw2 w2\ta\n")
+    ev = mcm(tmp_path, "eval", "--checkpoint", ckpt_file, "--test", "test.tsv", "--out", "ev")
+    assert ev.returncode == 0, ev.stderr
+    with open(tmp_path / "ev" / "eval_results.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["model"], r["component"], r["status"]) for r in rows] == [("Baseline", "-", "ok")]
+
+    pred = mcm(tmp_path, "predict", "--checkpoint", ckpt_file, stdin="w1 w2\nw3 zzz w4\n")
+    assert pred.returncode == 0, pred.stderr
+    lines = pred.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        label, prob = line.split("\t")
+        assert label in ("a", "b", "c") and 0.0 < float(prob) <= 1.0
+
+
+def test_matrix_on_a_tiny_corpus_fills_every_row(tmp_path):
+    gen = mcm(tmp_path, "gen-synth", "--n", "120", "--seed", "4", "--out", "data")
+    assert gen.returncode == 0, gen.stderr
+    run = mcm(tmp_path, "matrix", "--train", "data/train.tsv", "--test", "data/test.tsv",
+              "--out", "matrix", "--epochs", "1", "--embedding-dim", "8")
+    assert run.returncode == 0, run.stderr
+    with open(tmp_path / "matrix" / "results.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 25  # the baseline plus 6 variants x 4 components
+    assert all(r["status"] == "ok" for r in rows)
+    assert (rows[0]["model"], rows[0]["component"]) == ("Baseline", "-")

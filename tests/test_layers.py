@@ -1,5 +1,7 @@
 """Layer semantics against independent oracles, plus gradient checks."""
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -373,6 +375,18 @@ class TestStackedGates:
         assert not np.allclose(after, before)
         fresh = LstmParams(3, 4, *(Tensor(t.data.copy()) for _, t in p.tensors()))
         assert np.array_equal(after, lstm_sequence_batch(x, n, l, fresh)[0].data)
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_keep_their_gates_views_of_their_own_stacks(self, how):
+        p = LstmParams.init(3, 2, np.random.default_rng(56))
+        p.b_f.requires_grad = False
+        q = copy.deepcopy(p) if how == "deepcopy" else pickle.loads(pickle.dumps(p))
+        assert gates_are_stack_views(q)
+        for (name, a), (_, b) in zip(p.tensors(), q.tensors()):
+            assert np.array_equal(a.data, b.data) and a.requires_grad == b.requires_grad, name
+        assert not any(np.shares_memory(a, b) for a, b in ((p.w, q.w), (p.u, q.u), (p.b, q.b)))
+        q.w_f.data[...] = 7.0  # an in-place write reaches the copy's stack only
+        assert (q.w[2:4] == 7.0).all() and not (p.w == 7.0).any()
 
 
 def first_layer_run(embed, layers, table, ids, n, l):

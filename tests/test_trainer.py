@@ -31,8 +31,8 @@ from mcm.trainer import (
     _carve_validation,
     Optimizer,
     TrainConfig,
+    TrainingDiverged,
     fit,
-    fit_baseline,
     load_checkpoint,
     make_checkpoint,
     model_arrays,
@@ -101,7 +101,8 @@ def baseline_case(per_class):
 
 
 @pytest.mark.parametrize("select_on,best_epoch", [("test", 2), ("validation", 1)])
-def test_fit_baseline_selects_on_the_split_select_on_names(monkeypatch, select_on, best_epoch):
+def test_fit_on_the_baseline_selects_on_the_split_select_on_names(monkeypatch, select_on,
+                                                                  best_epoch):
     model, train, test = baseline_case(5)
     f1_by_split = {"test": [0.1, 0.2, 0.3], "validation": [0.3, 0.9, 0.1]}
     seen = {"test": [], "validation": []}  # the parameters at each evaluation
@@ -114,22 +115,30 @@ def test_fit_baseline_selects_on_the_split_select_on_names(monkeypatch, select_o
         return dataclasses.replace(real_evaluate(labels, preds, c), macro_f1=f1)
 
     monkeypatch.setattr(trainer, "evaluate", scripted)
-    best, history = fit_baseline(model, train, test,
-                                 TrainConfig(epochs=3, batch_size=4, select_on=select_on))
-    assert len(history) == 3 and best is history[best_epoch]
+    ckpt, records = fit(model, train, test,
+                        TrainConfig(epochs=3, batch_size=4, select_on=select_on))
+    assert len(records) == 3 and ckpt.config["best_epoch"] == best_epoch
     assert len(seen["validation"]) == (3 if select_on == "validation" else 0)
     for epoch, arrays in enumerate(seen["test"]):  # the best epoch's parameters are restored
         holds = all(np.array_equal(t.data, arrays[name]) for name, t in model.named_tensors())
         assert holds == (epoch == best_epoch)
 
 
-def test_fit_baseline_refuses_an_empty_validation_part():
+def test_fit_on_the_baseline_refuses_an_empty_validation_part():
     model, train, test = baseline_case(2)
     before = {name: t.data.copy() for name, t in model.named_tensors()}
     with pytest.raises(ValueError, match="no validation records"):
-        fit_baseline(model, train, test, TrainConfig(epochs=1, batch_size=4,
-                                                     select_on="validation"))
+        fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"))
     assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.named_tensors())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+    ("embedding_dim", 0), ("min_count", 0),
+])
+def test_train_config_refuses_a_value_training_cannot_use(field, value):
+    with pytest.raises(ValueError, match=field.split("_")[-1]):
+        TrainConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +204,19 @@ def test_fit_restoring_an_earlier_epoch_keeps_gate_views(monkeypatch):
     assert ckpt.config["best_epoch"] == 0
     stacks_hold(model, seen[0])
     assert not np.array_equal(seen[0]["lstm_s1.w_f"], seen[-1]["lstm_s1.w_f"])
+
+
+# A step at this rate overflows, and Adam's overflow warning is the expected
+# path to the refusal.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fit_refuses_to_return_parameters_its_last_update_made_non_finite():
+    # one batch per epoch: no later loss ever sees the overflowing update
+    rng = np.random.default_rng(0)
+    train = EncodedCorpus(rng.integers(2, 10, size=(16, 6)), rng.integers(0, 3, size=16), 6)
+    test = EncodedCorpus(rng.integers(2, 10, size=(4, 6)), rng.integers(0, 3, size=4), 6)
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(1)), 0)
+    with pytest.raises(TrainingDiverged, match="non-finite parameters after epoch 0"):
+        fit(model, train, test, TrainConfig(epochs=1, batch_size=16, learning_rate=1e308))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +572,22 @@ def test_max_len_at_the_ceiling_loads(ckpt_path, baseline_path, kind):
     assert model.config.max_len == MAX_LEN_CEILING
 
 
+# Files written by the checkpoint code of commit c89f5c0, before McM and the
+# baseline shared one model protocol: SMALL_MCM (batchnorm buffers shifted
+# off their initial values) and a small baseline, each from make_checkpoint.
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+@pytest.mark.parametrize("name", ["small_mcm.mcm", "baseline.mcm"])
+def test_committed_checkpoint_loads_and_resaves_byte_identically(tmp_path, name):
+    path = os.path.join(FIXTURES, name)
+    ckpt = load_checkpoint(path)
+    model, vocab = rebuild_model(ckpt)
+    save_checkpoint(make_checkpoint(model, vocab, ckpt.class_names), tmp_path / name)
+    with open(path, "rb") as fh:
+        assert (tmp_path / name).read_bytes() == fh.read()
+
+
 def test_baseline_checkpoint_round_trips(baseline_path):
     model, vocab = rebuild_model(load_checkpoint(baseline_path))
     assert vocab.size == 10 and model.config.kernel == 2 and model.config.hidden_dim == 3
@@ -611,6 +649,22 @@ def test_predict_on_bad_checkpoint_prints_one_error_line(ckpt_path, corrupt):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert proc.stdout == ""
+
+
+def test_predict_names_the_same_non_finite_tensor_every_run(ckpt_path):
+    ckpt = load_checkpoint(ckpt_path)
+    for a in ckpt.arrays.values():
+        a[...] = np.nan
+    save_checkpoint(ckpt, ckpt_path)
+    errors = []
+    for hash_seed in ("1", "2"):  # string hashing, and so set order, differs between these
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-m", "mcm.cli", "predict", "--checkpoint",
+                               str(ckpt_path)], input="w1 w2\n", capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 1
+        errors.append(proc.stderr)
+    assert errors == [f"error: {sorted(ckpt.arrays)[0]} holds non-finite values\n"] * 2
 
 
 def test_main_reports_checkpoint_error_without_traceback(ckpt_path, capsys):
