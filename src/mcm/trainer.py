@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -126,13 +127,21 @@ def seed_streams(seed: int) -> dict:
 
 
 class Adam:
-    """Bias-corrected Adam; one elementwise update rule, applied in place to
-    one array (or block of one) at a time.
+    """Bias-corrected Adam in Kingma & Ba's folded order (arXiv:1412.6980,
+    Sec. 2): both bias corrections fold into one scalar step,
+    ``lr * sqrt(1 - beta2^t) / (1 - beta1^t)``, and epsilon becomes
+    ``epsilon * sqrt(1 - beta2^t)``. This is the textbook update up to
+    rounding. One elementwise update rule, applied in place to one array
+    (or block of one) at a time; its two state slots are the first and
+    second moments.
 
-    Its two state slots are the first and second moments. ``g=None`` is the
-    zero-gradient form: ``m - c*m`` has the bits of ``m + c*(0.0 - m)``,
-    because ``0.0 - m == -m`` and ``c*(-m) == -(c*m)`` under
-    round-to-nearest.
+    ``g=None`` is the zero-gradient form: the moments only decay, in 7
+    passes per element with one divide and one sqrt (the full rule takes
+    12). It equals the full rule at a +0.0 or -0.0 gradient bit for bit,
+    because no moment is ever -0.0: the moments start at +0.0, a sum is
+    -0.0 only when both addends are, and ``beta > 0.5`` keeps a nonzero
+    moment from rounding to zero when it decays. So ``m*beta1 + (±0.0)``
+    is ``m*beta1`` and ``v*beta2 + (+0.0)`` is ``v*beta2``.
     """
 
     slots = 2
@@ -143,31 +152,25 @@ class Adam:
 
     def begin_step(self) -> None:
         self.t += 1
-        self.corr1 = 1.0 - self.beta1 ** self.t
-        self.corr2 = 1.0 - self.beta2 ** self.t
+        root_corr2 = math.sqrt(1.0 - self.beta2 ** self.t)
+        self.step_scale = root_corr2 / (1.0 - self.beta1 ** self.t)
+        self.eps_hat = self.epsilon * root_corr2
 
     def update(self, p, g, lr: float, tmp, m, v) -> None:
         a, b = tmp
-        if g is None:
-            np.multiply(m, 1.0 - self.beta1, out=a)
-            m -= a
-            np.multiply(v, 1.0 - self.beta2, out=a)
-            v -= a
-        else:
-            np.subtract(g, m, out=a)
-            a *= 1.0 - self.beta1
+        m *= self.beta1
+        v *= self.beta2
+        if g is not None:
+            np.multiply(g, 1.0 - self.beta1, out=a)
             m += a
             np.multiply(g, g, out=a)
-            a -= v
             a *= 1.0 - self.beta2
             v += a
-        # p -= lr * (m / corr1) / (sqrt(v / corr2) + epsilon)
-        np.divide(m, self.corr1, out=a)
-        a *= lr
-        np.divide(v, self.corr2, out=b)
-        np.sqrt(b, out=b)
-        b += self.epsilon
-        a /= b
+        # p -= (lr * step_scale) * m / (sqrt(v) + eps_hat)
+        np.sqrt(v, out=b)
+        b += self.eps_hat
+        np.divide(m, b, out=a)
+        a *= lr * self.step_scale
         p -= a
 
 
@@ -176,8 +179,11 @@ class Adadelta:
     squared update. Classical Adadelta needs no learning rate; lr acts as a
     plain multiplier (use ~1.0 with this optimizer).
 
-    ``g=None`` is the zero-gradient form: both averages decay as in Adam's,
-    and the update is ``-0.0``, which leaves every ``p`` as it is.
+    ``g=None`` is the zero-gradient form: each average ``x`` decays as
+    ``x - c*x``, which has the bits of the rule's ``x + c*(0.0 - x)``
+    because ``0.0 - x == -x`` and ``c*(-x) == -(c*x)`` under
+    round-to-nearest, and the update is ``-0.0``, which leaves every ``p``
+    as it is.
     """
 
     slots = 2
@@ -232,17 +238,14 @@ _RULES = {"adam": Adam, "adadelta": Adadelta, "sgd": Sgd}
 
 
 # Elements per block in ``Optimizer.step``: a block's four arrays and the
-# rule's two scratch arrays then fit a 2 MB L2 cache. One Adam step on a
-# 50000 x 300 table took 150-175 ms for blocks of 16k-64k elements,
-# 200-290 ms for 128k-256k and 415-450 ms as one whole-array update
-# (2 vCPUs, numpy 2.4, medians of 5-9 repeats). The rules write their
-# intermediates into two block-sized scratch arrays that the ``Optimizer``
-# owns (``out=``) instead of allocating temporaries: a 256 KB temporary per
-# operation is mapped and unmapped each time under glibc's default malloc
-# thresholds. Adam's zero-gradient pass over that table took 270-286 ms
-# with temporaries, 127-131 ms with the scratch arrays, and 128-133 ms with
-# temporaries once those thresholds were raised for the measurement
-# (medians of 7 repeats in 3 processes each).
+# rule's two scratch arrays then fit a 2 MB L2 cache. Adam's zero-gradient
+# pass over a 50000 x 300 table took 86 ms at 32k elements, 93 ms at 16k
+# and 92 ms at 64k (2 vCPUs, numpy 2.4, medians of 10 interleaved rounds,
+# each the median of 9 passes); 32k was faster than 16k in 8 of the rounds
+# and than 64k in all 10. The rules write their intermediates into two
+# block-sized scratch arrays that the ``Optimizer`` owns (``out=``) instead
+# of allocating temporaries: a 256 KB temporary per operation is mapped and
+# unmapped each time under glibc's default malloc thresholds.
 _BLOCK = 32768
 
 
@@ -585,6 +588,17 @@ def _selection_split(train: EncodedCorpus, cfg: TrainConfig, streams: dict):
     return train_part, select
 
 
+@contextmanager
+def _diverges_as(where: str):
+    """Raise numpy's overflow and invalid-value errors inside the block, as
+    ``TrainingDiverged`` naming ``where``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingDiverged(f"{exc} {where}") from exc
+
+
 def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
         vocab: Optional[Vocabulary] = None, class_names=None):
     """Train either model on the sum of its heads' cross-entropies,
@@ -593,8 +607,12 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
     names; earlier epoch on ties) together with the full per-epoch curve
     data.
 
-    The model is left holding the checkpointed parameters. Parameters that
-    turn non-finite raise ``TrainingDiverged``.
+    The model is left holding the checkpointed parameters. Training that
+    diverges raises ``TrainingDiverged``: an overflow or invalid value in a
+    batch's step or in an evaluation (``_diverges_as``), a non-finite loss,
+    or a non-finite parameter after an epoch. The last two stay checked,
+    since a NaN already in the inputs spreads without any floating-point
+    error.
     """
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test splits must be nonempty")
@@ -609,20 +627,21 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
     prediction = model.heads[-1]
     records = []
     best_f1 = -1.0
-    best_arrays = None
+    best_arrays = model_arrays(model)
     best_epoch = -1
     n = len(train_part)
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for b, batch in enumerate(_batch_slices(n, cfg.batch_size, order)):
-            with Tape() as tape:
-                logits = model.head_logits(train_part.sequences[batch], "train", dropout_rng)
-                total = heads_loss(logits, train_part.labels[batch])
-            if not np.isfinite(total.data):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
-            backward(total, tape)
-            opt.step()
+            with _diverges_as(f"at epoch {epoch}, batch {b}"):
+                with Tape() as tape:
+                    logits = model.head_logits(train_part.sequences[batch], "train", dropout_rng)
+                    total = heads_loss(logits, train_part.labels[batch])
+                if not np.isfinite(total.data):
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
+                backward(total, tape)
+                opt.step()
             opt.zero_grad()
             loss_sum += float(total.data) * len(batch)
         # A loss sees an update only through later batches and the rows they
@@ -631,16 +650,18 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
         if bad:
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}: {', '.join(bad)}")
 
-        reports = evaluate_components(model, test)
+        with _diverges_as(f"in the evaluation after epoch {epoch}"):
+            reports = evaluate_components(model, test)
+            if select is None:
+                selection_f1 = reports[prediction].macro_f1
+            else:
+                selection_f1 = evaluate_components(model, select)[prediction].macro_f1
         records.append(EpochRecord(epoch, loss_sum / n, reports))
-        if select is None:
-            selection_f1 = reports[prediction].macro_f1
-        else:
-            selection_f1 = evaluate_components(model, select)[prediction].macro_f1
         if selection_f1 > best_f1:
             best_f1 = selection_f1
-            best_arrays = model_arrays(model)
             best_epoch = epoch
+            for name, a in model.arrays().items():
+                np.copyto(best_arrays[name], a)
 
     for name, a in model.arrays().items():
         a[...] = best_arrays[name]

@@ -108,6 +108,17 @@ def test_train_with_a_nan_learning_rate_prints_one_error(tmp_path):
     assert run.stdout == "" and not (tmp_path / "run" / "checkpoint.mcm").exists()
 
 
+def test_train_with_a_diverging_learning_rate_prints_one_error(tmp_path):
+    gen = mcm(tmp_path, "gen-synth", "--n", "120", "--seed", "3", "--out", "data")
+    assert gen.returncode == 0, gen.stderr
+    run = mcm(tmp_path, "train", "--train", "data/train.tsv", "--test", "data/test.tsv",
+              "--out", "run", "--epochs", "1", "--batch-size", "512", "--lr", "1e308")
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
+    assert not (tmp_path / "run" / "checkpoint.mcm").exists()
+
+
 def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):
     # 2 records per class leave the 80/20 validation carve-out empty
     words = ["shukria bahut acha", "bahut acha kaam", "rishwat mangta hai",

@@ -2,6 +2,7 @@
 determinism of fit, and checkpoint validation down to the CLI."""
 import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
@@ -206,17 +207,30 @@ def test_fit_restoring_an_earlier_epoch_keeps_gate_views(monkeypatch):
     assert not np.array_equal(seen[0]["lstm_s1.w_f"], seen[-1]["lstm_s1.w_f"])
 
 
-# A step at this rate overflows, and Adam's overflow warning is the expected
-# path to the refusal.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_fit_refuses_to_return_parameters_its_last_update_made_non_finite():
-    # one batch per epoch: no later loss ever sees the overflowing update
+def tiny_fit_case():
+    """One batch per epoch of ids 2-8; table row 9 is never read."""
     rng = np.random.default_rng(0)
-    train = EncodedCorpus(rng.integers(2, 10, size=(16, 6)), rng.integers(0, 3, size=16), 6)
-    test = EncodedCorpus(rng.integers(2, 10, size=(4, 6)), rng.integers(0, 3, size=4), 6)
-    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(1)), 0)
-    with pytest.raises(TrainingDiverged, match="non-finite parameters after epoch 0"):
+    train = EncodedCorpus(rng.integers(2, 9, size=(16, 6)), rng.integers(0, 3, size=16), 6)
+    test = EncodedCorpus(rng.integers(2, 9, size=(4, 6)), rng.integers(0, 3, size=4), 6)
+    return build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(1)), 0), train, test
+
+
+def test_fit_refuses_a_learning_rate_that_overflows():
+    # Adam's step is bounded by about lr, so the update itself stays finite;
+    # the overflow comes from the forward that reads the updated parameters.
+    model, train, test = tiny_fit_case()
+    with pytest.raises(TrainingDiverged, match="overflow encountered in .* epoch 0"):
         fit(model, train, test, TrainConfig(epochs=1, batch_size=16, learning_rate=1e308))
+
+
+def test_fit_refuses_to_return_parameters_that_turned_non_finite():
+    # a NaN in a row no batch reads raises no floating-point error: the
+    # zero-gradient form keeps it as it is, and only the epoch check sees it
+    model, train, test = tiny_fit_case()
+    model.embedding.vectors.data[9] = np.nan
+    with pytest.raises(TrainingDiverged,
+                       match="non-finite parameters after epoch 0: embedding.vectors$"):
+        fit(model, train, test, TrainConfig(epochs=1, batch_size=16))
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +240,15 @@ def test_fit_refuses_to_return_parameters_its_last_update_made_non_finite():
 def reference_update(kind, p, g, state, t, lr):
     """One whole-array update per rule, written out as plain formulas."""
     if kind == "adam":
+        # Kingma & Ba's folded order
         m, v = state
-        corr1, corr2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-        m += (1.0 - 0.9) * (g - m)
-        v += (1.0 - 0.999) * (g * g - v)
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + 1e-8)
+        root_corr2 = math.sqrt(1.0 - 0.999 ** t)
+        step_scale, eps_hat = root_corr2 / (1.0 - 0.9 ** t), 1e-8 * root_corr2
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        p -= m / (np.sqrt(v) + eps_hat) * (lr * step_scale)
     elif kind == "adadelta":
         eg, ed = state
         eg += (1.0 - 0.95) * (g * g - eg)
@@ -391,6 +409,36 @@ def test_row_sparse_gradients_take_the_row_sparse_path_bitwise(kind, read_grad):
             assert param.data.tobytes() == ref[k].tobytes(), f"{kind} {k} after step {t}"
             for got, want in zip(slots, ref_state[k]):
                 assert got.tobytes() == want.tobytes(), f"{kind} {k} state after step {t}"
+
+
+def test_folded_adam_tracks_the_textbook_formula():
+    # rows 0-9 of the table take a gradient now and then, rows 10-29 never
+    rng = np.random.default_rng(7)
+    table = Tensor(rng.normal(size=(30, 6)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    ref = {"table": table.data.copy(), "weight": weight.data.copy()}
+    moments = {k: (np.zeros_like(a), np.zeros_like(a)) for k, a in ref.items()}
+    opt = Optimizer("adam", [table, weight], 0.01)
+    for t in range(1, 13):
+        ids = rng.integers(0, 10, size=3)
+        r = rng.normal(size=(3, 6))
+        with Tape() as tape:
+            total = T.add(weighted_sum(T.gather_rows(table, ids), r),
+                          weighted_sum(weight, rng.normal(size=(4, 5))))
+        backward(total, tape)
+        grads = {"table": table.grad, "weight": weight.grad}
+        for k, (m, v) in moments.items():  # Kingma & Ba, Algorithm 1
+            g = grads[k]
+            m += (1.0 - 0.9) * (g - m)
+            v += (1.0 - 0.999) * (g * g - v)
+            ref[k] -= 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        opt.step()
+        opt.zero_grad()
+        for k, param, slots in zip(("table", "weight"), (table, weight), opt.state):
+            np.testing.assert_allclose(param.data, ref[k], rtol=1e-12, atol=0, err_msg=k)
+            for got, want in zip(slots, moments[k]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=k)
+    assert table.data[10:].tobytes() == ref["table"][10:].tobytes()
 
 
 def test_optimizer_rejects_misshapen_gradient():
