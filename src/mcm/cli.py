@@ -24,7 +24,6 @@ from .data import (
     tokenize,
     write_tsv,
 )
-from .model import probabilities
 from .trainer import (
     COMPONENT_TITLES,
     CheckpointError,
@@ -247,7 +246,7 @@ def cmd_predict(args) -> int:
     for lo in range(0, len(pending), 256):
         chunk = pending[lo:lo + 256]
         ids = np.stack([row for _, row in chunk])
-        probs = probabilities(model.head_logits(ids, "infer")[-1]).data
+        probs = model.head_probabilities(ids)[-1].data
         for (i, _), p in zip(chunk, probs):
             c = int(np.argmax(p))
             outputs[i] = f"{names[c]}\t{p[c]:.4f}"

@@ -8,15 +8,25 @@ length l is one rank-2 tensor of shape (l*n, d) whose row t*n + e is time
 step t of example e. With n=1 the two layouts coincide, so the per-example
 functions are the batched ones specialized.
 
-The hot paths have fused backward rules. ``lstm_sequence_batch`` is one
-tape op for the whole recurrence: it reads the four gates from the stacks
-that are ``LstmParams``' storage, the input projection for all timesteps
-is a single matmul before the time loop, and backpropagation through time
-is written out by hand, so a sequence records 2 tape nodes.
-``lstm_step`` keeps the op-by-op cell as the public single-step form and
-as its test oracle. The convolution builds its windows from k contiguous
-row slices, so its backward is k slice-adds; its affine map and ReLU are
-one op, as are ``dense``'s.
+The hot paths are fused ops with hand-written backward rules:
+
+* ``lstm_sequence_batch``, the whole recurrence: it reads the four gates
+  from the stacks that are ``LstmParams``' storage, the input projection
+  for all timesteps is a single matmul before the time loop, each step
+  activates its gates in place, and backpropagation through time is
+  written out by hand, so a sequence records 2 tape nodes (with the
+  slice that is its last hidden state). ``lstm_step`` keeps the op-by-op
+  cell as the public single-step form and as its test oracle.
+* ``conv1d_batch``: the affine map and ReLU are one op; for k > 1 one
+  more op builds the windows from k contiguous row slices, so its
+  backward is k slice-adds.
+* ``dense``: the affine map and its optional ReLU, one op.
+* ``soft_attention_batch``: scores, softmax over time and reweighting, one
+  op in place of the 12 of their composition.
+
+The tests check each against its per-op composition. The attention
+forward makes the composition's floating-point operations in the same
+order, so its output is bitwise the composition's.
 
 The LSTM and the convolution with k = 1 also take their input as
 ``GatheredRows``: embedded token rows held as the distinct ids. Their
@@ -38,18 +48,11 @@ from .tensor import (
     Tensor,
     add,
     apply_op,
-    expand_cols,
-    expand_scalar,
     matvec,
     mul,
-    reshape,
-    scale,
     sigmoid,
-    sigmoid_array,
     slice_rows,
-    softmax,
     tanh,
-    transpose,
 )
 
 
@@ -325,7 +328,8 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
     U = ``p.u`` (4H, H) and b = ``p.b`` (4H,) in the gate order i, f, o, u,
     so no per-call concatenation happens. The input projection
     x @ W.T + b is computed for all timesteps in one matmul before the time
-    loop; each step then costs one h @ U.T. The backward fills one
+    loop; each step then costs one h @ U.T, activates its gates in place and
+    writes c, tanh(c) and h straight into their buffers. The backward fills one
     dZ (l*n, 4H) of gate pre-activation gradients walking time in reverse,
     turns it into the weight and input gradients with four matmuls, and
     splits those onto the 12 per-gate tensors, whose data are row blocks of
@@ -351,20 +355,29 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
     h_all = np.empty((l * n, hd))
     c_all = np.empty((l * n, hd))
     tanh_c = np.empty((l * n, hd))
+    # Step t of each buffer, and of each gate block, is entry t of its step
+    # view: (n, width) rows, or one 1-D vector at n = 1, where an op costs
+    # less numpy call overhead. The [..., a:b] gate slices serve both.
+    zs, hs, cs, tcs = (a.reshape((l, n, -1) if n > 1 else (l, -1))
+                       for a in (gates, h_all, c_all, tanh_c))
+    z_ifo, z_i, z_f, z_o, z_u = (zs[..., a:b] for a, b in ((0, 3 * hd), (0, hd), (hd, 2 * hd),
+                                                            (2 * hd, 3 * hd), (3 * hd, 4 * hd)))
+    ut = u.T
     for t in range(l):
-        rows = slice(t * n, (t + 1) * n)
-        z = gates[rows]
+        z, c, tc, s = zs[t], cs[t], tcs[t], z_ifo[t]
         if t:
-            z += h_all[t * n - n:t * n] @ u.T
-        z[:, :3 * hd] = sigmoid_array(z[:, :3 * hd])
-        z[:, 3 * hd:] = np.tanh(z[:, 3 * hd:])
-        gi, gf, go, gu = (z[:, j * hd:(j + 1) * hd] for j in range(4))
-        c = gi * gu
+            z += hs[t - 1] @ ut
+        # sigmoid_array on i, f, o and tanh on u, in place: 0.5 * t + 0.5
+        # rounds as 0.5 * (1 + t) does, since halving is exact.
+        s *= 0.5
+        np.tanh(z, out=z)
+        s *= 0.5
+        s += 0.5
+        np.multiply(z_i[t], z_u[t], out=c)
         if t:
-            c += gf * c_all[t * n - n:t * n]
-        c_all[rows] = c
-        tanh_c[rows] = np.tanh(c)
-        h_all[rows] = go * tanh_c[rows]
+            c += np.multiply(z_f[t], cs[t - 1], out=tc)  # tc as scratch
+        np.tanh(c, out=tc)
+        np.multiply(z_o[t], tc, out=hs[t])
 
     def grad_fn(g):
         dz_all = np.empty_like(gates)
@@ -381,8 +394,9 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
             dz[:, hd:2 * hd] = (dc * c_all[t * n - n:t * n] * gf * (1.0 - gf)) if t else 0.0
             dz[:, 2 * hd:3 * hd] = dh * tc * go * (1.0 - go)
             dz[:, 3 * hd:] = dc * gi * (1.0 - gu * gu)
-            dc_next = dc * gf
-            dh_rec = dz @ u
+            if t:  # nothing reads the state gradients before step 0
+                dc_next = dc * gf
+                dh_rec = dz @ u
         dw, dx = input_grads(dz_all)
         du = dz_all[n:].T @ h_all[:-n]
         db = dz_all.sum(axis=0)
@@ -497,13 +511,30 @@ def soft_attention_batch(h: Tensor, n: int, l: int, p: AttentionParams) -> Tenso
 
     Weights sum to 1 per example and are rescaled by l, so uniform
     attention is the identity and the output keeps the input's shape.
+
+    One tape op with a hand-written backward. The forward makes the
+    operations of the per-op composition in its order: scores
+    s = tanh(h @ w + b), a max-shifted softmax over each example's l steps,
+    times l, then each row of h times its weight.
     """
     if h.data.shape[0] != l * n:
         raise ShapeError(f"soft_attention: expected {l * n} rows, got {h.data.shape[0]}")
-    scores = tanh(add(matvec(h, p.score_w), expand_scalar(p.score_b, l * n)))
-    alpha = softmax(transpose(reshape(scores, (l, n))))        # (n, l), rows sum to 1
-    weights = reshape(transpose(scale(alpha, float(l))), (l * n,))
-    return mul(h, expand_cols(weights, h.data.shape[1]))
+    hd, w = h.data, p.score_w.data
+    s = np.tanh(hd @ w + p.score_b.data)                 # (l*n,)
+    z = np.ascontiguousarray(s.reshape(l, n).T)          # (n, l)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    weights = (alpha * float(l)).T.reshape(l * n, 1)
+    out = hd * weights
+
+    def grad_fn(g):
+        d_alpha = (g * hd).sum(axis=1).reshape(l, n).T * float(l)
+        dot = (d_alpha * alpha).sum(axis=1, keepdims=True)
+        ds = (alpha * (d_alpha - dot)).T.reshape(l * n)
+        d_pre = ds * (1.0 - s * s)                       # through tanh
+        return g * weights + np.outer(d_pre, w), hd.T @ d_pre, d_pre.sum()
+
+    return apply_op(out, (h, p.score_w, p.score_b), grad_fn)
 
 
 def soft_attention(h: Tensor, p: AttentionParams) -> Tensor:

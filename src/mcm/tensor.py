@@ -462,11 +462,10 @@ class GatheredRows:
         self.table = m
         self.indices = _row_indices(m, indices)
         self.skip_row = skip_row
-        self.rows, self.inverse, counts = np.unique(self.indices, return_inverse=True,
-                                                    return_counts=True)
-        # order[bounds[k]:bounds[k + 1]] are the slots of rows[k], in slot order
-        self.order = np.argsort(self.inverse, kind="stable")
-        self.bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        self.rows, self.inverse = np.unique(self.indices, return_inverse=True)
+        # order[bounds[k]:bounds[k + 1]] are the slots of rows[k], in slot
+        # order; only a backward needs them, so the first segment_sum makes them
+        self.order = self.bounds = None
         self.values = m.data[self.rows]
 
     @property
@@ -485,6 +484,10 @@ class GatheredRows:
         """(distinct rows, out): row k sums the rows of ``g`` at the slots of
         ``rows[k]`` one by one in slot order, the additions ``np.add.at``
         makes. (``np.add.reduceat`` reassociates them.)"""
+        if self.order is None:
+            self.order = np.argsort(self.inverse, kind="stable")
+            counts = np.bincount(self.inverse, minlength=self.rows.size)
+            self.bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         by_row = g[self.order]
         out = np.empty((self.rows.size, g.shape[1]))
         for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):

@@ -46,7 +46,6 @@ from .model import (
     build_mcm,
     check_max_len,
     heads_loss,
-    probabilities,
 )
 from .tensor import Tape, Tensor, backward
 
@@ -336,9 +335,9 @@ def evaluate_components(model, corpus: EncodedCorpus, batch_size: int = 256) -> 
     its probabilities; never mutates the model."""
     preds = {head: [] for head in model.heads}
     for lo in range(0, len(corpus), batch_size):
-        logits = model.head_logits(corpus.sequences[lo:lo + batch_size], "infer")
-        for head, head_logits in zip(model.heads, logits):
-            preds[head].append(np.argmax(probabilities(head_logits).data, axis=1))
+        probs = model.head_probabilities(corpus.sequences[lo:lo + batch_size])
+        for head, head_probs in zip(model.heads, probs):
+            preds[head].append(np.argmax(head_probs.data, axis=1))
     return {head: evaluate(corpus.labels, np.concatenate(p), model.config.num_classes)
             for head, p in preds.items()}
 

@@ -23,6 +23,7 @@ from mcm.layers import (
     lstm_sequence_batch,
     lstm_step,
     soft_attention,
+    soft_attention_batch,
     softmax_ce,
 )
 from mcm.tensor import Tape, Tensor, backward
@@ -285,10 +286,11 @@ class TestLstm:
 class TestFusedLstm:
     """lstm_sequence_batch against a chain of lstm_step calls."""
 
-    @pytest.mark.parametrize("n,l", [(3, 4), (1, 5), (4, 1), (1, 1)])
+    # (1, 12) runs the batch-1 step views over a served message's length
+    @pytest.mark.parametrize("n,l", [(3, 4), (1, 5), (4, 1), (1, 1), (1, 12)])
     def test_matches_step_chain(self, n, l):
         rng = np.random.default_rng(40 + 10 * n + l)
-        p = LstmParams.init(3, 4, rng)
+        p = LstmParams.init(3, 8 if l == 12 else 4, rng)
         for _, t in p.tensors()[8:]:
             t.data[...] = rng.normal(size=t.shape)  # biases off their init values
         x = Tensor(rng.normal(size=(l * n, 3)), requires_grad=True)
@@ -673,6 +675,59 @@ class TestSoftAttention:
             return T.reduce_sum(T.reduce_sum(T.mul(out, out), 1), 0)
 
         assert gradcheck(build, [h, p.score_w, p.score_b]) < 1e-4
+
+
+def soft_attention_composition(h, n, l, p):
+    """soft_attention_batch as the 12 tape ops it once was."""
+    scores = T.tanh(T.add(T.matvec(h, p.score_w), T.expand_scalar(p.score_b, l * n)))
+    alpha = T.softmax(T.transpose(T.reshape(scores, (l, n))))        # (n, l), rows sum to 1
+    weights = T.reshape(T.transpose(T.scale(alpha, float(l))), (l * n,))
+    return T.mul(h, T.expand_cols(weights, h.data.shape[1]))
+
+
+class TestFusedAttention:
+    """soft_attention_batch against its per-op composition."""
+
+    @staticmethod
+    def inputs(n, l, seed):
+        """Step-major h (l*n, 3) in which each example's best-scoring step
+        is repeated, so its softmax has a tied maximum."""
+        rng = np.random.default_rng(seed)
+        p = AttentionParams.init(3, rng)
+        p.score_b.data[...] = 0.3
+        hd = rng.normal(size=(l, n, 3))
+        if l > 1:
+            best = np.argmax(np.tanh(hd @ p.score_w.data + 0.3), axis=0)
+            hd[(best + 1) % l, np.arange(n)] = hd[best, np.arange(n)]
+        return Tensor(hd.reshape(l * n, 3), requires_grad=True), p
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("l", [1, 5])
+    def test_matches_composition(self, n, l):
+        h, p = self.inputs(n, l, 60 + 10 * n + l)
+        r = np.random.default_rng(1).normal(size=h.shape)
+        results = []
+        for fn in (soft_attention_batch, soft_attention_composition):
+            for t in (h, p.score_w, p.score_b):
+                t.zero_grad()
+            with Tape() as tape:
+                out = fn(h, n, l, p)
+                backward(helpers.weighted_sum(out, r), tape)
+            results.append([out.data] + [t.grad.copy() for t in (h, p.score_w, p.score_b)])
+            if fn is soft_attention_batch:
+                assert len(tape) == 2  # attention and the weighted sum
+        (out, *grads), (want, *want_grads) = results
+        assert np.array_equal(out, want)
+        for got, ref in zip(grads, want_grads):
+            assert got.shape == ref.shape
+            assert max_rel_err(got, ref) <= 1e-12
+
+    def test_gradcheck(self):
+        n, l = 3, 5
+        h, p = self.inputs(n, l, 70)
+        r = np.random.default_rng(2).normal(size=h.shape)
+        assert gradcheck(lambda: helpers.weighted_sum(soft_attention_batch(h, n, l, p), r),
+                         [h, p.score_w, p.score_b]) < 1e-6
 
 
 class TestSoftmaxCe:

@@ -1,27 +1,31 @@
-"""McM model: guards on the shape of its training graph, the max_len
-bounds that training shares with checkpoint loading, the single-example
-entry points against the batch, and a finite-difference check of the
-whole model's gradient."""
+"""McM model: guards on the shape of its training graph, the fused time
+pool against its per-op composition, the max_len bounds that training
+shares with checkpoint loading, the single-example entry points against
+the batch, each head's probabilities, and a finite-difference check of
+the whole model's gradient."""
 import numpy as np
 import pytest
 
+from mcm import tensor as T
 from mcm.embeddings import PAD_ID, init_random
 from mcm.model import (
     MAX_LEN_CEILING,
     BaselineConfig,
     McmConfig,
+    _pool_time,
     build_baseline,
     build_mcm,
     forward,
     forward_batch,
     loss,
     predict,
+    probabilities,
 )
 from mcm.layers import softmax_ce
-from mcm.tensor import Tape, backward
+from mcm.tensor import Tape, Tensor, backward
 from mcm.trainer import TrainConfig
 
-from .helpers import max_rel_err, numerical_grad
+from .helpers import gradcheck, max_rel_err, numerical_grad, weighted_sum
 
 # step-major batches hold few distinct ids: repeats within and across rows,
 # and right-padding
@@ -32,18 +36,72 @@ IDS = np.array([[2, 5, 2, 7, 0, 0],
 
 
 def test_training_step_tape_stays_small():
-    # The three LSTMs record 2 nodes each; un-fusing any of them puts
-    # hundreds of per-timestep nodes back on the tape.
-    cfg = McmConfig(vocab_size=30, embed_dim=8, num_classes=3, max_len=12, num_filters=4,
-                    hidden_dim=4, dense1_dim=4, dense2_dim=3, attention=True)
-    rng = np.random.default_rng(0)
-    model = build_mcm(cfg, init_random(cfg.vocab_size, cfg.embed_dim, rng), 0)
-    ids = rng.integers(0, cfg.vocab_size, size=(5, cfg.max_len))
-    with Tape() as tape:
-        total = loss(forward_batch(model, ids, "train", rng), rng.integers(0, 3, size=5))
-    assert len(tape) < 100
-    backward(total, tape)
-    assert all(t.grad is not None for t in model.parameters())
+    # Exact node counts of a training step (forward and loss) and of an
+    # infer-mode forward, with and without attention. The three LSTMs record
+    # 2 nodes each, and attention and each time pool 1; un-fusing any of
+    # them puts nodes back on the tape (hundreds, for an LSTM).
+    for attention, train_nodes, infer_nodes in ((True, 57, 42), (False, 55, 40)):
+        cfg = McmConfig(vocab_size=30, embed_dim=8, num_classes=3, max_len=12, num_filters=4,
+                        hidden_dim=4, dense1_dim=4, dense2_dim=3, attention=attention)
+        rng = np.random.default_rng(0)
+        model = build_mcm(cfg, init_random(cfg.vocab_size, cfg.embed_dim, rng), 0)
+        ids = rng.integers(0, cfg.vocab_size, size=(5, cfg.max_len))
+        with Tape() as infer_tape:
+            forward_batch(model, ids[:1], "infer")
+        assert len(infer_tape) == infer_nodes
+        with Tape() as tape:
+            total = loss(forward_batch(model, ids, "train", rng), rng.integers(0, 3, size=5))
+        assert len(tape) == train_nodes
+        backward(total, tape)
+        assert all(t.grad is not None for t in model.parameters())
+
+
+def pool_time_composition(flat, n, steps, width):
+    """_pool_time as the 4 tape ops it once was."""
+    cube = T.reshape(flat, (steps, n, width))
+    return T.concat([T.reduce_max(cube, 0), T.reduce_mean(cube, 0)], axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("steps", [1, 5])
+def test_pool_time_matches_composition(n, steps):
+    # Values from {-1, 0, 1}: most (example, column) slices have tied
+    # maxima, whose gradient goes to the first maximal step.
+    rng = np.random.default_rng(10 * n + steps)
+    flat = Tensor(rng.integers(-1, 2, size=(steps * n, 4)).astype(float), requires_grad=True)
+    r = rng.normal(size=(n, 8))
+    results = []
+    for fn in (_pool_time, pool_time_composition):
+        flat.zero_grad()
+        with Tape() as tape:
+            out = fn(flat, n, steps, 4)
+            backward(weighted_sum(out, r), tape)
+        results.append((out.data, flat.grad.copy()))
+        if fn is _pool_time:
+            assert len(tape) == 2  # the pool and the weighted sum
+    (out, grad), (want, want_grad) = results
+    assert np.array_equal(out, want)
+    assert max_rel_err(grad, want_grad) <= 1e-12
+
+
+def test_pool_time_gradcheck():
+    n, steps = 3, 5
+    rng = np.random.default_rng(11)
+    flat = Tensor(rng.normal(size=(steps * n, 4)), requires_grad=True)
+    r = rng.normal(size=(n, 8))
+    assert gradcheck(lambda: weighted_sum(_pool_time(flat, n, steps, 4), r), [flat]) < 1e-6
+
+
+def test_head_probabilities_are_the_softmaxes_of_the_head_logits():
+    model, _ = tiny_mcm()
+    out = forward_batch(model, IDS, "infer")
+    assert [p.data.tobytes() for p in model.head_probabilities(IDS)] == [
+        probabilities(t).data.tobytes() for t in out.logits()]
+    cfg = BaselineConfig(vocab_size=10, embed_dim=3, num_classes=3, max_len=IDS.shape[1],
+                         num_filters=2, hidden_dim=2)
+    baseline = build_baseline(cfg, init_random(10, 3, np.random.default_rng(1)), 1)
+    (probs,) = baseline.head_probabilities(IDS)
+    assert probs.data.tobytes() == probabilities(baseline.head_logits(IDS, "infer")[0]).data.tobytes()
 
 
 @pytest.mark.parametrize("max_len", [MAX_LEN_CEILING + 1, 1, 12.0])

@@ -1,0 +1,87 @@
+"""tools/paired_bench.py: seed lists and the per-metric verdict rule."""
+import importlib.util
+import json
+import os
+import textwrap
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "paired_bench.py")
+_SPEC = importlib.util.spec_from_file_location("paired_bench", _PATH)
+paired_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(paired_bench)
+
+
+def test_parse_seeds():
+    assert paired_bench.parse_seeds("41-44") == [41, 42, 43, 44]
+    assert paired_bench.parse_seeds("3,7-8,1") == [3, 7, 8, 1]
+    with pytest.raises(ValueError):
+        paired_bench.parse_seeds("x")
+
+
+def test_nine_of_ten_wins_beyond_the_base_spread_is_a_gain():
+    base = [3.0, 3.1, 2.9, 3.2, 3.0, 2.8, 3.1, 3.0, 2.9, 3.0]
+    change = [b - 0.5 for b in base[:9]] + [base[9] + 0.1]  # loses the last pair
+    row = paired_bench.summarise(base, change, "lower", 0.25)
+    assert (row["wins"], row["pairs"], row["verdict"]) == (9, 10, "gain")
+    assert row["move"] < 0
+    # the same values where higher is better: the change is worse, within 25%
+    assert paired_bench.summarise(base, change, "higher", 0.25)["verdict"] == "-"
+    assert paired_bench.summarise(base, change, "higher", 0.1)["verdict"] == "worse"
+
+
+def test_eight_wins_or_a_gap_inside_the_spread_is_no_gain():
+    base = [3.0, 3.1, 2.9, 3.2, 3.0, 2.8, 3.1, 3.0, 2.9, 3.0]
+    change = [b - 0.5 for b in base[:8]] + [base[8], base[9] + 0.1]  # a tie counts for neither
+    assert paired_bench.summarise(base, change, "lower", 0.25)["wins"] == 8
+    assert paired_bench.summarise(base, change, "lower", 0.25)["verdict"] == "-"
+    spread = [1.0, 5.0, 1.0, 5.0]
+    assert paired_bench.summarise(spread, [v - 1.0 for v in spread], "lower",
+                                  0.25)["verdict"] == "-"
+
+
+FAKE_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+p50 = {p50}
+metrics = {{"predict_p50_ms": {{"value": p50, "unit": "ms"}},
+            "test_macro_f1": {{"value": 0.5, "unit": "f1"}}}}
+print("table line")
+print(json.dumps({{"train-toy": {{"correct": {correct}, "attempted": 4, "failed": 0,
+                                 "metrics": metrics}}}}))
+"""
+
+
+def fake_checkout(root, p50, correct=True):
+    """A checkout whose perfbench/run.py prints a fixed summary line."""
+    os.makedirs(os.path.join(root, "perfbench"))
+    with open(os.path.join(root, "perfbench", "run.py"), "w", encoding="utf-8") as fh:
+        fh.write(textwrap.dedent(FAKE_RUN.format(p50=p50, correct=correct)))
+    with open(os.path.join(root, "BENCHMARK.json"), "w", encoding="utf-8") as fh:
+        json.dump({"end_to_end": [
+            {"name": "predict_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+            {"name": "test_macro_f1", "unit": "f1", "better": "higher", "bound": 0.15}]}, fh)
+    return str(root)
+
+
+def test_runs_both_checkouts_per_seed_alternating_and_reports_each_metric(tmp_path, capsys):
+    base = fake_checkout(tmp_path / "base", "3.0 + seed / 100")
+    change = fake_checkout(tmp_path / "change", "2.5 + seed / 100")
+    assert paired_bench.main(["--base", base, "--change", change, "--seeds", "1-3",
+                              "--seconds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" train-toy")[0] for line in out[:6]] == [
+        "seed 1 base  ", "seed 1 change", "seed 2 change", "seed 2 base  ",
+        "seed 3 base  ", "seed 3 change"]
+    rows = {line.split()[0]: line for line in out if line.startswith("  ")}
+    assert rows["predict_p50_ms"].endswith("wins 3/3  gain")
+    assert rows["test_macro_f1"].endswith("wins 0/3  -")
+
+
+def test_a_failed_check_or_a_crash_exits_1(tmp_path, capsys):
+    good = fake_checkout(tmp_path / "good", "3.0")
+    failing = fake_checkout(tmp_path / "failing", "2.0", correct=False)
+    assert paired_bench.main(["--base", good, "--change", failing, "--seeds", "1"]) == 1
+    os.remove(os.path.join(failing, "perfbench", "run.py"))
+    assert paired_bench.main(["--base", good, "--change", failing, "--seeds", "1"]) == 1
+    assert "without a summary" in capsys.readouterr().err
