@@ -1,14 +1,17 @@
 """Command-line entry point: synthetic data generation, training,
 evaluation, batch prediction, and the full experiment matrix.
 
-Every knob can come from flags or from a key=value config file
-(# comments allowed); flags win. All randomness flows from --seed.
+Each training option but the file locations comes from a ``TrainConfig``
+field, and can be set by a flag or by a key=value config file (# comments
+allowed); flags win. ``stop_disc_gradients`` has neither. All randomness
+flows from --seed.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .data import (
     write_tsv,
 )
 from .trainer import (
+    CHOICES,
     COMPONENT_TITLES,
     CheckpointError,
     TrainConfig,
@@ -51,70 +55,65 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse {text!r} as a boolean")
 
 
-_CONFIG_KEYS = {
-    "train": str, "test": str, "out": str, "seed": int, "epochs": int,
-    "batch_size": int, "lr": float, "optimizer": str, "dropout": float,
-    "embedding": str, "embedding_dim": int, "attention": _parse_bool,
-    "max_len": int, "min_count": int, "select_on": str,
-}
+# TrainConfig field -> its flag and config-key name, where the two differ
+_CLI_NAMES = {"learning_rate": "lr", "embedding_mode": "embedding"}
+_FILE_HELP = {"train": "training TSV (text<TAB>label)", "test": "test TSV",
+              "out": "output directory"}
+# option name -> (TrainConfig field, its type: int where the default is None);
+# the file locations have no field. stop_disc_gradients has no option: it stays
+# a config field until a measurement (per-component gradient norms) calls for it.
+_OPTIONS = {**dict.fromkeys(_FILE_HELP, (None, str)),
+            **{_CLI_NAMES.get(f.name, f.name):
+               (f.name, int if f.default is None else type(f.default))
+               for f in fields(TrainConfig) if f.name != "stop_disc_gradients"}}
 
 
 def parse_config_file(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](raw.strip())
+    for line_no, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _OPTIONS:
+            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        kind = _OPTIONS[key][1]
+        try:
+            values[key] = (_parse_bool if kind is bool else kind)(raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train", help="training TSV (text<TAB>label)")
-    p.add_argument("--test", help="test TSV")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=["adam", "adadelta", "sgd"])
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--embedding", choices=["elmo_like", "random", "domain"])
-    p.add_argument("--embedding-dim", type=int, dest="embedding_dim")
-    p.add_argument("--attention", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--min-count", type=int, dest="min_count")
-    p.add_argument("--select-on", choices=["test", "validation"], dest="select_on")
+    for name, (field, kind) in _OPTIONS.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            p.add_argument(flag, dest=name, type=kind, choices=CHOICES.get(field),
+                           help=_FILE_HELP.get(name))
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
 def _merged_options(args) -> dict:
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+    merged = parse_config_file(args.config) if args.config else {}
+    merged.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
     return merged
-
-
-# option name -> TrainConfig field, where the two differ
-_FIELD_NAMES = {"lr": "learning_rate", "embedding": "embedding_mode"}
 
 
 def _train_config(opts: dict) -> TrainConfig:
     """Every option but the file locations, set by flag or config file;
     each field left unset keeps ``TrainConfig``'s default."""
-    return TrainConfig(**{_FIELD_NAMES.get(k, k): v for k, v in opts.items()
-                          if k not in ("train", "test", "out")})
+    return TrainConfig(**{_OPTIONS[k][0]: v for k, v in opts.items() if _OPTIONS[k][0]})
 
 
 def _require(opts: dict, keys, command: str) -> None:

@@ -104,7 +104,7 @@ class TsvLoadResult:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _read_tsv(path, text_col: int, label_col: int):
+def _read_tsv(path):
     """Yield (line number, text, label, reason) for each line of ``path``.
 
     ``reason`` is None for a loadable line: one that splits into a text of
@@ -123,17 +123,10 @@ def _read_tsv(path, text_col: int, label_col: int):
             if _SURROGATE.search(line):
                 yield line_no, None, None, "invalid UTF-8"
                 continue
-            if (text_col, label_col) == (0, 1):
-                text, sep, label = line.rpartition("\t")
-                if not sep:
-                    yield line_no, None, None, "missing tab separator"
-                    continue
-            else:
-                parts = line.split("\t")
-                if max(text_col, label_col) >= len(parts):
-                    yield line_no, None, None, "too few columns"
-                    continue
-                text, label = parts[text_col], parts[label_col]
+            text, sep, label = line.rpartition("\t")
+            if not sep:
+                yield line_no, None, None, "missing tab separator"
+                continue
             label = label.strip()
             if not label:
                 yield line_no, text, label, "empty label"
@@ -160,16 +153,16 @@ def _label_lines(lines, names) -> TsvLoadResult:
     return TsvLoadResult(records, rejections)
 
 
-def load_tsv(path, class_names=None, text_col: int = 0, label_col: int = 1) -> TsvLoadResult:
+def load_tsv(path, class_names=None) -> TsvLoadResult:
     """Read "text<TAB>label" lines into labeled records.
 
     Malformed lines (invalid UTF-8, missing tab, unknown label, fewer than
     two tokens) are collected into the rejection report instead of aborting
-    the load. Lines end at LF, CR or CRLF. ``text_col``/``label_col`` remap
-    other column layouts. ``class_names`` defaults to ``DEFAULT_CLASSES``.
+    the load. Lines end at LF, CR or CRLF. ``class_names`` defaults to
+    ``DEFAULT_CLASSES``.
     """
     names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
-    return _label_lines(_read_tsv(path, text_col, label_col), names)
+    return _label_lines(_read_tsv(path), names)
 
 
 def load_training_tsv(path) -> tuple:
@@ -181,7 +174,7 @@ def load_training_tsv(path) -> tuple:
     their class ids. Otherwise they are the sorted distinct labels of those
     lines. The records are labelled by these names, as ``load_tsv`` would.
     """
-    lines = list(_read_tsv(path, 0, 1))
+    lines = list(_read_tsv(path))
     labels = {label for _, _, label, reason in lines if reason is None}
     names = list(DEFAULT_CLASSES) if labels <= set(DEFAULT_CLASSES) else sorted(labels)
     return names, _label_lines(lines, names)

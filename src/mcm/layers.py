@@ -50,6 +50,7 @@ from .tensor import (
     apply_op,
     matvec,
     mul,
+    reshape,
     sigmoid,
     slice_rows,
     tanh,
@@ -551,45 +552,31 @@ def soft_attention(h: Tensor, p: AttentionParams) -> Tensor:
 def softmax_ce(logits: Tensor, target):
     """Stabilized softmax with categorical cross-entropy.
 
-    Single form: logits (C,) and an int target; returns (probs (C,), loss).
     Batched form: logits (n, C) and an int sequence; the loss is the batch
-    mean. The gradient flows through the loss output; probs are detached.
+    mean. Single form: logits (C,) and an int target; it is the batched
+    form on a batch of one and returns (probs (C,), loss). The gradient
+    flows through the loss output; probs are detached.
     """
     x = logits.data
     if x.ndim == 1:
-        c = x.shape[0]
-        t = int(target)
-        if not 0 <= t < c:
-            raise ValueError(f"target {t} out of range for {c} classes")
-        z = x - x.max()
-        logp = z - np.log(np.exp(z).sum())
-        probs = np.exp(logp)
+        probs, loss = softmax_ce(reshape(logits, (1, x.shape[0])), [int(target)])
+        return Tensor(probs.data[0]), loss
+    if x.ndim != 2:
+        raise ShapeError(f"softmax_ce expects rank 1 or 2 logits, got {x.shape}")
+    n, c = x.shape
+    t = np.asarray(target, dtype=np.intp)
+    if t.shape != (n,):
+        raise ValueError(f"expected {n} targets, got shape {t.shape}")
+    if t.size and (t.min() < 0 or t.max() >= c):
+        raise ValueError(f"target out of range for {c} classes")
+    z = x - x.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    probs = np.exp(logp)
 
-        def grad_fn(g):
-            d = probs.copy()
-            d[t] -= 1.0
-            return (g * d,)
+    def grad_fn(g):
+        d = probs.copy()
+        d[np.arange(n), t] -= 1.0
+        return (g * d / n,)
 
-        loss = apply_op(np.asarray(-logp[t]), (logits,), grad_fn)
-        return Tensor(probs), loss
-
-    if x.ndim == 2:
-        n, c = x.shape
-        t = np.asarray(target, dtype=np.intp)
-        if t.shape != (n,):
-            raise ValueError(f"expected {n} targets, got shape {t.shape}")
-        if t.size and (t.min() < 0 or t.max() >= c):
-            raise ValueError(f"target out of range for {c} classes")
-        z = x - x.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        probs = np.exp(logp)
-
-        def grad_fn(g):
-            d = probs.copy()
-            d[np.arange(n), t] -= 1.0
-            return (g * d / n,)
-
-        loss = apply_op(np.asarray(-logp[np.arange(n), t].mean()), (logits,), grad_fn)
-        return Tensor(probs), loss
-
-    raise ShapeError(f"softmax_ce expects rank 1 or 2 logits, got {x.shape}")
+    loss = apply_op(np.asarray(-logp[np.arange(n), t].mean()), (logits,), grad_fn)
+    return Tensor(probs), loss

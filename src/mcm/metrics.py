@@ -41,10 +41,6 @@ class EvalReport:
         ]
         return "\n".join(lines)
 
-    def to_csv_row(self, run_id: str, component: str) -> str:
-        return (f"{run_id},{component},{self.accuracy:.6f},{self.macro_precision:.6f},"
-                f"{self.macro_recall:.6f},{self.macro_f1:.6f}")
-
 
 def confusion_matrix(true_labels, predicted_labels, num_classes: int) -> np.ndarray:
     t = np.asarray(true_labels, dtype=np.int64)

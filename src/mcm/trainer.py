@@ -58,7 +58,6 @@ COMPONENT_TITLES = {
     "baseline": "-",
 }
 
-_EMBEDDING_MODES = ("elmo_like", "random", "domain")
 _MODE_SUFFIX = {"elmo_like": "E", "random": "R", "domain": "D"}
 
 
@@ -93,12 +92,14 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.optimizer not in ("adam", "adadelta", "sgd"):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.optimizer not in CHOICES["optimizer"]:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.embedding_mode not in _EMBEDDING_MODES:
+        if self.embedding_mode not in CHOICES["embedding_mode"]:
             raise ValueError(f"unknown embedding mode {self.embedding_mode!r}")
-        if self.select_on not in ("test", "validation"):
-            raise ValueError("select_on must be 'test' or 'validation'")
+        if self.select_on not in CHOICES["select_on"]:
+            raise ValueError("select_on must be " + " or ".join(map(repr, CHOICES["select_on"])))
         if self.max_len is not None:
             check_max_len(self.max_len, 2)  # encode needs at least 2 ids
 
@@ -234,6 +235,9 @@ class Sgd:
 
 
 _RULES = {"adam": Adam, "adadelta": Adadelta, "sgd": Sgd}
+
+# TrainConfig field -> its allowed values: the keys of the tables that use them
+CHOICES = {"optimizer": _RULES, "embedding_mode": _MODE_SUFFIX, "select_on": ("test", "validation")}
 
 
 # Elements per block in ``Optimizer.step``: a block's four arrays and the
@@ -726,11 +730,7 @@ def run_baseline_training(train_records, test_records, cfg: TrainConfig, class_n
     return model, ckpt, records, vocab
 
 
-MATRIX_VARIANTS = (
-    ("elmo_like", False), ("elmo_like", True),
-    ("random", False), ("random", True),
-    ("domain", False), ("domain", True),
-)
+MATRIX_VARIANTS = tuple((mode, attn) for mode in _MODE_SUFFIX for attn in (False, True))
 
 
 def best_rows(model, ckpt: Checkpoint, records) -> list:

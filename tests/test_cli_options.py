@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from mcm.cli import _merged_options, _train_config, build_parser, parse_config_file
+from mcm.cli import _merged_options, _train_config, build_parser, main, parse_config_file
 from mcm.trainer import TrainConfig
 
 
@@ -50,6 +50,36 @@ def test_config_file_error_names_the_file_and_line(tmp_path, text, line, message
     with pytest.raises(ValueError) as info:
         parse_config_file(path)
     assert str(info.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("epochs=abc\n", "epochs: invalid literal for int() with base 10: 'abc'"),
+    ("attention=maybe\n", "attention: cannot parse 'maybe' as a boolean"),
+    ("max_len=\n", "max_len: invalid literal for int() with base 10: ''"),
+    ("lr = fast\n", "lr: could not convert string to float: 'fast'"),
+])
+def test_a_value_that_does_not_parse_names_the_file_line_and_key(tmp_path, capsys, text,
+                                                                  message):
+    path = write_config(tmp_path, "# settings\n" + text)
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:2: {message}"]
+
+
+def test_a_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"epochs=3\nlr=\xff\n")
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff"), err
+
+
+def test_a_negative_seed_is_refused_before_any_file_is_touched(tmp_path, capsys):
+    argv = ["train", "--train", str(tmp_path / "no.tsv"), "--test", str(tmp_path / "no.tsv"),
+            "--out", str(tmp_path / "run"), "--seed", "-1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be non-negative, got -1"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_a_flag_overrides_the_config_file(tmp_path):
@@ -117,8 +147,8 @@ def test_a_flag_and_a_config_key_set_their_field(tmp_path, command, field):
                                                                         command=command)
     by_key = parse("--config", str(write_config(tmp_path, f"{name}={text}\n")),
                    command=command)
-    allowed = typing.get_args(typing.get_type_hints(TrainConfig)[field])
-    want_types = allowed or (typing.get_type_hints(TrainConfig)[field],)
+    hint = typing.get_type_hints(TrainConfig)[field]
+    want_types = typing.get_args(hint) or (hint,)  # Optional[int] allows int
     for args in (by_flag, by_key):
         cfg = _train_config(_merged_options(args))
         assert cfg == replace(TrainConfig(), **{field: value})

@@ -164,7 +164,7 @@ class TestGenSynthetic:
             gen_synthetic(table1_profile(), 119, 0.5, 0.1, np.random.default_rng(0))
 
 
-def strict_load_tsv(path, class_names=None, text_col=0, label_col=1):
+def strict_load_tsv(path, class_names=None):
     """load_tsv as it was before it took invalid UTF-8: strict decoding, so
     one bad byte raised UnicodeDecodeError and failed the whole load."""
     names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
@@ -176,17 +176,10 @@ def strict_load_tsv(path, class_names=None, text_col=0, label_col=1):
             if not line:
                 rejections.append((line_no, "empty line"))
                 continue
-            if (text_col, label_col) == (0, 1):
-                text, sep, label = line.rpartition("\t")
-                if not sep:
-                    rejections.append((line_no, "missing tab separator"))
-                    continue
-            else:
-                parts = line.split("\t")
-                if max(text_col, label_col) >= len(parts):
-                    rejections.append((line_no, "too few columns"))
-                    continue
-                text, label = parts[text_col], parts[label_col]
+            text, sep, label = line.rpartition("\t")
+            if not sep:
+                rejections.append((line_no, "missing tab separator"))
+                continue
             label = label.strip()
             if label not in label_ids:
                 rejections.append((line_no, f"unknown label {label!r}"))
@@ -256,12 +249,11 @@ class TestLoadTsv:
             assert 0 <= rec.label < len(DEFAULT_CLASSES) and len(tokenize(rec.text)) >= 2
 
     @FUZZ
-    @given(pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=40),
-           layout=st.sampled_from([(0, 1), (1, 0)]))
-    def test_valid_utf8_loads_as_strict_decoding_did(self, tmp_path, pieces, layout):
+    @given(pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=40))
+    def test_valid_utf8_loads_as_strict_decoding_did(self, tmp_path, pieces):
         path = tmp_path / "valid.tsv"
         path.write_bytes("".join(pieces).encode("utf-8"))
-        assert load_tsv(path, None, *layout) == strict_load_tsv(path, None, *layout)
+        assert load_tsv(path) == strict_load_tsv(path)
 
     def test_bad_byte_rejects_its_line_only(self, tmp_path):
         path = tmp_path / "mixed.tsv"

@@ -82,7 +82,6 @@ def test_confusion_matrix_rejects_bad_labels(true, pred):
         confusion_matrix(true, pred, 3)
 
 
-def test_report_text_and_csv_row():
+def test_report_text():
     report = evaluate(TRUE, PRED, 3)
     assert report.to_text().splitlines()[0] == "accuracy 0.666667"
-    assert report.to_csv_row("run", "cnn") == "run,cnn,0.666667,0.666667,0.722222,0.655556"

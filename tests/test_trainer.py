@@ -135,7 +135,7 @@ def test_fit_on_the_baseline_refuses_an_empty_validation_part():
 
 @pytest.mark.parametrize("field,value", [
     ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
-    ("embedding_dim", 0), ("min_count", 0),
+    ("embedding_dim", 0), ("min_count", 0), ("seed", -1),
 ])
 def test_train_config_refuses_a_value_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=field.split("_")[-1]):
