@@ -33,11 +33,10 @@ from .trainer import (
     CheckpointError,
     TrainConfig,
     TrainingDiverged,
-    _metric_row,
-    best_rows,
     evaluate_components,
     load_checkpoint,
     rebuild_model,
+    report_rows,
     run_experiment_matrix,
     run_training,
     save_checkpoint,
@@ -132,6 +131,7 @@ def _report_rejections(result, path, what: str, rejection_log=None):
         print(f"{what}: rejected {len(result.rejections)} of {result.records_in} lines",
               file=sys.stderr)
         if rejection_log:
+            os.makedirs(os.path.dirname(rejection_log), exist_ok=True)
             with open(rejection_log, "w", encoding="utf-8") as fh:
                 for line_no, reason in result.rejections:
                     fh.write(f"line {line_no}: {reason}\n")
@@ -142,12 +142,13 @@ def _report_rejections(result, path, what: str, rejection_log=None):
 def _load_splits(opts: dict, rejection_dir=None):
     """(class names, train records, test records) for ``opts``' train and
     test files, labelled by the class names of the training file
-    (``load_training_tsv``). With ``rejection_dir``, each file's rejected
-    lines are written there."""
+    (``load_training_tsv``). Both files must exist before either is read.
+    With ``rejection_dir``, each file's rejected lines are written there."""
     def log(what):
         return os.path.join(rejection_dir, f"rejections_{what}.txt") if rejection_dir else None
 
-    _check_exists(opts["train"], "train")
+    for what in ("train", "test"):
+        _check_exists(opts[what], what)
     names, train = load_training_tsv(opts["train"])
     if len(names) < 2:
         raise ValueError(f"train file {opts['train']} has one class label, {names[0]!r}; "
@@ -156,7 +157,6 @@ def _load_splits(opts: dict, rejection_dir=None):
         print(f"train: labels are not the Table-1 classes; training on {len(names)} "
               f"classes: {', '.join(names)}", file=sys.stderr)
     _report_rejections(train, opts["train"], "train", log("train"))
-    _check_exists(opts["test"], "test")
     test = load_tsv(opts["test"], class_names=names)
     _report_rejections(test, opts["test"], "test", log("test"))
     return names, train.records, test.records
@@ -167,9 +167,6 @@ def _load_splits(opts: dict, rejection_dir=None):
 
 
 def cmd_gen_synth(args) -> int:
-    profile_name = args.profile
-    if profile_name != "table1":
-        raise ValueError(f"unknown profile {profile_name!r} (available: table1)")
     profile = table1_profile()
     rng = np.random.default_rng(args.seed)
     records = gen_synthetic(profile, args.n, args.mix_rate, args.noise_rate, rng)
@@ -189,13 +186,14 @@ def cmd_train(args) -> int:
     _require(opts, ("train", "test", "out"), "train")
     cfg = _train_config(opts)
     out_dir = opts["out"]
-    os.makedirs(out_dir, exist_ok=True)
     class_names, train_records, test_records = _load_splits(opts, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     model, ckpt, records, vocab = run_training(train_records, test_records, cfg, class_names)
     variant = cfg.variant_name
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.mcm"))
     best = records[ckpt.config["best_epoch"]]
-    write_results_csv(best_rows(model, ckpt, records), os.path.join(out_dir, "results.csv"))
+    write_results_csv(report_rows(variant, model.heads, best.reports),
+                      os.path.join(out_dir, "results.csv"))
     write_curve_csv(records, os.path.join(out_dir, f"curve_{variant}.csv"))
     print(f"{variant}: best epoch {ckpt.config['best_epoch']}, "
           f"discriminator macro-F1 {best.macro_f1('discriminator'):.4f}, "
@@ -218,13 +216,12 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     reports = evaluate_components(model, corpus)
     variant = ckpt.config.get("variant", model.name)
-    rows = []
     for head in model.heads:
         title = COMPONENT_TITLES[head]
         print(f"{title if len(model.heads) > 1 else variant}:")  # a lone head goes by the model
         print("  " + reports[head].to_text().replace("\n", "\n  "))
-        rows.append(_metric_row(variant, title, reports[head]))
-    write_results_csv(rows, os.path.join(args.out, "eval_results.csv"))
+    write_results_csv(report_rows(variant, model.heads, reports),
+                      os.path.join(args.out, "eval_results.csv"))
     return 0
 
 
@@ -257,11 +254,13 @@ def cmd_predict(args) -> int:
 def cmd_matrix(args) -> int:
     opts = _merged_options(args)
     _require(opts, ("train", "test", "out"), "matrix")
+    fixed = [name for name in ("embedding", "attention") if name in opts]
+    if fixed:
+        raise ValueError("matrix runs every embedding mode with and without attention; "
+                         f"it takes no {' or '.join(fixed)} option")
     cfg = _train_config(opts)
-    out_dir = opts["out"]
-    os.makedirs(out_dir, exist_ok=True)
     class_names, train_records, test_records = _load_splits(opts)
-    rows = run_experiment_matrix(train_records, test_records, cfg, out_dir, class_names)
+    rows = run_experiment_matrix(train_records, test_records, cfg, opts["out"], class_names)
     failures = [row for row in rows if row["status"] != "ok"]
     for row in rows:
         print("{model:<8} {component:<22} acc={accuracy} f1={f1} [{status}]".format(**row))
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mix-rate", type=float, default=0.5, dest="mix_rate")
     p.add_argument("--noise-rate", type=float, default=0.1, dest="noise_rate")
-    p.add_argument("--profile", default="table1")
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("train", help="train one model variant")

@@ -20,6 +20,7 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
+MAX_LEN_CAP = 64  # the longest sequence length ``pick_max_len`` picks
 
 DEFAULT_CLASSES = [
     "Appreciation",
@@ -253,12 +254,12 @@ def token_id_sequences(records, vocab: Vocabulary) -> list:
     return [[vocab.id(t) for t in tokenize(rec.text)] for rec in records]
 
 
-def pick_max_len(records, cap: int = 64) -> int:
-    """95th percentile of token lengths, at least 2, capped."""
+def pick_max_len(records) -> int:
+    """95th percentile of token lengths, at least 2, at most ``MAX_LEN_CAP``."""
     lengths = [len(tokenize(rec.text)) for rec in records]
     if not lengths:
         raise ValueError("no records to size the sequence length from")
-    return int(min(max(int(np.ceil(np.percentile(lengths, 95))), 2), cap))
+    return int(min(max(int(np.ceil(np.percentile(lengths, 95))), 2), MAX_LEN_CAP))
 
 
 # ---------------------------------------------------------------------------

@@ -219,13 +219,3 @@ def train_skipgram(corpus: list, vocab_size: int, cfg: SkipGramConfig,
     w_in[PAD_ID] = 0.0
     return table
 
-
-def export_text(table: EmbeddingTable, tokens: list[str], path) -> None:
-    """Write the conventional text format: one "word v1 v2 ... vd" per line,
-    special rows skipped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, tok in enumerate(tokens):
-            if i in (PAD_ID, UNK_ID):
-                continue
-            values = " ".join(format(v, ".6g") for v in table.vectors.data[i])
-            fh.write(f"{tok} {values}\n")

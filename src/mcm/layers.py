@@ -20,7 +20,7 @@ The hot paths are fused ops with hand-written backward rules:
 * ``conv1d_batch``: the affine map and ReLU are one op; for k > 1 one
   more op builds the windows from k contiguous row slices, so its
   backward is k slice-adds.
-* ``dense``: the affine map and its optional ReLU, one op.
+* ``dense``: the affine map, one op.
 * ``soft_attention_batch``: scores, softmax over time and reweighting, one
   op in place of the 12 of their composition.
 
@@ -165,18 +165,20 @@ class LstmParams:
 class DenseParams:
     weights: Tensor  # (out, in)
     bias: Tensor     # (out,)
-    activation: str = "none"  # "relu" or "none"
 
     @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator, activation: str = "none"):
-        if activation not in ("relu", "none"):
-            raise ValueError(f"unknown activation {activation!r}")
+    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator):
         w = glorot_uniform(rng, (out_dim, in_dim), in_dim, out_dim)
         b = Tensor(np.zeros(out_dim), requires_grad=True)
-        return cls(w, b, activation)
+        return cls(w, b)
 
     def tensors(self):
         return [("weights", self.weights), ("bias", self.bias)]
+
+
+# Batch normalization's running-estimate momentum and variance epsilon.
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
 
 
 @dataclass
@@ -185,16 +187,12 @@ class BatchNormParams:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
     @classmethod
-    def init(cls, dim: int, momentum: float = 0.1, epsilon: float = 1e-5):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must lie in (0, 1)")
+    def init(cls, dim: int):
         return cls(Tensor(np.ones(dim), requires_grad=True),
                    Tensor(np.zeros(dim), requires_grad=True),
-                   np.zeros(dim), np.ones(dim), momentum, epsilon)
+                   np.zeros(dim), np.ones(dim))
 
     def tensors(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -422,11 +420,10 @@ def lstm_sequence(x: Tensor, p: LstmParams) -> Tensor:
 
 
 def dense(x: Tensor, p: DenseParams) -> Tensor:
-    """activation(x @ W.T + b) as one op, for a single (in,) vector or an
-    (n, in) batch.
+    """x @ W.T + b as one op, for a single (in,) vector or an (n, in) batch.
 
     The backward gives dx = g @ W, dW = g.T @ x and db = g summed over the
-    batch, with g masked by the ReLU; a vector input is the batch of one.
+    batch; a vector input is the batch of one.
     """
     xd, w = x.data, p.weights.data
     if xd.ndim not in (1, 2):
@@ -434,14 +431,8 @@ def dense(x: Tensor, p: DenseParams) -> Tensor:
     if xd.shape[-1] != w.shape[1]:
         raise ShapeError(f"dense: expected input width {w.shape[1]}, got {xd.shape}")
     z = xd @ w.T + p.bias.data
-    relu_on = p.activation == "relu"
-    if relu_on:
-        mask = z > 0
-        z = np.where(mask, z, 0.0)
 
     def grad_fn(g):
-        if relu_on:
-            g = g * mask
         g2 = g.reshape(-1, w.shape[0])
         return (g @ w if x.requires_grad else None,
                 g2.T @ xd.reshape(-1, w.shape[1]), g2.sum(axis=0))
@@ -469,9 +460,9 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str) -> Tensor:
             raise ValueError("batchnorm in train mode needs a batch of at least 2")
         mean = xd.mean(axis=0)
         var = xd.var(axis=0)
-        p.running_mean += p.momentum * (mean - p.running_mean)
-        p.running_var += p.momentum * (var - p.running_var)
-        inv_std = 1.0 / np.sqrt(var + p.epsilon)
+        p.running_mean += BN_MOMENTUM * (mean - p.running_mean)
+        p.running_var += BN_MOMENTUM * (var - p.running_var)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (xd - mean) * inv_std
 
         def grad_fn(g):
@@ -480,7 +471,7 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str) -> Tensor:
                                   - xhat * (dxhat * xhat).sum(axis=0))
             return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
     else:
-        inv_std = 1.0 / np.sqrt(p.running_var + p.epsilon)
+        inv_std = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
         xhat = (xd - p.running_mean) * inv_std
 
         def grad_fn(g):

@@ -400,6 +400,12 @@ class BaselineConfig:
     num_filters: int = 128
     hidden_dim: int = 128
 
+    def validate(self) -> None:
+        check_max_len(self.max_len, self.kernel)
+        if min(self.vocab_size, self.embed_dim, self.num_classes, self.kernel,
+               self.num_filters, self.hidden_dim) < 1:
+            raise ValueError("all dimensions must be positive")
+
 
 @dataclass
 class BaselineModel(Model):
@@ -425,12 +431,13 @@ class BaselineModel(Model):
         c = conv1d_batch(x, n, l, self.conv)
         cube = T.reshape(c, (l - cfg.kernel + 1, n, cfg.num_filters))
         pooled = T.reduce_max(cube, 0)
-        return [dense(dense(pooled, self.hidden), self.out)]
+        return [dense(T.relu(dense(pooled, self.hidden)), self.out)]
 
 
 def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) -> BaselineModel:
-    """Embedding -> one valid conv (ReLU) -> global max-pool -> dense -> softmax."""
-    check_max_len(config.max_len, config.kernel)
+    """Embedding -> one valid conv (ReLU) -> global max-pool -> dense (ReLU)
+    -> dense -> softmax."""
+    config.validate()
     if embedding.vocab_size != config.vocab_size or embedding.dim != config.embed_dim:
         raise ValueError("embedding table does not match the configuration")
     if isinstance(seed_seq, (int, np.integer)):
@@ -440,7 +447,7 @@ def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) 
         config=config,
         embedding=embedding,
         conv=Conv1dParams.init(config.kernel, config.embed_dim, config.num_filters, rngs[0]),
-        hidden=DenseParams.init(config.num_filters, config.hidden_dim, rngs[1], "relu"),
+        hidden=DenseParams.init(config.num_filters, config.hidden_dim, rngs[1]),
         out=DenseParams.init(config.hidden_dim, config.num_classes, rngs[2]),
     )
 

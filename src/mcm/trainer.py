@@ -49,7 +49,6 @@ from .model import (
 )
 from .tensor import Tape, Tensor, backward
 
-COMPONENTS = McmModel.heads
 COMPONENT_TITLES = {
     "cnn": "Stacked-CNN Learner",
     "slstm": "Stacked-LSTM Learner",
@@ -267,7 +266,6 @@ class Optimizer:
     def __init__(self, kind: str, params, lr: float):
         if kind not in _RULES:
             raise ValueError(f"unknown optimizer {kind!r}")
-        self.kind = kind
         self.params = list(params)
         self.lr = lr
         self.rule = _RULES[kind]()
@@ -730,25 +728,19 @@ def run_baseline_training(train_records, test_records, cfg: TrainConfig, class_n
     return model, ckpt, records, vocab
 
 
-MATRIX_VARIANTS = tuple((mode, attn) for mode in _MODE_SUFFIX for attn in (False, True))
-
-
-def best_rows(model, ckpt: Checkpoint, records) -> list:
-    """One results row per head at the checkpoint's best epoch."""
-    best = records[ckpt.config["best_epoch"]]
-    return [_metric_row(ckpt.config["variant"], COMPONENT_TITLES[head], best.reports[head])
-            for head in model.heads]
-
-
-def _metric_row(variant, component_title, report, status="ok"):
-    if report is None:
-        return {"model": variant, "component": component_title, "accuracy": "",
-                "precision": "", "recall": "", "f1": "", "status": status}
-    return {"model": variant, "component": component_title,
-            "accuracy": f"{report.accuracy:.6f}",
-            "precision": f"{report.macro_precision:.6f}",
-            "recall": f"{report.macro_recall:.6f}",
-            "f1": f"{report.macro_f1:.6f}", "status": status}
+def report_rows(variant, heads, reports=None, status="ok") -> list:
+    """One results row per head: its metrics from ``reports`` (head ->
+    ``EvalReport``), or without reports, empty metrics carrying ``status``."""
+    rows = []
+    for head in heads:
+        row = {"model": variant, "component": COMPONENT_TITLES[head], "accuracy": "",
+               "precision": "", "recall": "", "f1": "", "status": status}
+        if reports is not None:
+            r = reports[head]
+            row.update(accuracy=f"{r.accuracy:.6f}", precision=f"{r.macro_precision:.6f}",
+                       recall=f"{r.macro_recall:.6f}", f1=f"{r.macro_f1:.6f}")
+        rows.append(row)
+    return rows
 
 
 def write_results_csv(rows, path) -> None:
@@ -760,40 +752,40 @@ def write_results_csv(rows, path) -> None:
 
 
 def write_curve_csv(records, path) -> None:
+    """Each epoch's test error of every head the records hold."""
+    heads = list(records[0].reports)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,cnn,slstm,lstm,discriminator\n")
+        fh.write(",".join(["epoch", *heads]) + "\n")
         for rec in records:
-            errs = ",".join(f"{rec.test_error(c):.6f}" for c in COMPONENTS)
-            fh.write(f"{rec.epoch},{errs}\n")
+            fh.write(",".join([str(rec.epoch), *(f"{rec.test_error(h):.6f}" for h in heads)])
+                     + "\n")
 
 
 def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
                           out_dir, class_names) -> list:
-    """Baseline plus the six embedding/attention variants, one seed.
+    """The baseline, then the six embedding/attention variants, one seed;
+    each variant overrides ``base_cfg``'s embedding mode and attention.
 
-    Emits results.csv (25 rows: 6 variants x 4 components + baseline) and
-    one per-epoch test-error curve CSV per variant. A failing cell is
+    Emits results.csv (25 rows: the baseline + 6 variants x 4 components)
+    and one per-epoch test-error curve CSV per cell. A failing cell is
     recorded in the status column without aborting the rest.
     """
+    # (model class, variant name, training run, its config)
+    cells = [(BaselineModel, BaselineModel.name, run_baseline_training, base_cfg)]
+    for mode in _MODE_SUFFIX:
+        for attention in (False, True):
+            cfg = replace(base_cfg, embedding_mode=mode, attention=attention)
+            cells.append((McmModel, cfg.variant_name, run_training, cfg))
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    try:
-        model, ckpt, records, _ = run_baseline_training(train_records, test_records,
-                                                        base_cfg, class_names)
-        rows += best_rows(model, ckpt, records)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        rows.append(_metric_row("Baseline", "-", None, status=f"error: {exc}"))
-
-    for mode, attention in MATRIX_VARIANTS:
-        cfg = replace(base_cfg, embedding_mode=mode, attention=attention)
-        variant = cfg.variant_name
+    for model_cls, variant, run, cfg in cells:
         try:
-            model, ckpt, records, _ = run_training(train_records, test_records, cfg, class_names)
-            rows += best_rows(model, ckpt, records)
+            _, ckpt, records, _ = run(train_records, test_records, cfg, class_names)
             write_curve_csv(records, os.path.join(out_dir, f"curve_{variant}.csv"))
-        except Exception as exc:  # noqa: BLE001
-            for comp in COMPONENTS:
-                rows.append(_metric_row(variant, COMPONENT_TITLES[comp], None,
-                                        status=f"error: {exc}"))
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            rows += report_rows(variant, model_cls.heads, status=f"error: {exc}")
+        else:
+            rows += report_rows(variant, model_cls.heads,
+                                records[ckpt.config["best_epoch"]].reports)
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     return rows

@@ -157,11 +157,24 @@ def test_eval_and_predict_take_a_baseline_checkpoint(tmp_path):
 def test_matrix_on_a_tiny_corpus_fills_every_row(tmp_path):
     gen = mcm(tmp_path, "gen-synth", "--n", "120", "--seed", "4", "--out", "data")
     assert gen.returncode == 0, gen.stderr
-    run = mcm(tmp_path, "matrix", "--train", "data/train.tsv", "--test", "data/test.tsv",
-              "--out", "matrix", "--epochs", "1", "--embedding-dim", "8")
+    options = ["--train", "data/train.tsv", "--test", "data/test.tsv", "--epochs", "1",
+               "--embedding-dim", "8"]
+    run = mcm(tmp_path, "matrix", *options, "--out", "matrix")
     assert run.returncode == 0, run.stderr
     with open(tmp_path / "matrix" / "results.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 25  # the baseline plus 6 variants x 4 components
     assert all(r["status"] == "ok" for r in rows)
     assert (rows[0]["model"], rows[0]["component"]) == ("Baseline", "-")
+    for variant, header in [("Baseline", "epoch,baseline"),
+                            ("McM_R", "epoch,cnn,slstm,lstm,discriminator")]:
+        curve = (tmp_path / "matrix" / f"curve_{variant}.csv").read_text().splitlines()
+        assert curve[0] == header and len(curve) == 2
+
+    # the matrix's McM_R cell is `mcm train --embedding random` on the same options
+    train = mcm(tmp_path, "train", *options, "--out", "run", "--embedding", "random")
+    assert train.returncode == 0, train.stderr
+    with open(tmp_path / "run" / "results.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.DictReader(fh)) == [r for r in rows if r["model"] == "McM_R"]
+    assert ((tmp_path / "run" / "curve_McM_R.csv").read_bytes()
+            == (tmp_path / "matrix" / "curve_McM_R.csv").read_bytes())

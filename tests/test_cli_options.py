@@ -1,5 +1,6 @@
 """The training options in process: flags, the key=value config file, how
-flags override the file, and how both land in ``TrainConfig``."""
+flags override the file, how both land in ``TrainConfig``, and what
+``train`` and ``matrix`` refuse before they make any directory."""
 import argparse
 import typing
 from dataclasses import fields, replace
@@ -160,3 +161,36 @@ def test_stop_disc_gradients_has_no_flag(capsys, flag):
     with pytest.raises(SystemExit):
         parse(flag)
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "matrix"])
+@pytest.mark.parametrize("missing", ["train", "test"])
+def test_a_missing_input_file_makes_no_directory(tmp_path, monkeypatch, capsys, command,
+                                                 missing):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.tsv").write_text("shukria bahut acha\tAppreciation\n"
+                                       "rishwat mangta hai\tCorruption\n", encoding="utf-8")
+    files = {"train": "data.tsv", "test": "data.tsv", missing: "nope.tsv"}
+    assert main([command, "--train", files["train"], "--test", files["test"],
+                 "--out", "run"]) == 1
+    assert capsys.readouterr().err == f"error: {missing} file not found: nope.tsv\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (["--attention"], "", "attention"),
+    (["--no-attention"], "", "attention"),
+    (["--embedding", "random"], "", "embedding"),
+    ([], "attention = no\n", "attention"),
+    ([], "embedding = domain\n", "embedding"),
+    (["--embedding", "domain"], "attention = yes\n", "embedding or attention"),
+])
+def test_matrix_refuses_the_options_every_cell_sets(tmp_path, monkeypatch, capsys, argv,
+                                                    config, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    assert main(["matrix", "--train", "train.tsv", "--test", "test.tsv", "--out", "matrix",
+                 "--config", "run.cfg", *argv]) == 1
+    assert capsys.readouterr().err == ("error: matrix runs every embedding mode with and "
+                                       f"without attention; it takes no {named} option\n")
+    assert not (tmp_path / "matrix").exists()

@@ -16,7 +16,6 @@ from mcm.embeddings import (
     SkipGramConfig,
     char_compose,
     char_compose_table,
-    export_text,
     init_random,
     lookup,
     train_skipgram,
@@ -278,15 +277,3 @@ class TestSkipGramAgainstPairLoop:
             train_skipgram([[2, 6]], 6, SkipGramConfig(dim=4), np.random.default_rng(0))
         with pytest.raises(ValueError, match="out of range"):
             train_skipgram([[2, -1]], 6, SkipGramConfig(dim=4), np.random.default_rng(0))
-
-
-class TestExport:
-    def test_text_format(self, tmp_path):
-        table = init_random(4, 3, np.random.default_rng(6))
-        path = tmp_path / "vectors.txt"
-        export_text(table, ["<pad>", "<unk>", "acha", "theek"], path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 2
-        word, *values = lines[0].split(" ")
-        assert word == "acha" and len(values) == 3
-        assert np.allclose([float(v) for v in values], table.vectors.data[2], atol=1e-5)

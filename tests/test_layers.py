@@ -9,6 +9,7 @@ import pytest
 from mcm import tensor as T
 from mcm.embeddings import PAD_ID, init_random, lookup, lookup_distinct
 from mcm.layers import (
+    BN_EPSILON,
     AttentionParams,
     BatchNormParams,
     Conv1dParams,
@@ -476,19 +477,15 @@ def dense_composition(x, p):
     """dense as the four tape ops it once was: matvec, or matmul by a
     transposed copy of W plus the bias expanded over the rows."""
     if x.data.ndim == 1:
-        out = T.add(T.matvec(p.weights, x), p.bias)
-    else:
-        out = T.add(T.matmul(x, T.transpose(p.weights)),
-                    T.expand_rows(p.bias, x.data.shape[0]))
-    return T.relu(out) if p.activation == "relu" else out
+        return T.add(T.matvec(p.weights, x), p.bias)
+    return T.add(T.matmul(x, T.transpose(p.weights)), T.expand_rows(p.bias, x.data.shape[0]))
 
 
 class TestDense:
-    @pytest.mark.parametrize("activation", ["relu", "none"])
     @pytest.mark.parametrize("shape", [(4,), (1, 4), (6, 4)])
-    def test_one_op_matches_composition(self, shape, activation):
+    def test_one_op_matches_composition(self, shape):
         rng = np.random.default_rng(14)
-        p = DenseParams.init(4, 3, rng, activation)
+        p = DenseParams.init(4, 3, rng)
         p.bias.data[...] = rng.normal(size=3)
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         r = rng.normal(size=shape[:-1] + (3,))
@@ -502,8 +499,6 @@ class TestDense:
             results.append([out.data] + [t.grad.copy() for t in (x, p.weights, p.bias)])
             if fn is dense:
                 assert len(tape) == 2  # dense and the weighted sum
-        if activation == "relu":
-            assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert max_rel_err(got, want) <= 1e-12
@@ -522,12 +517,8 @@ class TestDense:
             with pytest.raises(T.ShapeError):
                 dense(Tensor(np.zeros(shape)), p)
 
-    def test_identity_weights_relu(self):
-        p = DenseParams(Tensor(np.eye(2)), Tensor(np.zeros(2)), "relu")
-        assert np.array_equal(dense(Tensor([1.0, -1.0]), p).data, [1.0, 0.0])
-
     def test_bias_only(self):
-        p = DenseParams(Tensor(np.zeros((1, 3))), Tensor([5.0]), "none")
+        p = DenseParams(Tensor(np.zeros((1, 3))), Tensor([5.0]))
         assert np.array_equal(dense(Tensor([1.0, 2.0, 3.0]), p).data, [5.0])
 
     def test_matches_matmul_add_oracle(self):
@@ -539,7 +530,7 @@ class TestDense:
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(13)
-        p = DenseParams.init(4, 3, rng, "relu")
+        p = DenseParams.init(4, 3, rng)
         xs = rng.normal(size=(5, 4))
         batched = dense(Tensor(xs), p)
         for e in range(5):
@@ -565,7 +556,7 @@ class TestBatchNorm:
         p = BatchNormParams.init(2)
         x = np.random.default_rng(16).normal(size=(4, 2))
         out = batchnorm(Tensor(x), p, "infer")
-        assert max_rel_err(out.data, x / np.sqrt(1.0 + p.epsilon)) < 1e-12
+        assert max_rel_err(out.data, x / np.sqrt(1.0 + BN_EPSILON)) < 1e-12
 
     def test_train_batch_of_one_rejected(self):
         p = BatchNormParams.init(2)

@@ -2,7 +2,9 @@
 pool against its per-op composition, the max_len bounds that training
 shares with checkpoint loading, the single-example entry points against
 the batch, each head's probabilities, and a finite-difference check of
-the whole model's gradient."""
+the whole model's gradient, and the baseline's dimension check."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,15 @@ def test_training_configs_refuse_what_loading_refuses(max_len):
                                       max_len=max_len), table, 0)
     with pytest.raises(ValueError, match="max_len"):
         TrainConfig(max_len=max_len)
+
+
+@pytest.mark.parametrize("field", ["vocab_size", "embed_dim", "num_classes", "kernel",
+                                   "num_filters", "hidden_dim"])
+def test_the_baseline_refuses_a_zero_dimension(field):
+    cfg = BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6)
+    with pytest.raises(ValueError, match="all dimensions must be positive"):
+        build_baseline(dataclasses.replace(cfg, **{field: 0}),
+                       init_random(10, 4, np.random.default_rng(0)), 0)
 
 
 def tiny_mcm(seed=0, **overrides):

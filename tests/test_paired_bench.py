@@ -1,4 +1,5 @@
-"""tools/paired_bench.py: seed lists and the per-metric verdict rule."""
+"""tools/paired_bench.py: seed lists, the per-metric verdict rule and the
+failed-operation share."""
 import importlib.util
 import json
 import os
@@ -47,16 +48,16 @@ p50 = {p50}
 metrics = {{"predict_p50_ms": {{"value": p50, "unit": "ms"}},
             "test_macro_f1": {{"value": 0.5, "unit": "f1"}}}}
 print("table line")
-print(json.dumps({{"train-toy": {{"correct": {correct}, "attempted": 4, "failed": 0,
+print(json.dumps({{"train-toy": {{"correct": {correct}, "attempted": 4, "failed": {failed},
                                  "metrics": metrics}}}}))
 """
 
 
-def fake_checkout(root, p50, correct=True):
+def fake_checkout(root, p50, correct=True, failed=0):
     """A checkout whose perfbench/run.py prints a fixed summary line."""
     os.makedirs(os.path.join(root, "perfbench"))
     with open(os.path.join(root, "perfbench", "run.py"), "w", encoding="utf-8") as fh:
-        fh.write(textwrap.dedent(FAKE_RUN.format(p50=p50, correct=correct)))
+        fh.write(textwrap.dedent(FAKE_RUN.format(p50=p50, correct=correct, failed=failed)))
     with open(os.path.join(root, "BENCHMARK.json"), "w", encoding="utf-8") as fh:
         json.dump({"end_to_end": [
             {"name": "predict_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -85,3 +86,14 @@ def test_a_failed_check_or_a_crash_exits_1(tmp_path, capsys):
     os.remove(os.path.join(failing, "perfbench", "run.py"))
     assert paired_bench.main(["--base", good, "--change", failing, "--seeds", "1"]) == 1
     assert "without a summary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base_failed,change_failed,code", [(0, 0, 0), (1, 1, 0), (2, 1, 0),
+                                                            (0, 1, 1), (1, 2, 1)])
+def test_a_larger_failed_share_exits_1(tmp_path, capsys, base_failed, change_failed, code):
+    base = fake_checkout(tmp_path / "base", "3.0", failed=base_failed)
+    change = fake_checkout(tmp_path / "change", "3.0", failed=change_failed)
+    assert paired_bench.main(["--base", base, "--change", change, "--seeds", "1-2"]) == code
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("  failed ops")]
+    assert line.split() == ["failed", "ops", "base", f"{2 * base_failed}/8", "->", "change",
+                            f"{2 * change_failed}/8"] + ["worse"] * code

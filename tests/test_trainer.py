@@ -613,6 +613,17 @@ def test_max_len_must_be_an_int_within_bounds(ckpt_path, baseline_path, kind, va
         rebuild_model(load_checkpoint(with_config(path, max_len=value)))
 
 
+def test_a_baseline_checkpoint_with_a_zero_dimension_is_refused(baseline_path, capsys):
+    ckpt = load_checkpoint(baseline_path)
+    ckpt.config["num_filters"] = 0
+    for name in ("conv.weights", "conv.bias", "hidden.weights"):  # the filter axis is last
+        ckpt.arrays[name] = ckpt.arrays[name][..., :0]
+    save_checkpoint(ckpt, baseline_path)
+    assert cli.main(["predict", "--checkpoint", str(baseline_path)]) == 1
+    assert capsys.readouterr().err == ("error: invalid checkpoint configuration: "
+                                       "all dimensions must be positive\n")
+
+
 @pytest.mark.parametrize("kind", ["mcm", "baseline"])
 def test_max_len_at_the_ceiling_loads(ckpt_path, baseline_path, kind):
     path = ckpt_path if kind == "mcm" else baseline_path

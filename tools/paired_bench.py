@@ -16,8 +16,13 @@ a verdict:
   bound (a fraction of the base's median);
 * ``-``: neither.
 
+Each workload also gets each side's failed operations over attempted
+ones, summed over its runs.
+
 The script only calls each checkout's ``perfbench/run.py``; it writes
-nothing. It exits 1 when a run fails or reports ``correct: false``.
+nothing. It exits 1 when a run fails or reports ``correct: false``, or
+when the change fails a larger share of its operations than the base on
+some workload.
 """
 from __future__ import annotations
 
@@ -112,6 +117,13 @@ def main(argv=None) -> int:
             print(f"  {m['name']:<16} {b[1]:10.4g} [{b[0]:.4g}, {b[2]:.4g}] -> "
                   f"{c[1]:10.4g} [{c[0]:.4g}, {c[2]:.4g}]  {row['move']:+7.1%}  "
                   f"wins {row['wins']}/{row['pairs']}  {row['verdict']}")
+        counts = {side: [sum(r[name][k] for r in rs) for k in ("failed", "attempted")]
+                  for side, rs in runs.items()}
+        (fb, ab), (fc, ac) = counts["base"], counts["change"]
+        more = fc * ab > fb * ac  # the change's failed share is the larger
+        ok &= not more
+        print(f"  failed ops       base {fb}/{ab} -> change {fc}/{ac}"
+              f"{'  worse' if more else ''}")
     return 0 if ok else 1
 
 
