@@ -401,35 +401,69 @@ def make_checkpoint(model, vocab: Optional[Vocabulary], class_names,
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Self-describing binary layout: magic, config block, vocabulary
-    block, then (name, shape, little-endian float64 payload) entries."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        header = dict(ckpt.config)
-        header["kind"] = ckpt.kind
-        header["class_names"] = list(ckpt.class_names)
-        raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        vocab_raw = json.dumps({"tokens": ckpt.vocab_tokens,
-                                "min_count": ckpt.vocab_min_count}).encode("utf-8")
-        fh.write(struct.pack("<I", len(vocab_raw)))
-        fh.write(vocab_raw)
-        fh.write(struct.pack("<I", len(ckpt.arrays)))
-        for name, arr in ckpt.arrays.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    block, then (name, shape, little-endian float64 payload) entries.
+
+    Each payload is written from the array's own buffer, with no copy of a
+    little-endian float64 C-contiguous array. The file is written under a
+    temporary name in the same directory and then renamed over ``path``, so
+    a save that fails midway leaves any earlier file at ``path`` as it was.
+    A symbolic link at ``path`` stays, and its target is replaced.
+    """
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(ckpt, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
+    fh.write(_MAGIC)
+    header = dict(ckpt.config)
+    header["kind"] = ckpt.kind
+    header["class_names"] = list(ckpt.class_names)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    fh.write(struct.pack("<I", len(raw)))
+    fh.write(raw)
+    vocab_raw = json.dumps({"tokens": ckpt.vocab_tokens,
+                            "min_count": ckpt.vocab_min_count}).encode("utf-8")
+    fh.write(struct.pack("<I", len(vocab_raw)))
+    fh.write(vocab_raw)
+    fh.write(struct.pack("<I", len(ckpt.arrays)))
+    for name, arr in ckpt.arrays.items():
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<H", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<B", arr.ndim))
+        for dim in arr.shape:
+            fh.write(struct.pack("<I", dim))
+        # a byte view: memoryview(...).cast("B") refuses a zero-size array
+        fh.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
+
+
+def _check_left(fh, count: int, what: str) -> None:
+    # Refuse before allocating: a corrupt length must not size a buffer.
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"truncated checkpoint while reading {what}")
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    # Refuse before reading: a corrupt length must not become a huge read.
-    if count > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
+    _check_left(fh, count, what)
     return fh.read(count)
+
+
+def _read_array(fh, shape: tuple, what: str) -> np.ndarray:
+    """A new little-endian float64 array of ``shape``, read into in place."""
+    _check_left(fh, 8 * math.prod(shape), what)
+    arr = np.empty(shape, dtype="<f8")
+    buf = arr.reshape(-1).view(np.uint8)
+    if fh.readinto(buf) != buf.size:
+        raise CheckpointError(f"truncated checkpoint while reading {what}")
+    return arr
 
 
 def _is_str_list(value) -> bool:
@@ -454,8 +488,7 @@ def load_checkpoint(path) -> Checkpoint:
                 (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of {name}"))
                 shape = tuple(struct.unpack("<I", _read_exact(fh, 4, f"shape of {name}"))[0]
                               for _ in range(rank))
-                payload = _read_exact(fh, 8 * math.prod(shape), f"payload of {name}")
-                arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+                arrays[name] = _read_array(fh, shape, f"payload of {name}")
         except (ValueError, struct.error) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(header, dict):
@@ -513,15 +546,21 @@ def _check_sizing_fields(ckpt: Checkpoint) -> None:
 
 def rebuild_model(ckpt: Checkpoint):
     """Instantiate the checkpointed model and vocabulary, verifying every
-    stored tensor against the rebuilt skeleton before any assignment."""
+    stored tensor against the rebuilt skeleton before any assignment.
+
+    The model's embedding table is ``ckpt.arrays["embedding.vectors"]``
+    itself, not a copy: the model and the checkpoint share that array, so
+    a write through either shows in both. Take ``model_arrays(model)`` or
+    ``copy.deepcopy(model)`` to keep them apart. Every other array is
+    copied into the skeleton, so the LSTM gates stay views of their stacks.
+    """
     cfg = ckpt.config
     _check_sizing_fields(ckpt)
     _, config_cls, build = _KINDS[ckpt.kind]
     try:
         trainable = cfg["embedding_trainable"]
         table = EmbeddingTable(cfg["vocab_size"], cfg["embed_dim"],
-                               Tensor(np.zeros((cfg["vocab_size"], cfg["embed_dim"])),
-                                      requires_grad=trainable),
+                               Tensor(ckpt.arrays["embedding.vectors"], requires_grad=trainable),
                                trainable)
         model = build(config_cls(**{f.name: cfg[f.name] for f in fields(config_cls)}), table, 0)
     except (KeyError, ValueError, TypeError) as exc:
@@ -534,15 +573,18 @@ def rebuild_model(ckpt: Checkpoint):
         missing = sorted(expected - stored)
         extra = sorted(stored - expected)
         raise CheckpointError(f"tensor set mismatch: missing {missing}, unexpected {extra}")
+    shapes = {name: a.shape for name, a in targets.items()}
+    shapes["embedding.vectors"] = (cfg["vocab_size"], cfg["embed_dim"])  # the adopted table
     for name in sorted(expected):  # the same error names the same tensor every run
-        if targets[name].shape != ckpt.arrays[name].shape:
+        if shapes[name] != ckpt.arrays[name].shape:
             raise CheckpointError(
                 f"shape of {name} disagrees: checkpoint {ckpt.arrays[name].shape}, "
-                f"model {targets[name].shape}")
+                f"model {shapes[name]}")
         if not np.isfinite(ckpt.arrays[name]).all():
             raise CheckpointError(f"{name} holds non-finite values")
     for name, a in targets.items():
-        a[...] = ckpt.arrays[name]
+        if a is not ckpt.arrays[name]:
+            a[...] = ckpt.arrays[name]
     vocab = Vocabulary({tok: i for i, tok in enumerate(ckpt.vocab_tokens)},
                        list(ckpt.vocab_tokens), ckpt.vocab_min_count)
     return model, vocab
@@ -573,20 +615,27 @@ def _carve_validation(corpus: EncodedCorpus, rng: np.random.Generator):
     return tuple(parts)
 
 
+def _check_selection(labels, cfg: TrainConfig) -> None:
+    """Refuse ``select_on="validation"`` when the 80/20 carve-out of the
+    training ``labels`` would leave no validation records. The parts' sizes
+    depend on the class counts only, not on the stream that shuffles them."""
+    if cfg.select_on == "validation" and not stratified_indices(
+            labels, 0.8, np.random.default_rng(0))[1]:
+        raise ValueError("select_on='validation' needs a class with at least 3 training "
+                         "records: the 80/20 carve-out left no validation records")
+
+
 def _selection_split(train: EncodedCorpus, cfg: TrainConfig, streams: dict):
     """(the part of ``train`` to fit, the validation part to select on).
 
     With ``select_on="test"`` the whole split is fitted and the validation
     part is None. A validation part left empty by the carve-out is refused
-    before any training.
+    before any training (``_check_selection``).
     """
     if cfg.select_on != "validation":
         return train, None
-    train_part, select = _carve_validation(train, np.random.default_rng(streams["validation"]))
-    if len(select) == 0:
-        raise ValueError("select_on='validation' needs a class with at least 3 training "
-                         "records: the 80/20 carve-out left no validation records")
-    return train_part, select
+    _check_selection(train.labels, cfg)
+    return _carve_validation(train, np.random.default_rng(streams["validation"]))
 
 
 @contextmanager
@@ -768,8 +817,11 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
 
     Emits results.csv (25 rows: the baseline + 6 variants x 4 components)
     and one per-epoch test-error curve CSV per cell. A failing cell is
-    recorded in the status column without aborting the rest.
+    recorded in the status column without aborting the rest; a selection
+    no cell could make (``_check_selection``) is refused before the first
+    cell and before ``out_dir`` is made.
     """
+    _check_selection([rec.label for rec in train_records], base_cfg)
     # (model class, variant name, training run, its config)
     cells = [(BaselineModel, BaselineModel.name, run_baseline_training, base_cfg)]
     for mode in _MODE_SUFFIX:

@@ -119,8 +119,9 @@ def test_train_with_a_diverging_learning_rate_prints_one_error(tmp_path):
     assert not (tmp_path / "run" / "checkpoint.mcm").exists()
 
 
-def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):
-    # 2 records per class leave the 80/20 validation carve-out empty
+def select_on_an_empty_validation_part(tmp_path, command):
+    """``command`` selecting on validation, where 2 records per class leave
+    the 80/20 validation carve-out empty."""
     words = ["shukria bahut acha", "bahut acha kaam", "rishwat mangta hai",
              "rishwat di gayi", "doctor nahi aya", "koi doctor nahi"]
     labels = ["Appreciation", "Appreciation", "Corruption", "Corruption",
@@ -128,12 +129,21 @@ def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):
     (tmp_path / "train.tsv").write_text("".join(f"{w}\t{l}\n" for w, l in zip(words, labels)))
     (tmp_path / "test.tsv").write_text("".join(f"{w}\t{l}\n" for w, l in
                                                zip(words[::2], labels[::2])))
-    run = mcm(tmp_path, "train", "--train", "train.tsv", "--test", "test.tsv", "--out", "run",
+    run = mcm(tmp_path, command, "--train", "train.tsv", "--test", "test.tsv", "--out", "run",
               "--epochs", "1", "--embedding-dim", "8", "--select-on", "validation")
     assert run.returncode == 1
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "validation" in lines[0]
     assert run.stdout == ""
+
+
+def test_train_selecting_on_an_empty_validation_part_prints_one_error(tmp_path):
+    select_on_an_empty_validation_part(tmp_path, "train")
+
+
+def test_matrix_selecting_on_an_empty_validation_part_refuses_before_any_cell(tmp_path):
+    select_on_an_empty_validation_part(tmp_path, "matrix")
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_and_predict_take_a_baseline_checkpoint(tmp_path):

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,16 +539,108 @@ def test_malformed_blocks_raise_checkpoint_error(ckpt_path, case):
         load_checkpoint(splice(ckpt_path, **BAD_BLOCKS[case]))
 
 
-def test_oversized_tensor_shape_is_truncation_not_allocation(ckpt_path):
-    raw = bytearray(ckpt_path.read_bytes())
+def first_tensor_shape_at(raw):
+    """Offset of the first tensor's first dimension in checkpoint bytes."""
     (n_header,) = struct.unpack_from("<I", raw, 4)
     (n_vocab,) = struct.unpack_from("<I", raw, 8 + n_header)
     first = 12 + n_header + n_vocab + 4
     (name_len,) = struct.unpack_from("<H", raw, first)
-    struct.pack_into("<I", raw, first + 2 + name_len + 1, 2 ** 32 - 1)  # first dimension
-    ckpt_path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match="truncated"):
+    return first + 2 + name_len + 1
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes Python and numpy allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversized_tensor_shape_is_truncation_not_allocation(ckpt_path):
+    raw = bytearray(ckpt_path.read_bytes())
+    offset = first_tensor_shape_at(raw)
+    assert raw[offset - 1] == 2  # the table is stored first, as a matrix
+
+    def refused():
+        with pytest.raises(CheckpointError, match="truncated .* payload of embedding.vectors"):
+            load_checkpoint(ckpt_path)
+
+    for dims in ((2 ** 32 - 1, 4), (10 ** 9, 10 ** 3)):  # 137 GB and 8 TB payloads
+        struct.pack_into("<II", raw, offset, *dims)
+        ckpt_path.write_bytes(bytes(raw))
+        assert traced_peak(refused)[1] < 2 ** 20
+
+
+def test_a_short_read_is_truncation(ckpt_path, monkeypatch):
+    # the file may shrink between the size check and the read
+    monkeypatch.setattr(trainer, "_check_left", lambda fh, count, what: None)
+    raw = ckpt_path.read_bytes()
+    ckpt_path.write_bytes(raw[:-1])
+    with pytest.raises(CheckpointError, match="truncated checkpoint while reading payload"):
         load_checkpoint(ckpt_path)
+
+
+def test_a_failed_save_leaves_the_earlier_file_as_it_was(ckpt_path):
+    before = ckpt_path.read_bytes()
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.arrays["unwritable"] = np.array(["not a number"])  # fails after the other arrays
+    with pytest.raises(ValueError):
+        save_checkpoint(ckpt, ckpt_path)
+    assert ckpt_path.read_bytes() == before
+    assert os.listdir(ckpt_path.parent) == [ckpt_path.name]
+    del ckpt.arrays["unwritable"]
+    save_checkpoint(ckpt, ckpt_path)
+    assert ckpt_path.read_bytes() == before
+    assert os.listdir(ckpt_path.parent) == [ckpt_path.name]
+
+
+def test_a_save_through_a_link_replaces_its_target(ckpt_path):
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.arrays["cnn1.bias"] += 1.0
+    link = ckpt_path.with_name("link.mcm")
+    link.symlink_to(ckpt_path.name)
+    save_checkpoint(ckpt, link)
+    assert link.is_symlink() and link.read_bytes() == ckpt_path.read_bytes()
+    assert np.array_equal(load_checkpoint(ckpt_path).arrays["cnn1.bias"], ckpt.arrays["cnn1.bias"])
+
+
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_the_rebuilt_model_shares_only_the_table_with_the_checkpoint(ckpt_path, baseline_path,
+                                                                     kind):
+    ckpt = load_checkpoint(ckpt_path if kind == "mcm" else baseline_path)
+    model, _ = rebuild_model(ckpt)
+    for name, a in model.arrays().items():
+        assert np.shares_memory(a, ckpt.arrays[name]) == (name == "embedding.vectors"), name
+
+
+# The table holds 20000 x 64 x 8 bytes, far more than anything else in the
+# checkpoint. Saving used to copy it once and loading and rebuilding twice
+# more (1.02 and 2.26 tables); now the table is read once and adopted.
+BIG = McmConfig(vocab_size=20000, embed_dim=64, num_classes=3, max_len=6, num_filters=2,
+                hidden_dim=2, dense1_dim=2, dense2_dim=2)
+BIG_TABLE_BYTES = BIG.vocab_size * BIG.embed_dim * 8
+
+
+def test_save_load_and_rebuild_hold_one_copy_of_the_table(tmp_path):
+    model = build_mcm(BIG, init_random(BIG.vocab_size, BIG.embed_dim,
+                                       np.random.default_rng(0)), 0)
+    tokens = [f"w{i}" for i in range(BIG.vocab_size)]
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
+    ckpt = make_checkpoint(model, vocab, CLASSES)
+    path = tmp_path / "big.mcm"
+    _, peak = traced_peak(lambda: save_checkpoint(ckpt, path))
+    assert peak <= 0.5 * BIG_TABLE_BYTES
+
+    def load_and_rebuild():
+        loaded = load_checkpoint(path)
+        return loaded, rebuild_model(loaded)[0]
+
+    (loaded, rebuilt), peak = traced_peak(load_and_rebuild)
+    assert peak <= 1.5 * BIG_TABLE_BYTES
+    assert np.shares_memory(rebuilt.embedding.vectors.data, loaded.arrays["embedding.vectors"])
+    saved = model.arrays()
+    assert all(np.array_equal(a, saved[name]) for name, a in rebuilt.arrays().items())
 
 
 def test_vocab_size_must_match_token_count(ckpt_path):
