@@ -368,6 +368,9 @@ def gen_synthetic(profile: ClassProfile, n: int, mix_rate: float, noise_rate: fl
     profile exactly (largest-remainder apportionment), so empirical
     frequencies converge as fast as possible.
     """
+    for name, rate in (("mix_rate", mix_rate), ("noise_rate", noise_rate)):
+        if not 0.0 <= rate <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"{name} must lie in [0, 1], got {rate}")
     c = profile.num_classes
     if n < 10 * c:
         raise ValueError(f"need at least {10 * c} records for {c} classes")

@@ -11,7 +11,7 @@ functions are the batched ones specialized.
 The hot paths are fused ops with hand-written backward rules:
 
 * ``lstm_sequence_batch``, the whole recurrence: it reads the four gates
-  from the stacks that are ``LstmParams``' storage, the input projection
+  from ``LstmParams``' three stacked parameters, the input projection
   for all timesteps is a single matmul before the time loop, each step
   activates its gates in place, and backpropagation through time is
   written out by hand, so a sequence records 2 tape nodes (with the
@@ -38,7 +38,7 @@ gradients for either input kind.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,74 +91,43 @@ class Conv1dParams:
 
 @dataclass
 class LstmParams:
-    """Gate and recurrent weights for one LSTM layer.
-
-    The storage is three stacks in the gate order i, f, o, u: ``w`` (4H, d),
-    ``u`` (4H, H) and ``b`` (4H,). Each of the 12 per-gate tensors holds a
-    row-block view of its stack (``w_f.data`` is ``w[H:2H]``), so the fused
-    sequence reads the stacks directly, and an in-place write to a gate
-    (the optimizer, checkpoint loading) is a write to its stack. Rebinding
-    a gate's ``.data`` detaches it from the stack; a copy or a pickle round
-    trip passes the gates back through the constructor, which stacks them
-    anew.
+    """Gate and recurrent weights for one LSTM layer, stacked in the gate
+    order i, f, o, u: ``w`` (4H, d), ``u`` (4H, H) and ``b`` (4H,). Row
+    block j*H:(j+1)*H of each stack belongs to gate j (``w.data[H:2H]`` is
+    the forget gate's input weights).
     """
 
     input_dim: int
     hidden_dim: int
-    w_i: Tensor
-    w_f: Tensor
-    w_o: Tensor
-    w_u: Tensor
-    u_i: Tensor
-    u_f: Tensor
-    u_o: Tensor
-    u_u: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_o: Tensor
-    b_u: Tensor
-    w: np.ndarray = field(init=False, repr=False, compare=False)
-    u: np.ndarray = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
+    w: Tensor
+    u: Tensor
+    b: Tensor
 
     def __post_init__(self):
-        hd, gates = self.hidden_dim, [t for _, t in self.tensors()]
-        stacks = []
-        for k, shape in zip((0, 4, 8), ((hd, self.input_dim), (hd, hd), (hd,))):
-            group = gates[k:k + 4]
-            if any(t.data.shape != shape for t in group):
-                raise ShapeError(f"lstm: gate shapes {[t.data.shape for t in group]}, "
-                                 f"expected {shape}")
-            stack = np.concatenate([t.data for t in group])
-            for j, t in enumerate(group):
-                t.data = stack[j * hd:(j + 1) * hd]
-            stacks.append(stack)
-        self.w, self.u, self.b = stacks
-
-    def __reduce__(self):
-        return type(self), (self.input_dim, self.hidden_dim, *(t for _, t in self.tensors()))
+        hd = 4 * self.hidden_dim
+        for t, shape in zip((self.w, self.u, self.b),
+                            ((hd, self.input_dim), (hd, self.hidden_dim), (hd,))):
+            if t.data.shape != shape:
+                raise ShapeError(f"lstm: stack shape {t.data.shape}, expected {shape}")
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        def w():
-            return glorot_uniform(rng, (hidden_dim, input_dim), input_dim, hidden_dim)
-
-        def u():
-            return glorot_uniform(rng, (hidden_dim, hidden_dim), hidden_dim, hidden_dim)
-
-        def b(value=0.0):
-            return Tensor(np.full(hidden_dim, value), requires_grad=True)
-
-        # Forget bias starts at +1 so early training retains memory.
-        return cls(input_dim, hidden_dim,
-                   w(), w(), w(), w(), u(), u(), u(), u(),
-                   b(), b(1.0), b(), b())
+        # One (4H, d) draw is the four gates' (H, d) draws in order.
+        w = glorot_uniform(rng, (4 * hidden_dim, input_dim), input_dim, hidden_dim)
+        u = glorot_uniform(rng, (4 * hidden_dim, hidden_dim), hidden_dim, hidden_dim)
+        b = np.zeros(4 * hidden_dim)
+        b[hidden_dim:2 * hidden_dim] = 1.0  # forget bias +1 so early training retains memory
+        return cls(input_dim, hidden_dim, w, u, Tensor(b, requires_grad=True))
 
     def tensors(self):
-        return [(name, getattr(self, name))
-                for name in ("w_i", "w_f", "w_o", "w_u",
-                             "u_i", "u_f", "u_o", "u_u",
-                             "b_i", "b_f", "b_o", "b_u")]
+        return [("w", self.w), ("u", self.u), ("b", self.b)]
+
+    def arrays(self):
+        """Each stack's gate row blocks, not copied, named as checkpoints
+        store them: ``w_i`` .. ``w_u``, ``u_i`` .. ``u_u``, ``b_i`` .. ``b_u``."""
+        hd = self.hidden_dim
+        return [(f"{name}_{gate}", t.data[j * hd:(j + 1) * hd])
+                for name, t in self.tensors() for j, gate in enumerate("ifou")]
 
 
 @dataclass
@@ -301,15 +270,13 @@ def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
     """One LSTM cell update; returns (h_t, c_t).
 
     i, f, o are sigmoid gates; u = tanh(W_u x_t + U_u h_prev + b_u);
-    c_t = i*u + f*c_prev; h_t = o*tanh(c_t).
+    c_t = i*u + f*c_prev; h_t = o*tanh(c_t). The four pre-activations are
+    one stacked W x_t + U h_prev + b, cut into its gate rows.
     """
-    def gate(w, u, b):
-        return add(add(matvec(w, x_t), matvec(u, h_prev)), b)
-
-    i = sigmoid(gate(p.w_i, p.u_i, p.b_i))
-    f = sigmoid(gate(p.w_f, p.u_f, p.b_f))
-    o = sigmoid(gate(p.w_o, p.u_o, p.b_o))
-    u = tanh(gate(p.w_u, p.u_u, p.b_u))
+    hd = p.hidden_dim
+    z = reshape(add(add(matvec(p.w, x_t), matvec(p.u, h_prev)), p.b), (4, hd))
+    i, f, o, u = (act(reshape(slice_rows(z, j, j + 1), (hd,)))
+                  for j, act in enumerate((sigmoid, sigmoid, sigmoid, tanh)))
     c_t = add(mul(i, u), mul(f, c_prev))
     h_t = mul(o, tanh(c_t))
     return h_t, c_t
@@ -323,16 +290,14 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
 
     The whole recurrence is one fused op with a hand-written BPTT backward,
     so a sequence records 2 tape nodes (H, and the slice that is h_last).
-    It reads the stacks that are ``p``'s storage, W = ``p.w`` (4H, d),
-    U = ``p.u`` (4H, H) and b = ``p.b`` (4H,) in the gate order i, f, o, u,
-    so no per-call concatenation happens. The input projection
+    It reads ``p``'s stacks, W = ``p.w`` (4H, d), U = ``p.u`` (4H, H) and
+    b = ``p.b`` (4H,) in the gate order i, f, o, u. The input projection
     x @ W.T + b is computed for all timesteps in one matmul before the time
     loop; each step then costs one h @ U.T, activates its gates in place and
     writes c, tanh(c) and h straight into their buffers. The backward fills one
-    dZ (l*n, 4H) of gate pre-activation gradients walking time in reverse,
-    turns it into the weight and input gradients with four matmuls, and
-    splits those onto the 12 per-gate tensors, whose data are row blocks of
-    the stacks. ``lstm_step`` computes the same cell op by op.
+    dZ (l*n, 4H) of gate pre-activation gradients walking time in reverse
+    and turns it into the gradients of the input and of the three stacks.
+    ``lstm_step`` computes the same cell op by op.
 
     ``x`` is a dense (l*n, d) Tensor or ``GatheredRows``. Gathered rows are
     projected once per distinct row, x_r @ W.T + b, and the result spread
@@ -346,8 +311,7 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
     if x.shape != (l * n, p.input_dim):
         raise ShapeError(f"lstm: expected ({l * n}, {p.input_dim}) input, got {x.shape}")
     hd = p.hidden_dim
-    params = [t for _, t in p.tensors()]  # w_i..w_u, u_i..u_u, b_i..b_u
-    w, u, b = p.w, p.u, p.b
+    w, u, b = p.w.data, p.u.data, p.b.data
 
     # Forward. After step t, gates[rows] holds the activated i, f, o, u.
     gates, source, input_grads = _affine(x, w, b)
@@ -398,11 +362,9 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
                 dh_rec = dz @ u
         dw, dx = input_grads(dz_all)
         du = dz_all[n:].T @ h_all[:-n]
-        db = dz_all.sum(axis=0)
-        split = [np.split(a, 4) for a in (dw, du, db)]
-        return (dx, *split[0], *split[1], *split[2])
+        return dx, dw, du, dz_all.sum(axis=0)
 
-    h_seq = apply_op(h_all, [source] + params, grad_fn)
+    h_seq = apply_op(h_all, (source, p.w, p.u, p.b), grad_fn)
     return h_seq, slice_rows(h_seq, (l - 1) * n, l * n)
 
 

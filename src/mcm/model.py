@@ -148,9 +148,16 @@ class Model:
         return _prefixed(self, "buffers")
 
     def arrays(self) -> dict:
-        """Every stored array by name, not copied: each tensor's data, then
-        each buffer."""
-        out = {name: t.data for name, t in self.named_tensors()}
+        """Every stored array by name, not copied: each tensor's data (an
+        LSTM's as its gates' row blocks, ``LstmParams.arrays``), then each
+        buffer."""
+        out = {}
+        for f in fields(self):
+            part = getattr(self, f.name)
+            if isinstance(part, LstmParams):
+                out.update((f"{f.name}.{n}", a) for n, a in part.arrays())
+            elif hasattr(part, "tensors"):
+                out.update((f"{f.name}.{n}", t.data) for n, t in part.tensors())
         out.update(self.named_buffers())
         return out
 

@@ -125,6 +125,16 @@ def seed_streams(seed: int) -> dict:
 # optimizers
 
 
+# The rules' hyper-parameters: Kingma & Ba's Adam defaults, and Zeiler's
+# Adadelta (arXiv:1212.5701). Adam's zero-gradient form is exact only for
+# betas above 0.5 (see ``Adam``).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+ADADELTA_RHO = 0.95
+ADADELTA_EPSILON = 1e-6
+
+
 class Adam:
     """Bias-corrected Adam in Kingma & Ba's folded order (arXiv:1412.6980,
     Sec. 2): both bias corrections fold into one scalar step,
@@ -145,25 +155,24 @@ class Adam:
 
     slots = 2
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+    def __init__(self):
         self.t = 0
 
     def begin_step(self) -> None:
         self.t += 1
-        root_corr2 = math.sqrt(1.0 - self.beta2 ** self.t)
-        self.step_scale = root_corr2 / (1.0 - self.beta1 ** self.t)
-        self.eps_hat = self.epsilon * root_corr2
+        root_corr2 = math.sqrt(1.0 - ADAM_BETA2 ** self.t)
+        self.step_scale = root_corr2 / (1.0 - ADAM_BETA1 ** self.t)
+        self.eps_hat = ADAM_EPSILON * root_corr2
 
     def update(self, p, g, lr: float, tmp, m, v) -> None:
         a, b = tmp
-        m *= self.beta1
-        v *= self.beta2
+        m *= ADAM_BETA1
+        v *= ADAM_BETA2
         if g is not None:
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             m += a
             np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
+            a *= 1.0 - ADAM_BETA2
             v += a
         # p -= (lr * step_scale) * m / (sqrt(v) + eps_hat)
         np.sqrt(v, out=b)
@@ -187,34 +196,31 @@ class Adadelta:
 
     slots = 2
 
-    def __init__(self, rho: float = 0.95, epsilon: float = 1e-6):
-        self.rho, self.epsilon = rho, epsilon
-
     def begin_step(self) -> None:
         pass
 
     def update(self, p, g, lr: float, tmp, eg, ed) -> None:
         a, b = tmp
         if g is None:
-            np.multiply(eg, 1.0 - self.rho, out=a)
+            np.multiply(eg, 1.0 - ADADELTA_RHO, out=a)
             eg -= a
-            np.multiply(ed, 1.0 - self.rho, out=a)
+            np.multiply(ed, 1.0 - ADADELTA_RHO, out=a)
             ed -= a
             return
         np.multiply(g, g, out=a)
         a -= eg
-        a *= 1.0 - self.rho
+        a *= 1.0 - ADADELTA_RHO
         eg += a
         # delta = -sqrt((ed + epsilon) / (eg + epsilon)) * g, in a
-        np.add(ed, self.epsilon, out=a)
-        np.add(eg, self.epsilon, out=b)
+        np.add(ed, ADADELTA_EPSILON, out=a)
+        np.add(eg, ADADELTA_EPSILON, out=b)
         a /= b
         np.sqrt(a, out=a)
         np.negative(a, out=a)
         a *= g
         np.multiply(a, a, out=b)
         b -= ed
-        b *= 1.0 - self.rho
+        b *= 1.0 - ADADELTA_RHO
         ed += b
         a *= lr
         p += a
@@ -552,7 +558,8 @@ def rebuild_model(ckpt: Checkpoint):
     itself, not a copy: the model and the checkpoint share that array, so
     a write through either shows in both. Take ``model_arrays(model)`` or
     ``copy.deepcopy(model)`` to keep them apart. Every other array is
-    copied into the skeleton, so the LSTM gates stay views of their stacks.
+    copied into the skeleton's own (an LSTM's gate arrays into the row
+    blocks of its stacks).
     """
     cfg = ckpt.config
     _check_sizing_fields(ckpt)

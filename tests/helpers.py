@@ -67,17 +67,3 @@ def weighted_sum(x, r):
     """Scalar sum(x * r) as one tape node whose gradient is r."""
     return apply_op(np.asarray(float((x.data * r).sum())), (x,), lambda g: (g * r,))
 
-
-def gates_are_stack_views(p):
-    """Whether each per-gate tensor of ``LstmParams`` p holds exactly the
-    row block of its stack (``w``, ``u``, ``b``) in the gate order i, f, o,
-    u: the same memory, shape and strides."""
-    hd = p.hidden_dim
-    for prefix, stack in (("w", p.w), ("u", p.u), ("b", p.b)):
-        for j, gate in enumerate("ifou"):
-            data = getattr(p, f"{prefix}_{gate}").data
-            block = stack[j * hd:(j + 1) * hd]
-            if (data.ctypes.data, data.shape, data.strides) != (
-                    block.ctypes.data, block.shape, block.strides):
-                return False
-    return True

@@ -194,3 +194,13 @@ def test_matrix_refuses_the_options_every_cell_sets(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == ("error: matrix runs every embedding mode with and "
                                        f"without attention; it takes no {named} option\n")
     assert not (tmp_path / "matrix").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--mix-rate", "1.5"), ("--mix-rate", "nan"),
+                                        ("--noise-rate", "-0.5")])
+def test_gen_synth_refuses_a_rate_outside_0_1(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-synth", "--n", "120", "--out", "data", flag, value]) == 1
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must lie in [0, 1], got {float(value)}\n"
+    assert not (tmp_path / "data").exists()

@@ -163,6 +163,19 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(table1_profile(), 119, 0.5, 0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("mix,noise,named", [(1.5, 0.1, "mix_rate"), (-0.1, 0.1, "mix_rate"),
+                                                 (float("nan"), 0.1, "mix_rate"),
+                                                 (0.5, -0.5, "noise_rate"),
+                                                 (0.5, float("nan"), "noise_rate")])
+    def test_a_rate_outside_0_1_rejected(self, mix, noise, named):
+        with pytest.raises(ValueError, match=f"{named} must lie in \\[0, 1\\]"):
+            gen_synthetic(table1_profile(), 120, mix, noise, np.random.default_rng(0))
+
+    def test_the_rate_bounds_are_accepted(self):
+        for mix, noise in ((0.0, 1.0), (1.0, 0.0)):
+            assert len(gen_synthetic(table1_profile(), 120, mix, noise,
+                                     np.random.default_rng(0))) == 120
+
 
 def strict_load_tsv(path, class_names=None):
     """load_tsv as it was before it took invalid UTF-8: strict decoding, so

@@ -30,7 +30,7 @@ from mcm.layers import (
 from mcm.tensor import Tape, Tensor, backward
 
 from . import helpers
-from .helpers import away_from_zero, gates_are_stack_views, gradcheck, max_rel_err
+from .helpers import away_from_zero, gradcheck, max_rel_err
 
 
 def conv_oracle(x, weights, bias):
@@ -49,22 +49,24 @@ def conv_oracle(x, weights, bias):
 
 
 def lstm_step_oracle(x, h_prev, c_prev, p):
-    """Scalar, gate-by-gate evaluation of the cell equations."""
-    hid, inp = p.w_i.data.shape
+    """Scalar, gate-by-gate evaluation of the cell equations; gate j's
+    weights are row block j of each stack."""
+    hid, inp = p.hidden_dim, p.input_dim
 
-    def affine(w, u, b, row):
-        acc = b.data[row]
+    def affine(gate, row):
+        r = gate * hid + row
+        acc = p.b.data[r]
         for col in range(inp):
-            acc += w.data[row, col] * x[col]
+            acc += p.w.data[r, col] * x[col]
         for col in range(hid):
-            acc += u.data[row, col] * h_prev[col]
+            acc += p.u.data[r, col] * h_prev[col]
         return acc
 
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
-    i = [sig(affine(p.w_i, p.u_i, p.b_i, r)) for r in range(hid)]
-    f = [sig(affine(p.w_f, p.u_f, p.b_f, r)) for r in range(hid)]
-    o = [sig(affine(p.w_o, p.u_o, p.b_o, r)) for r in range(hid)]
-    u = [math.tanh(affine(p.w_u, p.u_u, p.b_u, r)) for r in range(hid)]
+    i = [sig(affine(0, r)) for r in range(hid)]
+    f = [sig(affine(1, r)) for r in range(hid)]
+    o = [sig(affine(2, r)) for r in range(hid)]
+    u = [math.tanh(affine(3, r)) for r in range(hid)]
     c = [i[r] * u[r] + f[r] * c_prev[r] for r in range(hid)]
     h = [o[r] * math.tanh(c[r]) for r in range(hid)]
     return np.array(h), np.array(c), (i, f, o, u)
@@ -105,7 +107,7 @@ def lstm_step_chain(x, n, l, p):
 
 
 def lstm_run(seq_fn, x, n, l, p, seed=0):
-    """Outputs and gradients (x first, then the 12 parameters) of a weighted
+    """Outputs and gradients (x first, then the three stacks) of a weighted
     sum over H and h_last."""
     params = [x] + [t for _, t in p.tensors()]
     for t in params:
@@ -120,12 +122,8 @@ def lstm_run(seq_fn, x, n, l, p, seed=0):
 
 def zero_lstm(input_dim, hidden_dim):
     z = lambda *s: Tensor(np.zeros(s), requires_grad=True)
-    return LstmParams(input_dim, hidden_dim,
-                      z(hidden_dim, input_dim), z(hidden_dim, input_dim),
-                      z(hidden_dim, input_dim), z(hidden_dim, input_dim),
-                      z(hidden_dim, hidden_dim), z(hidden_dim, hidden_dim),
-                      z(hidden_dim, hidden_dim), z(hidden_dim, hidden_dim),
-                      z(hidden_dim), z(hidden_dim), z(hidden_dim), z(hidden_dim))
+    return LstmParams(input_dim, hidden_dim, z(4 * hidden_dim, input_dim),
+                      z(4 * hidden_dim, hidden_dim), z(4 * hidden_dim))
 
 
 class TestConv1d:
@@ -228,7 +226,7 @@ class TestLstm:
 
     def test_forget_gate_saturation_carries_memory(self):
         p = zero_lstm(2, 2)
-        p.b_f.data[...] = 10.0
+        p.b.data[2:4] = 10.0  # the forget gate's bias
         _, c = lstm_step(Tensor([0.3, -0.4]), Tensor([0.0, 0.0]), Tensor([1.0, 1.0]), p)
         assert np.allclose(c.data, [1.0, 1.0], atol=1e-4)
 
@@ -292,8 +290,7 @@ class TestFusedLstm:
     def test_matches_step_chain(self, n, l):
         rng = np.random.default_rng(40 + 10 * n + l)
         p = LstmParams.init(3, 8 if l == 12 else 4, rng)
-        for _, t in p.tensors()[8:]:
-            t.data[...] = rng.normal(size=t.shape)  # biases off their init values
+        p.b.data[...] = rng.normal(size=p.b.shape)  # biases off their init values
         x = Tensor(rng.normal(size=(l * n, 3)), requires_grad=True)
         fused = lstm_run(lstm_sequence_batch, x, n, l, p)
         chain = lstm_run(lstm_step_chain, x, n, l, p)
@@ -349,23 +346,25 @@ class TestFusedLstm:
 
 
 class TestStackedGates:
-    """The stacks ``w``, ``u``, ``b`` are ``LstmParams``' storage and each
-    per-gate tensor is a row block of them."""
+    """``LstmParams`` holds each gate's weights as row block j*H:(j+1)*H of
+    its stacks ``w``, ``u`` and ``b``, in the gate order i, f, o, u."""
 
-    def test_init_and_constructor_make_views(self):
-        rng = np.random.default_rng(54)
-        p = LstmParams.init(3, 2, rng)
-        assert gates_are_stack_views(p)
+    def test_init_draws_the_gates_in_order_with_the_forget_bias_at_one(self):
+        p = LstmParams.init(3, 2, np.random.default_rng(54))
         assert p.w.shape == (8, 3) and p.u.shape == (8, 2) and p.b.shape == (8,)
-        assert np.array_equal(p.b, [0, 0, 1, 1, 0, 0, 0, 0])  # forget bias +1
-        q = zero_lstm(3, 2)
-        assert gates_are_stack_views(q) and not q.w.any()
+        assert np.array_equal(p.b.data, [0, 0, 1, 1, 0, 0, 0, 0])  # forget bias +1
+        rng = np.random.default_rng(54)  # four (H, d) draws, then four (H, H)
+        gates = [rng.uniform(-np.sqrt(6 / 5), np.sqrt(6 / 5), size=(2, 3)) for _ in range(4)]
+        gates += [rng.uniform(-np.sqrt(6 / 4), np.sqrt(6 / 4), size=(2, 2)) for _ in range(4)]
+        assert np.array_equal(p.w.data, np.concatenate(gates[:4]))
+        assert np.array_equal(p.u.data, np.concatenate(gates[4:]))
+        assert not zero_lstm(3, 2).w.data.any()
 
-    def test_misshapen_gate_rejected(self):
-        z = lambda *s: Tensor(np.zeros(s))
-        with pytest.raises(ValueError, match="gate shapes"):
-            LstmParams(3, 2, z(2, 3), z(2, 3), z(2, 3), z(3, 3),
-                       z(2, 2), z(2, 2), z(2, 2), z(2, 2), z(2), z(2), z(2), z(2))
+    @pytest.mark.parametrize("shapes", [((8, 3), (8, 2), (7,)), ((8, 2), (8, 2), (8,)),
+                                        ((2, 3), (2, 2), (2,))])
+    def test_misshapen_stack_rejected(self, shapes):
+        with pytest.raises(ValueError, match="stack shape"):
+            LstmParams(3, 2, *(Tensor(np.zeros(s)) for s in shapes))
 
     def test_in_place_gate_edit_reaches_the_sequence(self):
         rng = np.random.default_rng(55)
@@ -373,23 +372,22 @@ class TestStackedGates:
         p = LstmParams.init(3, 4, rng)
         x = Tensor(rng.normal(size=(l * n, 3)))
         before = lstm_sequence_batch(x, n, l, p)[0].data.copy()
-        p.w_f.data[...] = rng.normal(size=p.w_f.shape)
+        p.w.data[4:8] = rng.normal(size=(4, 3))  # the forget gate's input weights
         after = lstm_sequence_batch(x, n, l, p)[0].data
         assert not np.allclose(after, before)
         fresh = LstmParams(3, 4, *(Tensor(t.data.copy()) for _, t in p.tensors()))
         assert np.array_equal(after, lstm_sequence_batch(x, n, l, fresh)[0].data)
 
     @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
-    def test_copies_keep_their_gates_views_of_their_own_stacks(self, how):
+    def test_copies_own_their_stacks(self, how):
         p = LstmParams.init(3, 2, np.random.default_rng(56))
-        p.b_f.requires_grad = False
+        p.b.requires_grad = False
         q = copy.deepcopy(p) if how == "deepcopy" else pickle.loads(pickle.dumps(p))
-        assert gates_are_stack_views(q)
         for (name, a), (_, b) in zip(p.tensors(), q.tensors()):
             assert np.array_equal(a.data, b.data) and a.requires_grad == b.requires_grad, name
-        assert not any(np.shares_memory(a, b) for a, b in ((p.w, q.w), (p.u, q.u), (p.b, q.b)))
-        q.w_f.data[...] = 7.0  # an in-place write reaches the copy's stack only
-        assert (q.w[2:4] == 7.0).all() and not (p.w == 7.0).any()
+            assert not np.shares_memory(a.data, b.data), name
+        q.w.data[2:4] = 7.0  # an in-place write reaches the copy's stack only
+        assert (q.w.data[2:4] == 7.0).all() and not (p.w.data == 7.0).any()
 
 
 def first_layer_run(embed, layers, table, ids, n, l):

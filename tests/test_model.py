@@ -185,7 +185,7 @@ def shift_biases_off_zero(model, rng):
     # Pad rows and zero biases put the ReLUs exactly on their kink, where a
     # finite difference is meaningless.
     for name, t in model.named_tensors():
-        if name.rsplit(".", 1)[1] in ("bias", "beta", "score_b", "b_i", "b_f", "b_o", "b_u"):
+        if name.rsplit(".", 1)[1] in ("bias", "beta", "score_b", "b"):
             t.data[...] += rng.uniform(0.1, 0.5, size=t.shape) * rng.choice([-1.0, 1.0], t.shape)
 
 

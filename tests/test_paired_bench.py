@@ -36,9 +36,23 @@ def test_eight_wins_or_a_gap_inside_the_spread_is_no_gain():
     change = [b - 0.5 for b in base[:8]] + [base[8], base[9] + 0.1]  # a tie counts for neither
     assert paired_bench.summarise(base, change, "lower", 0.25)["wins"] == 8
     assert paired_bench.summarise(base, change, "lower", 0.25)["verdict"] == "-"
-    spread = [1.0, 5.0, 1.0, 5.0]
+    spread = [1.0, 5.0, 1.0, 5.0]  # an interquartile range wider than the bound
     assert paired_bench.summarise(spread, [v - 1.0 for v in spread], "lower",
-                                  0.25)["verdict"] == "-"
+                                  0.25)["verdict"] == "unresolved"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better():
+    steady = [3.0, 3.0, 3.1, 3.1]
+    wide = [2.0, 4.0, 2.0, 4.0]
+    for base, change in ((wide, steady), (steady, wide)):  # either side's spread
+        assert paired_bench.summarise(base, change, "lower", 0.25)["verdict"] == "unresolved"
+    assert paired_bench.summarise(steady, steady, "lower", 0.25)["verdict"] == "-"
+    # every change run beats every base run: no gain (3 of 4 pairs), but resolved
+    base, change = [10.0, 10.0, 12.0, 18.0], [9.5, 11.0, 9.0, 9.0]
+    row = paired_bench.summarise(base, change, "lower", 0.1)
+    assert (row["wins"], row["verdict"]) == (3, "unresolved")
+    row = paired_bench.summarise(base, [9.5, 9.9, 9.0, 9.0], "lower", 0.1)
+    assert (row["wins"], row["verdict"]) == (4, "-")
 
 
 FAKE_RUN = """
@@ -77,6 +91,16 @@ def test_runs_both_checkouts_per_seed_alternating_and_reports_each_metric(tmp_pa
     rows = {line.split()[0]: line for line in out if line.startswith("  ")}
     assert rows["predict_p50_ms"].endswith("wins 3/3  gain")
     assert rows["test_macro_f1"].endswith("wins 0/3  -")
+
+
+def test_a_worse_metric_exits_1(tmp_path, capsys):
+    base = fake_checkout(tmp_path / "base", "3.0")
+    change = fake_checkout(tmp_path / "change", "4.0")  # 33% slower, the bound is 25%
+    assert paired_bench.main(["--base", base, "--change", change, "--seeds", "1-2"]) == 1
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")}
+    assert rows["predict_p50_ms"].endswith("wins 0/2  worse")
+    assert rows["test_macro_f1"].endswith("wins 0/2  -")
 
 
 def test_a_failed_check_or_a_crash_exits_1(tmp_path, capsys):

@@ -42,7 +42,7 @@ from mcm.trainer import (
     save_checkpoint,
 )
 
-from .helpers import gates_are_stack_views, weighted_sum
+from .helpers import weighted_sum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -144,8 +144,8 @@ def test_train_config_refuses_a_value_training_cannot_use(field, value):
 
 
 # ---------------------------------------------------------------------------
-# LSTM gate storage: every in-place writer keeps the per-gate tensors views
-# of their layer's stacks
+# LSTM stacks: every in-place writer of the model's arrays fills each LSTM's
+# stacks, which checkpoints store as the gates' row blocks
 
 LSTMS = ("lstm_s1", "lstm_s2", "lstm_enc")
 SMALL_MCM = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_filters=2,
@@ -153,17 +153,15 @@ SMALL_MCM = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_
 
 
 def stacks_hold(model, arrays):
-    """Each LSTM's gates are views of its stacks, and the stacks hold the
-    gates' ``arrays``."""
+    """Each LSTM's stacks hold the gates' ``arrays``."""
     for name in LSTMS:
         p = getattr(model, name)
-        assert gates_are_stack_views(p)
         for stack, prefix in ((p.w, "w"), (p.u, "u"), (p.b, "b")):
             want = np.concatenate([arrays[f"{name}.{prefix}_{g}"] for g in "ifou"])
-            assert np.array_equal(stack, want)
+            assert np.array_equal(stack.data, want)
 
 
-def test_build_and_rebuild_keep_gate_views(ckpt_path):
+def test_build_and_rebuild_fill_the_lstm_stacks(ckpt_path):
     ckpt = load_checkpoint(ckpt_path)
     built = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
     stacks_hold(built, ckpt.arrays)  # the fixture saved this same model
@@ -172,7 +170,7 @@ def test_build_and_rebuild_keep_gate_views(ckpt_path):
     stacks_hold(model, ckpt.arrays)
 
 
-def test_optimizer_step_writes_through_gate_views():
+def test_optimizer_step_writes_the_lstm_stacks():
     model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
     rng = np.random.default_rng(1)
     opt = Optimizer("adam", model.parameters(), 0.01)
@@ -188,7 +186,7 @@ def test_optimizer_step_writes_through_gate_views():
                for name in LSTMS)
 
 
-def test_fit_restoring_an_earlier_epoch_keeps_gate_views(monkeypatch):
+def test_fit_restoring_an_earlier_epoch_fills_the_lstm_stacks(monkeypatch):
     real_evaluate = trainer.evaluate_components
     seen = []  # the parameters at each evaluation
 
@@ -603,6 +601,24 @@ def test_a_save_through_a_link_replaces_its_target(ckpt_path):
     save_checkpoint(ckpt, link)
     assert link.is_symlink() and link.read_bytes() == ckpt_path.read_bytes()
     assert np.array_equal(load_checkpoint(ckpt_path).arrays["cnn1.bias"], ckpt.arrays["cnn1.bias"])
+
+
+# An aliased parameter would be stepped twice by the optimizer.
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_no_two_parameters_share_memory(kind):
+    table = init_random(10, 4, np.random.default_rng(0))
+    if kind == "mcm":
+        built = build_mcm(dataclasses.replace(SMALL_MCM, attention=True), table, 0)
+    else:
+        built = build_baseline(BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3,
+                                              max_len=6, kernel=2), table, 0)
+    tokens = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
+    rebuilt, _ = rebuild_model(make_checkpoint(built, vocab, CLASSES))
+    for model in (built, rebuilt):
+        params = model.parameters()
+        assert not any(np.shares_memory(a.data, b.data)
+                       for i, a in enumerate(params) for b in params[i + 1:])
 
 
 @pytest.mark.parametrize("kind", ["mcm", "baseline"])

@@ -14,15 +14,18 @@ a verdict:
   beats the base's by more than the base's interquartile range;
 * ``worse``: its median is worse than the base's by more than the metric's
   bound (a fraction of the base's median);
-* ``-``: neither.
+* ``unresolved``: neither, and either side's interquartile range is wider
+  than the bound, so the runs cannot tell a move within the bound from
+  none; unless every run of the change beats every run of the base;
+* ``-``: none of these.
 
 Each workload also gets each side's failed operations over attempted
 ones, summed over its runs.
 
 The script only calls each checkout's ``perfbench/run.py``; it writes
-nothing. It exits 1 when a run fails or reports ``correct: false``, or
-when the change fails a larger share of its operations than the base on
-some workload.
+nothing. It exits 1 when a run fails or reports ``correct: false``, when
+some metric is ``worse``, or when the change fails a larger share of its
+operations than the base on some workload.
 """
 from __future__ import annotations
 
@@ -68,10 +71,14 @@ def summarise(base: list, change: list, better: str, bound: float) -> dict:
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     gap = sign * (q_change[1] - q_base[1])  # > 0: the change is better in the median
     iqr = q_base[2] - q_base[0]
+    allowed = bound * abs(q_base[1])
     if wins >= math.ceil(0.9 * len(base)) and gap > iqr:
         verdict = "gain"
-    elif -gap > bound * abs(q_base[1]):
+    elif -gap > allowed:
         verdict = "worse"
+    elif (max(iqr, q_change[2] - q_change[0]) > allowed
+          and min(sign * c for c in change) <= max(sign * b for b in base)):
+        verdict = "unresolved"
     else:
         verdict = "-"
     return {"base": q_base.tolist(), "change": q_change.tolist(),
@@ -113,6 +120,7 @@ def main(argv=None) -> int:
             values = {side: [r[name]["metrics"][m["name"]]["value"] for r in rs]
                       for side, rs in runs.items()}
             row = summarise(values["base"], values["change"], m["better"], m["bound"])
+            ok &= row["verdict"] != "worse"
             b, c = row["base"], row["change"]
             print(f"  {m['name']:<16} {b[1]:10.4g} [{b[0]:.4g}, {b[2]:.4g}] -> "
                   f"{c[1]:10.4g} [{c[0]:.4g}, {c[2]:.4g}]  {row['move']:+7.1%}  "
