@@ -5,6 +5,12 @@ manager), every operation on grad-enabled tensors appends one node to it.
 ``backward`` replays the tape in reverse, accumulating gradients additively
 into every grad-enabled operand. Tapes are rebuilt per forward pass.
 
+``backward`` consumes its tape: each node drops what it holds as soon as
+its gradient has been passed on, so a step's activations and intermediate
+gradients are freed during the backward, not when the tape goes. Every
+leaf keeps its ``grad``; an intermediate tensor keeps its gradient only
+while the caller holds that tensor.
+
 Design constraints, deliberately strict:
 
 * everything is float64,
@@ -94,7 +100,7 @@ class Tape:
 
     Nodes are appended in execution order, which is already a topological
     order of the graph; ``backward`` visits each node exactly once in
-    reverse.
+    reverse and empties it.
     """
 
     __slots__ = ("nodes", "_prev")
@@ -186,21 +192,42 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every grad-enabled tensor reachable from ``loss``.
 
     Accumulation is additive across fan-out. The tape is traversed once,
-    in reverse execution order.
+    in reverse execution order, and consumed as it goes: each node lets go
+    of its output, inputs and gradient rule before the rule runs, so the
+    activations a rule captured, and every intermediate output and
+    gradient that the caller does not hold, are freed during the pass.
+    ``len(tape)`` is unchanged, but the tape cannot be differentiated
+    again (``ValueError``).
+
+    Every leaf (a parameter or an input) gets its ``grad``. An intermediate
+    tensor keeps its gradient only while the caller holds the tensor.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
     if not tape.nodes:
         raise ValueError("tape is empty; nothing to differentiate")
+    if tape.nodes[-1].grad_fn is None:
+        raise ValueError("tape already differentiated")
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(tape.nodes):
-        g = node.out.grad
-        if g is None:
-            continue
-        grads = node.grad_fn(g)
-        for t, gi in zip(node.inputs, grads):
-            if gi is not None and t.requires_grad:
-                _accumulate(t, gi)
+        _consume(node)
+
+
+def _consume(node: TapeNode) -> None:
+    """Empty ``node``, then add its gradient rule's results into its inputs.
+
+    Its locals go when it returns, so no output, rule or gradient of this
+    node outlives it unless something else holds it.
+    """
+    out, inputs, grad_fn = node.out, node.inputs, node.grad_fn
+    node.out = node.inputs = node.grad_fn = None
+    g = out.grad
+    if g is None:
+        return
+    del out
+    for t, gi in zip(inputs, grad_fn(g)):
+        if gi is not None and t.requires_grad:
+            _accumulate(t, gi)
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +500,9 @@ class GatheredRows:
             self.order = np.argsort(self.inverse, kind="stable")
             counts = np.bincount(self.inverse, minlength=self.rows.size)
             self.bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        by_row = g[self.order]
         out = np.empty((self.rows.size, g.shape[1]))
         for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
-            by_row[lo:hi].sum(axis=0, out=out[k])
+            g[self.order[lo:hi]].sum(axis=0, out=out[k])
         return out
 
     def project_grads(self, dz: np.ndarray, w: np.ndarray):

@@ -1,8 +1,11 @@
-"""Shared test oracles: central finite differences for gradient checks.
+"""Shared test oracles: central finite differences for gradient checks, and
+the memory a call allocates.
 
 The numeric side only ever calls the forward pass (outside any tape), so
 it stays independent of the backward rules it verifies.
 """
+import tracemalloc
+
 import numpy as np
 
 from mcm.tensor import Tape, apply_op, backward
@@ -67,3 +70,13 @@ def weighted_sum(x, r):
     """Scalar sum(x * r) as one tape node whose gradient is r."""
     return apply_op(np.asarray(float((x.data * r).sum())), (x,), lambda g: (g * r,))
 
+
+def traced_memory(fn):
+    """(fn(), the bytes Python and numpy allocated while it ran and still
+    held when it returned, the peak of those bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return (result, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()

@@ -1,0 +1,35 @@
+"""tools/step_faults.py: a two-step run prints every phase's medians."""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "step_faults.py")
+
+
+def step_faults(*args):
+    return subprocess.run([sys.executable, TOOL, *args], capture_output=True, text=True,
+                          check=False, timeout=300)
+
+
+def test_two_steps_give_faults_and_times_of_each_phase():
+    proc = step_faults("--workload", "train-toy", "--seed", "1", "--steps", "2", "--warmup", "0")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    assert (result["workload"], result["seed"], result["steps"]) == ("train-toy", 1, 2)
+    assert list(result["phases"]) == ["forward", "backward", "optimizer"]
+    for phase in result["phases"].values():
+        assert phase["minflt"] >= 0 and phase["ms"] > 0
+    assert len(lines) == 5  # a heading, one line per phase, the JSON
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--workload", "nope", "--seed", "1"], "unknown workload 'nope'"),
+    (["--workload", "train-toy", "--seed", "1", "--steps", "0"], "--steps must be at least 1"),
+])
+def test_bad_arguments_are_refused(args, message):
+    proc = step_faults(*args)
+    assert proc.returncode != 0 and message in proc.stderr

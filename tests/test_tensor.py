@@ -5,7 +5,7 @@ import pytest
 from mcm import tensor as T
 from mcm.tensor import ShapeError, Tape, Tensor, backward
 
-from .helpers import away_from_zero, gradcheck, max_rel_err, weighted_sum
+from .helpers import away_from_zero, gradcheck, max_rel_err, traced_memory, weighted_sum
 
 
 class TestElementwise:
@@ -355,6 +355,14 @@ class TestGatheredRows:
         np.add.at(scatter, np.asarray(indices), g)
         assert x.segment_sum(g).tobytes() == scatter[x.rows].tobytes()
 
+    def test_segment_sum_allocates_less_than_a_copy_of_g(self):
+        rng = np.random.default_rng(5)
+        indices = rng.integers(0, 50, size=2000)
+        x = T.GatheredRows(Tensor(rng.normal(size=(50, 4))), indices)
+        g = rng.normal(size=(indices.size, 256))  # 4 MB; the result is 100 kB
+        _, _, peak = traced_memory(lambda: x.segment_sum(g))
+        assert peak < g.nbytes
+
     @pytest.mark.parametrize("indices", [[3, 0, 3, 5, 3, 0, 7], [6], MANY])
     def test_project_equals_dense_affine(self, indices):
         rng = np.random.default_rng(11)
@@ -452,6 +460,36 @@ class TestBackward:
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError):
             backward(Tensor(np.asarray(1.0), requires_grad=True), Tape())
+
+    def test_a_differentiated_tape_is_refused(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            s = T.reduce_sum(T.mul(x, x), 0)
+        backward(s, tape)
+        with pytest.raises(ValueError, match="tape already differentiated"):
+            backward(s, tape)
+        assert np.array_equal(x.grad, [2.0, 4.0])  # not added a second time
+
+    def test_backward_frees_the_chains_activations_and_gradients(self):
+        # 20 ops over a 1 MB array: the tape's outputs and the gradients that
+        # reach them are 40 such arrays. Only the tape and x hold them.
+        x = Tensor(np.random.default_rng(3).normal(size=(128, 1024)), requires_grad=True)
+
+        def chain_and_backward():
+            with Tape() as tape:
+                h = x
+                for k in range(20):
+                    h = T.tanh(h) if k % 2 else T.scale(h, 0.5)
+                total = T.reduce_sum(T.reduce_sum(h, 1), 0)
+            del h
+            nodes = len(tape)
+            backward(total, tape)
+            assert len(tape) == nodes == 22
+            return tape
+
+        _, held, _ = traced_memory(chain_and_backward)
+        assert x.grad is not None
+        assert held < 2 * x.data.nbytes  # x.grad and the emptied nodes
 
     def test_random_composite_graph_matches_finite_differences(self):
         rng = np.random.default_rng(7)

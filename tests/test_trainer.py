@@ -7,7 +7,6 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +41,7 @@ from mcm.trainer import (
     save_checkpoint,
 )
 
-from .helpers import weighted_sum
+from .helpers import traced_memory, weighted_sum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -546,15 +545,6 @@ def first_tensor_shape_at(raw):
     return first + 2 + name_len + 1
 
 
-def traced_peak(fn):
-    """(fn(), the peak bytes Python and numpy allocated while it ran)."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_oversized_tensor_shape_is_truncation_not_allocation(ckpt_path):
     raw = bytearray(ckpt_path.read_bytes())
     offset = first_tensor_shape_at(raw)
@@ -567,7 +557,7 @@ def test_oversized_tensor_shape_is_truncation_not_allocation(ckpt_path):
     for dims in ((2 ** 32 - 1, 4), (10 ** 9, 10 ** 3)):  # 137 GB and 8 TB payloads
         struct.pack_into("<II", raw, offset, *dims)
         ckpt_path.write_bytes(bytes(raw))
-        assert traced_peak(refused)[1] < 2 ** 20
+        assert traced_memory(refused)[2] < 2 ** 20
 
 
 def test_a_short_read_is_truncation(ckpt_path, monkeypatch):
@@ -645,14 +635,14 @@ def test_save_load_and_rebuild_hold_one_copy_of_the_table(tmp_path):
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
     ckpt = make_checkpoint(model, vocab, CLASSES)
     path = tmp_path / "big.mcm"
-    _, peak = traced_peak(lambda: save_checkpoint(ckpt, path))
+    _, _, peak = traced_memory(lambda: save_checkpoint(ckpt, path))
     assert peak <= 0.5 * BIG_TABLE_BYTES
 
     def load_and_rebuild():
         loaded = load_checkpoint(path)
         return loaded, rebuild_model(loaded)[0]
 
-    (loaded, rebuilt), peak = traced_peak(load_and_rebuild)
+    (loaded, rebuilt), _, peak = traced_memory(load_and_rebuild)
     assert peak <= 1.5 * BIG_TABLE_BYTES
     assert np.shares_memory(rebuilt.embedding.vectors.data, loaded.arrays["embedding.vectors"])
     saved = model.arrays()

@@ -1,0 +1,111 @@
+"""Minor page faults and milliseconds of each phase of a training step.
+
+    python3 tools/step_faults.py --workload train-toy --seed 7
+    python3 tools/step_faults.py --checkout ../parent --workload train-toy --seed 7
+
+Sets up one ``perfbench`` workload for the seed with ``perfbench/bench.py``
+(inputs, vocabulary, embeddings, model and training config), then runs
+training steps with the calls ``trainer.fit`` makes, cycling over the
+training batches in a seeded order. Each step has three phases:
+
+* forward: ``head_logits`` and ``heads_loss`` under a tape;
+* backward: ``tensor.backward``;
+* optimizer: ``Optimizer.step`` and ``zero_grad``.
+
+Around each phase it reads ``resource.getrusage(RUSAGE_SELF).ru_minflt``
+and the clock, in this process only. After ``--warmup`` steps it prints the
+median of each phase over the next ``--steps`` steps, one line per phase,
+then the same as one JSON object on the last line.
+
+``--checkout`` names the tree whose ``src/`` and ``perfbench/`` are measured
+(default: the one holding this script), so two checkouts can be compared
+with the same script. BLAS runs on one thread, as in the benchmark.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PHASES = ("forward", "backward", "optimizer")
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--workload", required=True, help="a perfbench workload, such as train-toy")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--steps", type=int, default=20, help="measured steps (default 20)")
+    p.add_argument("--warmup", type=int, default=5, help="unmeasured steps first (default 5)")
+    p.add_argument("--checkout", default=ROOT, help="tree to measure (default: this one)")
+    args = p.parse_args(argv)
+    if args.steps < 1 or args.warmup < 0:
+        p.error("--steps must be at least 1 and --warmup at least 0")
+    return args
+
+
+def measure(args) -> dict:
+    """{phase: (median minor faults, median ms)} over the measured steps."""
+    checkout = os.path.abspath(args.checkout)
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    import bench
+    import numpy as np
+    from mcm.model import heads_loss
+    from mcm.tensor import Tape, backward
+    from mcm.trainer import Optimizer
+
+    if args.workload not in bench.WORKLOADS:
+        raise SystemExit(f"error: unknown workload {args.workload!r}; "
+                         f"one of {', '.join(bench.WORKLOADS)}")
+    w = bench.WORKLOADS[args.workload]
+    train_records, test_records, _ = bench.make_inputs(w, args.seed)
+    s = bench.set_up(w, train_records, test_records, args.seed)
+    cfg = bench.train_config(w, args.seed)
+    opt = Optimizer(cfg.optimizer, s.model.parameters(), cfg.learning_rate)
+    rng = np.random.default_rng(args.seed)
+    order = rng.permutation(len(s.train))
+    batches = [order[lo:lo + w.batch] for lo in range(0, len(order) - w.batch + 1, w.batch)]
+
+    def now():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+
+    samples = {phase: [] for phase in PHASES}
+    for step in range(args.warmup + args.steps):
+        batch = batches[step % len(batches)]
+        marks = [now()]
+        with Tape() as tape:
+            logits = s.model.head_logits(s.train.sequences[batch], "train", rng)
+            total = heads_loss(logits, s.train.labels[batch])
+        marks.append(now())
+        backward(total, tape)
+        marks.append(now())
+        opt.step()
+        opt.zero_grad()
+        marks.append(now())
+        if step >= args.warmup:
+            for phase, (f0, t0), (f1, t1) in zip(PHASES, marks, marks[1:]):
+                samples[phase].append((f1 - f0, (t1 - t0) * 1e3))
+    return {phase: (statistics.median(f for f, _ in rows), statistics.median(ms for _, ms in rows))
+            for phase, rows in samples.items()}
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads, as in perfbench/run.py
+    result = measure(args)
+    print(f"{args.workload} seed {args.seed}: medians over {args.steps} steps "
+          f"after {args.warmup} warm-up steps")
+    for phase, (faults, ms) in result.items():
+        print(f"  {phase:<10} {faults:8.0f} minor faults {ms:9.1f} ms")
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "steps": args.steps,
+                      "phases": {phase: {"minflt": faults, "ms": ms}
+                                 for phase, (faults, ms) in result.items()}}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
