@@ -386,11 +386,20 @@ class Checkpoint:
 
 
 def model_arrays(model) -> dict:
+    """A snapshot of ``model.arrays()``: a copy of each array."""
     return {name: a.copy() for name, a in model.arrays().items()}
 
 
 def make_checkpoint(model, vocab: Optional[Vocabulary], class_names,
                     arrays: Optional[dict] = None, extra: Optional[dict] = None) -> Checkpoint:
+    """A checkpoint of ``model`` with its config (plus ``extra``),
+    vocabulary and class names.
+
+    Without ``arrays`` it holds ``model.arrays()``, the model's own arrays,
+    not copies: a later update of the model shows in the checkpoint. Save it
+    before training or editing the model further, or pass
+    ``arrays=model_arrays(model)`` for a snapshot that stays as it is.
+    """
     kind = next((k for k, (cls, _, _) in _KINDS.items() if type(model) is cls), None)
     if kind is None:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
@@ -401,7 +410,7 @@ def make_checkpoint(model, vocab: Optional[Vocabulary], class_names,
         vocab_tokens=list(vocab.id_to_token) if vocab is not None else [],
         vocab_min_count=vocab.min_count if vocab is not None else 1,
         class_names=list(class_names),
-        arrays=arrays if arrays is not None else model_arrays(model),
+        arrays=arrays if arrays is not None else model.arrays(),
     )
 
 
@@ -556,10 +565,11 @@ def rebuild_model(ckpt: Checkpoint):
 
     The model's embedding table is ``ckpt.arrays["embedding.vectors"]``
     itself, not a copy: the model and the checkpoint share that array, so
-    a write through either shows in both. Take ``model_arrays(model)`` or
-    ``copy.deepcopy(model)`` to keep them apart. Every other array is
-    copied into the skeleton's own (an LSTM's gate arrays into the row
-    blocks of its stacks).
+    a write through either shows in both; a model rebuilt from
+    ``make_checkpoint(model, ...)`` shares its table with ``model``. Take
+    ``model_arrays(model)`` or ``copy.deepcopy(model)`` to keep them apart.
+    Every other array is copied into the skeleton's own (an LSTM's gate
+    arrays into the row blocks of its stacks).
     """
     cfg = ckpt.config
     _check_sizing_fields(ckpt)
@@ -664,12 +674,17 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
     names; earlier epoch on ties) together with the full per-epoch curve
     data.
 
-    The model is left holding the checkpointed parameters. Training that
-    diverges raises ``TrainingDiverged``: an overflow or invalid value in a
-    batch's step or in an evaluation (``_diverges_as``), a non-finite loss,
-    or a non-finite parameter after an epoch. The last two stay checked,
-    since a NaN already in the inputs spreads without any floating-point
-    error.
+    The model is left holding the best epoch's parameters, and the
+    checkpoint holds the model's arrays themselves, not copies
+    (``make_checkpoint``): a later update of the model shows in it. The
+    snapshot of the best epoch that training keeps is gone once the model
+    holds it again.
+
+    Training that diverges raises ``TrainingDiverged``: an overflow or
+    invalid value in a batch's step or in an evaluation (``_diverges_as``),
+    a non-finite loss, or a non-finite parameter after an epoch. The last
+    two stay checked, since a NaN already in the inputs spreads without any
+    floating-point error.
     """
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test splits must be nonempty")
@@ -721,8 +736,8 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
                 np.copyto(best_arrays[name], a)
 
     for name, a in model.arrays().items():
-        a[...] = best_arrays[name]
-    ckpt = make_checkpoint(model, vocab, class_names, arrays=best_arrays,
+        a[...] = best_arrays.pop(name)  # the snapshot goes as the model takes it back
+    ckpt = make_checkpoint(model, vocab, class_names,
                            extra={"best_epoch": best_epoch, "seed": cfg.seed})
     return ckpt, records
 

@@ -18,6 +18,14 @@ def test_parse_seeds():
     assert paired_bench.parse_seeds("3,7-8,1") == [3, 7, 8, 1]
     with pytest.raises(ValueError):
         paired_bench.parse_seeds("x")
+    with pytest.raises(ValueError, match="reversed seed range '50-41'"):
+        paired_bench.parse_seeds("50-41,3")
+
+
+def test_a_reversed_seed_range_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        paired_bench.main(["--base", str(tmp_path), "--seeds", "50-41,3"])
+    assert exc.value.code == 2 and "--seeds" in capsys.readouterr().err
 
 
 def test_nine_of_ten_wins_beyond_the_base_spread_is_a_gain():
@@ -110,6 +118,15 @@ def test_a_failed_check_or_a_crash_exits_1(tmp_path, capsys):
     os.remove(os.path.join(failing, "perfbench", "run.py"))
     assert paired_bench.main(["--base", good, "--change", failing, "--seeds", "1"]) == 1
     assert "without a summary" in capsys.readouterr().err
+
+
+def test_a_change_without_benchmark_json_is_one_error_line(tmp_path, capsys):
+    base = fake_checkout(tmp_path / "base", "3.0")
+    assert paired_bench.main(["--base", base, "--change", str(tmp_path), "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no ") and captured.err.count("\n") == 1
+    assert "BENCHMARK.json" in captured.err
 
 
 @pytest.mark.parametrize("base_failed,change_failed,code", [(0, 0, 0), (1, 1, 0), (2, 1, 0),

@@ -1,4 +1,5 @@
-"""tools/step_faults.py: a two-step run prints every phase's medians."""
+"""tools/step_faults.py: a two-step run prints every phase's medians; bad
+arguments and incomplete checkouts are refused."""
 import json
 import os
 import subprocess
@@ -33,3 +34,14 @@ def test_two_steps_give_faults_and_times_of_each_phase():
 def test_bad_arguments_are_refused(args, message):
     proc = step_faults(*args)
     assert proc.returncode != 0 and message in proc.stderr
+
+
+@pytest.mark.parametrize("parts", [[], ["src/mcm/__init__.py"], ["perfbench/bench.py"]],
+                         ids=["empty", "no-bench", "no-package"])
+def test_an_incomplete_checkout_is_one_error_line(tmp_path, parts):
+    for part in parts:
+        (tmp_path / part).parent.mkdir(parents=True)
+        (tmp_path / part).write_text("")
+    proc = step_faults("--workload", "train-toy", "--seed", "1", "--checkout", str(tmp_path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: no ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -123,6 +123,7 @@ def test_fit_on_the_baseline_selects_on_the_split_select_on_names(monkeypatch, s
     for epoch, arrays in enumerate(seen["test"]):  # the best epoch's parameters are restored
         holds = all(np.array_equal(t.data, arrays[name]) for name, t in model.named_tensors())
         assert holds == (epoch == best_epoch)
+    shares_every_array(ckpt, model)
 
 
 def test_fit_on_the_baseline_refuses_an_empty_validation_part():
@@ -149,6 +150,14 @@ def test_train_config_refuses_a_value_training_cannot_use(field, value):
 LSTMS = ("lstm_s1", "lstm_s2", "lstm_enc")
 SMALL_MCM = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_filters=2,
                       hidden_dim=2, dense1_dim=2, dense2_dim=2)
+
+
+def shares_every_array(ckpt, model):
+    """Each array of ``ckpt`` is the model's own, not a copy."""
+    arrays = model.arrays()
+    assert list(ckpt.arrays) == list(arrays)
+    for name, a in arrays.items():
+        assert np.shares_memory(ckpt.arrays[name], a), name
 
 
 def stacks_hold(model, arrays):
@@ -202,6 +211,7 @@ def test_fit_restoring_an_earlier_epoch_fills_the_lstm_stacks(monkeypatch):
     ckpt, _ = fit(model, train, test, TrainConfig(epochs=3, batch_size=4, seed=2))
     assert ckpt.config["best_epoch"] == 0
     stacks_hold(model, seen[0])
+    shares_every_array(ckpt, model)
     assert not np.array_equal(seen[0]["lstm_s1.w_f"], seen[-1]["lstm_s1.w_f"])
 
 
@@ -496,10 +506,8 @@ def ckpt_path(tmp_path):
     cfg = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_filters=2,
                     hidden_dim=2, dense1_dim=2, dense2_dim=2)
     model = build_mcm(cfg, init_random(10, 4, np.random.default_rng(0)), 0)
-    tokens = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
-    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
     path = tmp_path / "ok.mcm"
-    save_checkpoint(make_checkpoint(model, vocab, CLASSES), path)
+    save_checkpoint(make_checkpoint(model, SMALL_VOCAB, CLASSES), path)
     return path
 
 
@@ -593,22 +601,41 @@ def test_a_save_through_a_link_replaces_its_target(ckpt_path):
     assert np.array_equal(load_checkpoint(ckpt_path).arrays["cnn1.bias"], ckpt.arrays["cnn1.bias"])
 
 
+def small_model(kind):
+    table = init_random(10, 4, np.random.default_rng(0))
+    if kind == "mcm":
+        return build_mcm(dataclasses.replace(SMALL_MCM, attention=True), table, 0)
+    return build_baseline(BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3,
+                                         max_len=6, kernel=2), table, 0)
+
+
+SMALL_TOKENS = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
+SMALL_VOCAB = Vocabulary({t: i for i, t in enumerate(SMALL_TOKENS)}, SMALL_TOKENS, 1)
+
+
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_a_checkpoint_holds_the_models_arrays_and_a_snapshot_copies_them(kind):
+    model = small_model(kind)
+    shares_every_array(make_checkpoint(model, SMALL_VOCAB, CLASSES), model)
+    snapshot = make_checkpoint(model, SMALL_VOCAB, CLASSES, arrays=model_arrays(model))
+    for name, a in model.arrays().items():
+        assert not np.shares_memory(snapshot.arrays[name], a), name
+        assert np.array_equal(snapshot.arrays[name], a), name
+
+
 # An aliased parameter would be stepped twice by the optimizer.
 @pytest.mark.parametrize("kind", ["mcm", "baseline"])
 def test_no_two_parameters_share_memory(kind):
-    table = init_random(10, 4, np.random.default_rng(0))
-    if kind == "mcm":
-        built = build_mcm(dataclasses.replace(SMALL_MCM, attention=True), table, 0)
-    else:
-        built = build_baseline(BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3,
-                                              max_len=6, kernel=2), table, 0)
-    tokens = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
-    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
-    rebuilt, _ = rebuild_model(make_checkpoint(built, vocab, CLASSES))
+    built = small_model(kind)
+    rebuilt, _ = rebuild_model(make_checkpoint(built, SMALL_VOCAB, CLASSES))
     for model in (built, rebuilt):
         params = model.parameters()
         assert not any(np.shares_memory(a.data, b.data)
                        for i, a in enumerate(params) for b in params[i + 1:])
+    # the checkpoint holds built's table, and rebuild_model adopts it
+    built_arrays = built.arrays()
+    for name, a in rebuilt.arrays().items():
+        assert np.shares_memory(a, built_arrays[name]) == (name == "embedding.vectors"), name
 
 
 @pytest.mark.parametrize("kind", ["mcm", "baseline"])
@@ -628,9 +655,13 @@ BIG = McmConfig(vocab_size=20000, embed_dim=64, num_classes=3, max_len=6, num_fi
 BIG_TABLE_BYTES = BIG.vocab_size * BIG.embed_dim * 8
 
 
+def big_model():
+    return build_mcm(BIG, init_random(BIG.vocab_size, BIG.embed_dim,
+                                      np.random.default_rng(0)), 0)
+
+
 def test_save_load_and_rebuild_hold_one_copy_of_the_table(tmp_path):
-    model = build_mcm(BIG, init_random(BIG.vocab_size, BIG.embed_dim,
-                                       np.random.default_rng(0)), 0)
+    model = big_model()
     tokens = [f"w{i}" for i in range(BIG.vocab_size)]
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
     ckpt = make_checkpoint(model, vocab, CLASSES)
@@ -647,6 +678,23 @@ def test_save_load_and_rebuild_hold_one_copy_of_the_table(tmp_path):
     assert np.shares_memory(rebuilt.embedding.vectors.data, loaded.arrays["embedding.vectors"])
     saved = model.arrays()
     assert all(np.array_equal(a, saved[name]) for name, a in rebuilt.arrays().items())
+
+
+def test_make_checkpoint_copies_no_array():
+    model = big_model()
+    _, _, peak = traced_memory(lambda: make_checkpoint(model, None, CLASSES))
+    assert peak < 0.5 * BIG_TABLE_BYTES
+
+
+def test_fit_returns_holding_no_copy_of_the_table():
+    model = big_model()
+    rng = np.random.default_rng(0)
+    train = EncodedCorpus(rng.integers(2, 50, size=(6, 6)), np.array([0, 1, 2] * 2), 6)
+    test = EncodedCorpus(rng.integers(2, 50, size=(3, 6)), np.array([0, 1, 2]), 6)
+    (ckpt, _), held, _ = traced_memory(
+        lambda: fit(model, train, test, TrainConfig(epochs=1, batch_size=6)))
+    assert held < 0.5 * BIG_TABLE_BYTES
+    shares_every_array(ckpt, model)
 
 
 def test_vocab_size_must_match_token_count(ckpt_path):
@@ -677,10 +725,8 @@ def baseline_path(tmp_path):
     cfg = BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, kernel=2,
                          num_filters=2, hidden_dim=3)
     model = build_baseline(cfg, init_random(10, 4, np.random.default_rng(0)), 0)
-    tokens = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
-    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
     path = tmp_path / "baseline.mcm"
-    save_checkpoint(make_checkpoint(model, vocab, CLASSES), path)
+    save_checkpoint(make_checkpoint(model, SMALL_VOCAB, CLASSES), path)
     return path
 
 

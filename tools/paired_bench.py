@@ -25,7 +25,8 @@ ones, summed over its runs.
 The script only calls each checkout's ``perfbench/run.py``; it writes
 nothing. It exits 1 when a run fails or reports ``correct: false``, when
 some metric is ``worse``, or when the change fails a larger share of its
-operations than the base on some workload.
+operations than the base on some workload. It exits 2, before any run, when
+``--change`` holds no ``BENCHMARK.json``.
 """
 from __future__ import annotations
 
@@ -40,11 +41,15 @@ import numpy as np
 
 
 def parse_seeds(text: str) -> list:
-    """'41-50' or '41,43,45' (or a mix) as a list of ints."""
+    """'41-50' or '41,43,45' (or a mix) as a list of ints; a reversed
+    range such as '50-41' is refused."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"reversed seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
     return seeds
@@ -95,7 +100,11 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=10.0)
     args = p.parse_args(argv)
     sides = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
-    with open(os.path.join(sides["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+    spec = os.path.join(sides["change"], "BENCHMARK.json")
+    if not os.path.isfile(spec):
+        print(f"error: no {spec}; --change must name a checkout", file=sys.stderr)
+        return 2
+    with open(spec, encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
 
     runs = {"base": [], "change": []}

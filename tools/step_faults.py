@@ -19,7 +19,9 @@ then the same as one JSON object on the last line.
 
 ``--checkout`` names the tree whose ``src/`` and ``perfbench/`` are measured
 (default: the one holding this script), so two checkouts can be compared
-with the same script. BLAS runs on one thread, as in the benchmark.
+with the same script; a tree without ``src/mcm`` or ``perfbench/bench.py``
+is refused with one ``error:`` line and exit code 2. BLAS runs on one
+thread, as in the benchmark.
 """
 from __future__ import annotations
 
@@ -95,6 +97,12 @@ def measure(args) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    checkout = os.path.abspath(args.checkout)
+    for part in (os.path.join("src", "mcm", "__init__.py"), os.path.join("perfbench", "bench.py")):
+        if not os.path.isfile(os.path.join(checkout, part)):
+            print(f"error: no {part} under {checkout}; --checkout must name a full checkout",
+                  file=sys.stderr)
+            return 2
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads, as in perfbench/run.py
     result = measure(args)
     print(f"{args.workload} seed {args.seed}: medians over {args.steps} steps "
