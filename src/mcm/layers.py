@@ -15,8 +15,11 @@ The hot paths are fused ops with hand-written backward rules:
   for all timesteps is a single matmul before the time loop, each step
   activates its gates in place, and backpropagation through time is
   written out by hand, so a sequence records 2 tape nodes (with the
-  slice that is its last hidden state). ``lstm_step`` keeps the op-by-op
-  cell as the public single-step form and as its test oracle.
+  slice that is its last hidden state). It saves only the activated
+  gates, c and h for the backward, which recomputes tanh(c_t) and writes
+  each step's gate gradients over that step's gates. ``lstm_step`` keeps
+  the op-by-op cell as the public single-step form and as its test
+  oracle.
 * ``conv1d_batch``: the affine map and ReLU are one op; for k > 1 one
   more op builds the windows from k contiguous row slices, so its
   backward is k slice-adds.
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    Fresh,
     GatheredRows,
     ShapeError,
     Tensor,
@@ -294,10 +298,19 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
     b = ``p.b`` (4H,) in the gate order i, f, o, u. The input projection
     x @ W.T + b is computed for all timesteps in one matmul before the time
     loop; each step then costs one h @ U.T, activates its gates in place and
-    writes c, tanh(c) and h straight into their buffers. The backward fills one
-    dZ (l*n, 4H) of gate pre-activation gradients walking time in reverse
-    and turns it into the gradients of the input and of the three stacks.
-    ``lstm_step`` computes the same cell op by op.
+    writes c and h straight into their buffers, using h_t's row as scratch
+    for f * c_prev and tanh(c_t).
+
+    The backward reads only what the forward saved: the activated gates
+    (l*n, 4H), c and h (l*n, H). Walking time in reverse, it recomputes
+    tanh(c_t) (``np.tanh`` of the same values gives the same bits) and,
+    once the step's gate values and the state gradients have been read,
+    writes the step's gate pre-activation gradients dZ over its rows of the
+    gates buffer. That buffer then holds dZ (l*n, 4H), which gives the
+    gradients of the input and of the three stacks. Overwriting is safe
+    because the gates buffer belongs to this op alone and ``backward``
+    consumes its tape, so the rule runs at most once. ``lstm_step``
+    computes the same cell op by op.
 
     ``x`` is a dense (l*n, d) Tensor or ``GatheredRows``. Gathered rows are
     projected once per distinct row, x_r @ W.T + b, and the result spread
@@ -317,17 +330,15 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
     gates, source, input_grads = _affine(x, w, b)
     h_all = np.empty((l * n, hd))
     c_all = np.empty((l * n, hd))
-    tanh_c = np.empty((l * n, hd))
     # Step t of each buffer, and of each gate block, is entry t of its step
     # view: (n, width) rows, or one 1-D vector at n = 1, where an op costs
     # less numpy call overhead. The [..., a:b] gate slices serve both.
-    zs, hs, cs, tcs = (a.reshape((l, n, -1) if n > 1 else (l, -1))
-                       for a in (gates, h_all, c_all, tanh_c))
+    zs, hs, cs = (a.reshape((l, n, -1) if n > 1 else (l, -1)) for a in (gates, h_all, c_all))
     z_ifo, z_i, z_f, z_o, z_u = (zs[..., a:b] for a, b in ((0, 3 * hd), (0, hd), (hd, 2 * hd),
                                                             (2 * hd, 3 * hd), (3 * hd, 4 * hd)))
     ut = u.T
     for t in range(l):
-        z, c, tc, s = zs[t], cs[t], tcs[t], z_ifo[t]
+        z, c, h, s = zs[t], cs[t], hs[t], z_ifo[t]
         if t:
             z += hs[t - 1] @ ut
         # sigmoid_array on i, f, o and tanh on u, in place: 0.5 * t + 0.5
@@ -336,33 +347,38 @@ def lstm_sequence_batch(x, n: int, l: int, p: LstmParams):
         np.tanh(z, out=z)
         s *= 0.5
         s += 0.5
+        # h_t's row holds f * c_prev, then tanh(c), then o * tanh(c)
         np.multiply(z_i[t], z_u[t], out=c)
         if t:
-            c += np.multiply(z_f[t], cs[t - 1], out=tc)  # tc as scratch
-        np.tanh(c, out=tc)
-        np.multiply(z_o[t], tc, out=hs[t])
+            c += np.multiply(z_f[t], cs[t - 1], out=h)
+        np.tanh(c, out=h)
+        h *= z_o[t]
 
     def grad_fn(g):
-        dz_all = np.empty_like(gates)
+        # Runs at most once (backward consumes its tape), so step t's dZ
+        # rows are written over its gate rows once nothing reads those.
         dh_rec = np.zeros((n, hd))   # dL/dh_t through step t+1
         dc_next = np.zeros((n, hd))  # dL/dc_t through step t+1
         for t in reversed(range(l)):
             rows = slice(t * n, (t + 1) * n)
-            gi, gf, go, gu = (gates[rows, j * hd:(j + 1) * hd] for j in range(4))
-            tc = tanh_c[rows]
+            dz = gates[rows]
+            gi, gf, go, gu = (dz[:, j * hd:(j + 1) * hd] for j in range(4))
+            tc = np.tanh(c_all[rows])
             dh = g[rows] + dh_rec
             dc = dh * go * (1.0 - tc * tc) + dc_next
-            dz = dz_all[rows]
-            dz[:, 0:hd] = dc * gu * gi * (1.0 - gi)
-            dz[:, hd:2 * hd] = (dc * c_all[t * n - n:t * n] * gf * (1.0 - gf)) if t else 0.0
-            dz[:, 2 * hd:3 * hd] = dh * tc * go * (1.0 - go)
-            dz[:, 3 * hd:] = dc * gi * (1.0 - gu * gu)
+            blocks = (dc * gu * gi * (1.0 - gi),
+                      (dc * c_all[t * n - n:t * n] * gf * (1.0 - gf)) if t else 0.0,
+                      dh * tc * go * (1.0 - go),
+                      dc * gi * (1.0 - gu * gu))
             if t:  # nothing reads the state gradients before step 0
                 dc_next = dc * gf
+            for j, block in enumerate(blocks):
+                dz[:, j * hd:(j + 1) * hd] = block
+            if t:
                 dh_rec = dz @ u
-        dw, dx = input_grads(dz_all)
-        du = dz_all[n:].T @ h_all[:-n]
-        return dx, dw, du, dz_all.sum(axis=0)
+        dw, dx = input_grads(gates)
+        du = gates[n:].T @ h_all[:-n]
+        return dx, Fresh(dw), Fresh(du), Fresh(gates.sum(axis=0))
 
     h_seq = apply_op(h_all, (source, p.w, p.u, p.b), grad_fn)
     return h_seq, slice_rows(h_seq, (l - 1) * n, l * n)
@@ -397,7 +413,7 @@ def dense(x: Tensor, p: DenseParams) -> Tensor:
     def grad_fn(g):
         g2 = g.reshape(-1, w.shape[0])
         return (g @ w if x.requires_grad else None,
-                g2.T @ xd.reshape(-1, w.shape[1]), g2.sum(axis=0))
+                Fresh(g2.T @ xd.reshape(-1, w.shape[1])), Fresh(g2.sum(axis=0)))
 
     return apply_op(z, (x, p.weights, p.bias), grad_fn)
 

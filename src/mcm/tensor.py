@@ -130,9 +130,9 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], grad_fn: Callable) 
     """Create an op output and register its gradient rule on the active tape.
 
     ``grad_fn(g)`` receives the output gradient and returns one gradient
-    array (or None, or a ``RowGrad`` for a rank-2 input) per input, in
-    order. This is the extension point used by layers with fused backward
-    rules (batchnorm, dropout, cross-entropy).
+    array (or None, or a ``RowGrad`` for a rank-2 input, or a ``Fresh``)
+    per input, in order. This is the extension point used by layers with
+    fused backward rules (batchnorm, dropout, cross-entropy).
     """
     inputs = tuple(inputs)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
@@ -149,9 +149,17 @@ class RowGrad(NamedTuple):
     values: np.ndarray  # (len(rows), d)
 
 
+class Fresh(NamedTuple):
+    """A gradient array that its grad_fn built itself and keeps no reference
+    to, handed over whole: the input's first dense write may adopt it as its
+    gradient instead of copying it."""
+
+    array: np.ndarray
+
+
 def _accumulate(t: Tensor, g) -> None:
-    """Add one gradient contribution ``g`` (an array or a ``RowGrad``) into
-    ``t``'s gradient.
+    """Add one gradient contribution ``g`` (an array, a ``Fresh`` array or a
+    ``RowGrad``) into ``t``'s gradient.
 
     While only ``RowGrad``s arrive, the gradient stays one ``RowGrad`` over
     the union of their rows, and each row's value is ``0.0 +`` each
@@ -165,9 +173,14 @@ def _accumulate(t: Tensor, g) -> None:
     inputs (``add`` returns ``(g, g)``) or return a view of its output's
     gradient, and later writes add into the gradient in place. The copy
     takes the layout of ``t.data``, not of ``g`` (a transposed view is
-    F-ordered).
+    F-ordered). A ``Fresh`` array that already has that layout (the shape
+    of ``t.data``, both C-contiguous) is adopted instead: nothing else holds
+    it, so nothing else writes into it.
     """
     cur = t._grad
+    fresh = isinstance(g, Fresh)
+    if fresh:
+        g = g.array
     if isinstance(g, RowGrad):
         if cur is None:
             t._grad = RowGrad(g.rows, 0.0 + g.values)
@@ -180,8 +193,12 @@ def _accumulate(t: Tensor, g) -> None:
         else:
             cur[g.rows] += g.values
     elif cur is None:
-        t._grad = np.empty_like(t.data)
-        t._grad[...] = g
+        d = t.data
+        if fresh and g.shape == d.shape and g.flags.c_contiguous and d.flags.c_contiguous:
+            t._grad = g
+        else:
+            t._grad = np.empty_like(d)
+            t._grad[...] = g
     else:
         if isinstance(cur, RowGrad):
             cur = t._grad = t.grad
@@ -530,7 +547,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def grad_fn(g):
         z = np.zeros(shape, dtype=np.float64)
         z[start:stop] = g
-        return (z,)
+        return (Fresh(z),)
 
     return apply_op(a.data[start:stop], (a,), grad_fn)
 

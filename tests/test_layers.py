@@ -15,6 +15,7 @@ from mcm.layers import (
     Conv1dParams,
     DenseParams,
     LstmParams,
+    _affine,
     batchnorm,
     conv1d,
     conv1d_batch,
@@ -30,7 +31,7 @@ from mcm.layers import (
 from mcm.tensor import Tape, Tensor, backward
 
 from . import helpers
-from .helpers import away_from_zero, gradcheck, max_rel_err
+from .helpers import away_from_zero, gradcheck, max_rel_err, traced_memory
 
 
 def conv_oracle(x, weights, bias):
@@ -118,6 +119,50 @@ def lstm_run(seq_fn, x, n, l, p, seed=0):
     backward(total, tape)
     grads = [None if t.grad is None else t.grad.copy() for t in params]
     return h_all.data.copy(), h_last.data.copy(), grads
+
+
+def stored_tanh_lstm(x, n, l, p, g):
+    """The fused LSTM as it was written with a stored tanh(c) buffer and a
+    separate dZ buffer: (H, dx, dW, dU, db) for the output gradient g, where
+    dx is what the input projection gives (an array, a RowGrad or None)."""
+    hd, u = p.hidden_dim, p.u.data
+    gates, _, input_grads = _affine(x, p.w.data, p.b.data)
+    h_all, c_all, tanh_c = (np.empty((l * n, hd)) for _ in range(3))
+    zs, hs, cs, tcs = (a.reshape((l, n, -1) if n > 1 else (l, -1))
+                       for a in (gates, h_all, c_all, tanh_c))
+    for t in range(l):
+        z = zs[t]
+        if t:
+            z += hs[t - 1] @ u.T
+        s = z[..., :3 * hd]
+        s *= 0.5
+        np.tanh(z, out=z)
+        s *= 0.5
+        s += 0.5
+        zi, zf, zo, zu = (z[..., j * hd:(j + 1) * hd] for j in range(4))
+        np.multiply(zi, zu, out=cs[t])
+        if t:
+            cs[t] += np.multiply(zf, cs[t - 1], out=tcs[t])
+        np.tanh(cs[t], out=tcs[t])
+        np.multiply(zo, tcs[t], out=hs[t])
+    dz_all = np.empty_like(gates)
+    dh_rec, dc_next = np.zeros((n, hd)), np.zeros((n, hd))
+    for t in reversed(range(l)):
+        rows = slice(t * n, (t + 1) * n)
+        gi, gf, go, gu = (gates[rows, j * hd:(j + 1) * hd] for j in range(4))
+        tc = tanh_c[rows]
+        dh = g[rows] + dh_rec
+        dc = dh * go * (1.0 - tc * tc) + dc_next
+        dz = dz_all[rows]
+        dz[:, 0:hd] = dc * gu * gi * (1.0 - gi)
+        dz[:, hd:2 * hd] = (dc * c_all[t * n - n:t * n] * gf * (1.0 - gf)) if t else 0.0
+        dz[:, 2 * hd:3 * hd] = dh * tc * go * (1.0 - go)
+        dz[:, 3 * hd:] = dc * gi * (1.0 - gu * gu)
+        if t:
+            dc_next = dc * gf
+            dh_rec = dz @ u
+    dw, dx = input_grads(dz_all)
+    return h_all, dx, dw, dz_all[n:].T @ h_all[:-n], dz_all.sum(axis=0)
 
 
 def zero_lstm(input_dim, hidden_dim):
@@ -335,6 +380,60 @@ class TestFusedLstm:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         for left, right in zip(a[2], b[2]):
             assert np.array_equal(left, right)
+
+    @pytest.mark.parametrize("kind", ["dense", "dense-no-grad", "gathered", "gathered-frozen"])
+    @pytest.mark.parametrize("n,l", [(n, l) for n in (1, 3) for l in (1, 2, 5)])
+    def test_matches_stored_tanh_reference_bitwise(self, n, l, kind):
+        rng = np.random.default_rng(70 + 10 * n + l)
+        d = 4
+        p = LstmParams.init(d, 3, rng)
+        p.b.data[...] = rng.normal(size=p.b.shape)
+        grad = not kind.endswith(("no-grad", "frozen"))
+        if kind.startswith("gathered"):
+            source = Tensor(rng.normal(size=(6, d)), requires_grad=grad)
+            x = T.GatheredRows(source, rng.integers(0, 6, size=l * n), skip_row=0)
+        else:
+            x = source = Tensor(rng.normal(size=(l * n, d)), requires_grad=grad)
+        with Tape() as tape:
+            h_seq, h_last = lstm_sequence_batch(x, n, l, p)
+            total = T.add(helpers.weighted_sum(h_seq, rng.normal(size=h_seq.shape)),
+                          helpers.weighted_sum(h_last, rng.normal(size=h_last.shape)))
+        backward(total, tape)
+        h_all, dx, dw, du, db = stored_tanh_lstm(x, n, l, p, h_seq.grad)
+        assert h_seq.data.tobytes() == h_all.tobytes()
+        for t, want in zip((p.w, p.u, p.b), (dw, du, db)):
+            assert t.grad.tobytes() == want.tobytes()
+        if not grad:
+            assert source.grad is None and dx is None
+        elif kind == "dense":
+            assert source.grad.tobytes() == dx.tobytes()
+        else:
+            assert np.array_equal(source.row_grad.rows, dx.rows)
+            assert source.row_grad.values.tobytes() == (0.0 + dx.values).tobytes()
+        with pytest.raises(ValueError, match="tape already differentiated"):
+            backward(total, tape)
+
+    def test_holds_gates_c_and_h_and_backprops_in_less_than_one_gates_buffer(self):
+        # (l*n, 4H) dominates: the gates buffer is 4 of the (l*n, H) arrays
+        n, l, d, hd = 256, 12, 32, 64
+        rng = np.random.default_rng(72)
+        p = LstmParams.init(d, hd, rng)
+        x = Tensor(rng.normal(size=(l * n, d)), requires_grad=True)
+        r = rng.normal(size=(l * n, hd))
+        state = 8 * l * n * hd  # bytes of one (l*n, H) array
+        tape = Tape()
+
+        def forward():
+            with tape:
+                return lstm_sequence_batch(x, n, l, p)[0]
+
+        h_seq, held, _ = traced_memory(forward)
+        assert held <= 4 * state + 2 * state + state // 8  # gates, h_all, c_all
+        with tape:
+            total = helpers.weighted_sum(h_seq, r)
+        _, _, peak = traced_memory(lambda: backward(total, tape))
+        assert peak < 4 * state
+        assert p.w.grad is not None and x.grad is not None
 
     def test_records_two_tape_nodes(self):
         rng = np.random.default_rng(53)

@@ -267,7 +267,7 @@ class TestRowSparseGrad:
     @staticmethod
     def hand_grads(m, grads):
         """Backward of a graph that hands ``m`` each of ``grads`` (dense
-        arrays or RowGrads) in list order."""
+        arrays, ``Fresh`` arrays or RowGrads) in list order."""
         with Tape() as tape:
             parts = [T.apply_op(np.zeros(()), (m,), lambda g, gi=gi: (gi,))
                      for gi in reversed(grads)]
@@ -337,6 +337,36 @@ class TestRowSparseGrad:
         assert m.grad is not None
         m.zero_grad()
         assert m.grad is None and m.row_grad is None
+
+
+class TestFreshGrad:
+    """A ``Fresh`` gradient array becomes the input's gradient itself when
+    its layout is ``t.data``'s; any other is copied as a plain array is."""
+
+    hand_grads = staticmethod(TestRowSparseGrad.hand_grads)
+
+    def test_first_write_adopts_the_array_and_later_writes_add_into_it(self):
+        m = Tensor(np.ones((3, 4)), requires_grad=True)
+        first = np.arange(12.0).reshape(3, 4)
+        self.hand_grads(m, [T.Fresh(first)])
+        assert m.grad is first
+        m.zero_grad()
+        second = np.full((3, 4), 0.5)
+        self.hand_grads(m, [T.Fresh(first), second])
+        assert m.grad is first and np.array_equal(first, np.arange(12.0).reshape(3, 4) + 0.5)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "broadcast", "later"])
+    def test_a_mismatched_or_later_array_is_copied(self, layout):
+        m = Tensor(np.ones((3, 4)), requires_grad=True)
+        want = np.arange(12.0).reshape(3, 4)
+        g = {"fortran": np.asfortranarray(want), "strided": np.repeat(want, 2, axis=1)[:, ::2],
+             "broadcast": np.zeros((1, 4)), "later": want.copy()}[layout]
+        before = g.copy()
+        grads = [np.zeros((3, 4)), T.Fresh(g)] if layout == "later" else [T.Fresh(g)]
+        self.hand_grads(m, grads)
+        assert m.grad is not g and m.grad.flags.c_contiguous
+        assert np.array_equal(m.grad, np.broadcast_to(g, (3, 4)))
+        assert np.array_equal(g, before)
 
 
 class TestGatheredRows:

@@ -15,7 +15,11 @@ training batches in a seeded order. Each step has three phases:
 Around each phase it reads ``resource.getrusage(RUSAGE_SELF).ru_minflt``
 and the clock, in this process only. After ``--warmup`` steps it prints the
 median of each phase over the next ``--steps`` steps, one line per phase,
-then the same as one JSON object on the last line.
+then the process's peak resident set (``ru_maxrss``, in MiB) after the
+measured steps, then all of it as one JSON object (the peak as
+``peak_rss_mb``) on the last line. That peak covers the whole process, so
+it includes the set-up: the inputs, the vocabulary, the embedding table
+and the model.
 
 ``--checkout`` names the tree whose ``src/`` and ``perfbench/`` are measured
 (default: the one holding this script), so two checkouts can be compared
@@ -105,13 +109,16 @@ def main(argv=None) -> int:
             return 2
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads, as in perfbench/run.py
     result = measure(args)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"{args.workload} seed {args.seed}: medians over {args.steps} steps "
           f"after {args.warmup} warm-up steps")
     for phase, (faults, ms) in result.items():
         print(f"  {phase:<10} {faults:8.0f} minor faults {ms:9.1f} ms")
+    print(f"  peak RSS of the process, set-up included: {peak_mb:.1f} MiB")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "steps": args.steps,
                       "phases": {phase: {"minflt": faults, "ms": ms}
-                                 for phase, (faults, ms) in result.items()}}))
+                                 for phase, (faults, ms) in result.items()},
+                      "peak_rss_mb": round(peak_mb, 1)}))
     return 0
 
 
