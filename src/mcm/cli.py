@@ -84,11 +84,16 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in _OPTIONS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        kind = _OPTIONS[key][1]
+        field, kind = _OPTIONS[key]
         try:
-            values[key] = (_parse_bool if kind is bool else kind)(raw.strip())
+            value = (_parse_bool if kind is bool else kind)(raw.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
+        choices = CHOICES.get(field)
+        if choices and value not in choices:
+            raise ValueError(f"{path}:{line_no}: {key}: invalid choice {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        values[key] = value
     return values
 
 

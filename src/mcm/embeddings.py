@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PAD_ID, UNK_ID
-from .tensor import GatheredRows, Tensor, gather_rows
+from .tensor import GatheredRows, Tensor
 
 
 @dataclass
@@ -55,26 +55,20 @@ def init_random(vocab_size: int, dim: int, rng: np.random.Generator,
     return EmbeddingTable(vocab_size, dim, Tensor(vecs, requires_grad=trainable), trainable)
 
 
-def _checked_ids(table: EmbeddingTable, ids) -> np.ndarray:
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.vocab_size):
-        raise ValueError(f"token id out of range for vocab of {table.vocab_size}")
-    return idx
-
-
 def lookup(table: EmbeddingTable, ids) -> Tensor:
     """Gather rows for a flat id sequence: (l,) -> (l, dim).
 
     The gradient scatter-adds back to the looked-up rows only; the pad row
-    is excluded so it stays zero for the lifetime of the table.
+    is excluded so it stays zero for the lifetime of the table. It is
+    ``lookup_distinct(table, ids).dense()``.
     """
-    return gather_rows(table.vectors, _checked_ids(table, ids), skip_row=PAD_ID)
+    return lookup_distinct(table, ids).dense()
 
 
 def lookup_distinct(table: EmbeddingTable, ids) -> GatheredRows:
     """``lookup`` held as the distinct ids, for layers that project the
     embedded rows (see ``GatheredRows``); the pad row gets no gradient."""
-    return GatheredRows(table.vectors, _checked_ids(table, ids), skip_row=PAD_ID)
+    return GatheredRows(table.vectors, ids, skip_row=PAD_ID)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,16 @@ The tests check each against its per-op composition. The attention
 forward makes the composition's floating-point operations in the same
 order, so its output is bitwise the composition's.
 
-The LSTM and the convolution with k = 1 also take their input as
-``GatheredRows``: embedded token rows held as the distinct ids. Their
-input projection then runs once per distinct id and is spread over the
-token slots, and the backward sums the slots' gradients per distinct id
-before the weight and table gradient matmuls, so those three matmuls cost
-in distinct ids, not in slots. ``_affine`` computes the projection and its
-gradients for either input kind.
+The LSTM and the convolution also take their input as ``GatheredRows``:
+embedded token rows held as the distinct ids. With the LSTM and the
+convolution with k = 1, the input projection then runs once per distinct
+id and is spread over the token slots, and the backward sums the slots'
+gradients per distinct id before the weight and table gradient matmuls,
+so those three matmuls cost in distinct ids, not in slots. ``_affine``
+computes the projection and its gradients for either input kind. The
+convolution with k > 1 takes the rows' ``dense()``, the one dense gather
+(``gather_rows`` and ``embeddings.lookup`` are the same op), whose
+backward sums the slots' gradients per distinct id in the same way.
 """
 from __future__ import annotations
 
@@ -200,12 +203,13 @@ def _affine(x, w: np.ndarray, b: np.ndarray):
 
     Returns z, the tensor the op reads (``x``, or the table the rows are
     gathered from), and ``input_grads(dz)``, which gives (dW, the gradient
-    of that tensor) from dz = dL/dz.
+    of that tensor) from dz = dL/dz. That gradient is a ``Fresh`` array for
+    a dense ``x``, a ``RowGrad`` for gathered rows, or None.
     """
     if isinstance(x, GatheredRows):
         return x.project(w, b), x.table, lambda dz: x.project_grads(dz, w)
     xd = x.data
-    return xd @ w.T + b, x, lambda dz: (dz.T @ xd, dz @ w if x.requires_grad else None)
+    return xd @ w.T + b, x, lambda dz: (dz.T @ xd, Fresh(dz @ w) if x.requires_grad else None)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +230,7 @@ def _conv_windows(x: Tensor, n: int, l: int, k: int) -> Tensor:
         dx = np.zeros_like(xd)
         for i in range(k):
             dx[i * n:(i + w) * n] += g[:, i * d:(i + 1) * d]
-        return (dx,)
+        return (Fresh(dx),)
 
     return apply_op(np.concatenate([xd[i * n:(i + w) * n] for i in range(k)], axis=1),
                     (x,), grad_fn)
@@ -254,7 +258,7 @@ def conv1d_batch(x, n: int, l: int, p: Conv1dParams) -> Tensor:
     def grad_fn(g):
         dz = g * mask
         dw, dx = input_grads(dz)
-        return dx, dw.T.reshape(k, d, f), dz.sum(axis=0)
+        return dx, dw.T.reshape(k, d, f), Fresh(dz.sum(axis=0))
 
     return apply_op(np.where(mask, z, 0.0), (source, p.weights, p.bias), grad_fn)
 
@@ -412,7 +416,7 @@ def dense(x: Tensor, p: DenseParams) -> Tensor:
 
     def grad_fn(g):
         g2 = g.reshape(-1, w.shape[0])
-        return (g @ w if x.requires_grad else None,
+        return (Fresh(g @ w) if x.requires_grad else None,
                 Fresh(g2.T @ xd.reshape(-1, w.shape[1])), Fresh(g2.sum(axis=0)))
 
     return apply_op(z, (x, p.weights, p.bias), grad_fn)
@@ -447,13 +451,14 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str) -> Tensor:
             dxhat = g * gd
             dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
                                   - xhat * (dxhat * xhat).sum(axis=0))
-            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+            return Fresh(dx), Fresh((g * xhat).sum(axis=0)), Fresh(g.sum(axis=0))
     else:
         inv_std = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
         xhat = (xd - p.running_mean) * inv_std
 
         def grad_fn(g):
-            return g * gd * inv_std, (g * xhat).sum(axis=0), g.sum(axis=0)
+            return (Fresh(g * gd * inv_std), Fresh((g * xhat).sum(axis=0)),
+                    Fresh(g.sum(axis=0)))
 
     return apply_op(gd * xhat + beta.data, (x, gamma, beta), grad_fn)
 
@@ -469,7 +474,7 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator | None =
     if rng is None:
         raise ValueError("train-mode dropout needs a generator")
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return apply_op(x.data * keep, (x,), lambda g: (g * keep,))
+    return apply_op(x.data * keep, (x,), lambda g: (Fresh(g * keep),))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +507,9 @@ def soft_attention_batch(h: Tensor, n: int, l: int, p: AttentionParams) -> Tenso
         dot = (d_alpha * alpha).sum(axis=1, keepdims=True)
         ds = (alpha * (d_alpha - dot)).T.reshape(l * n)
         d_pre = ds * (1.0 - s * s)                       # through tanh
-        return g * weights + np.outer(d_pre, w), hd.T @ d_pre, d_pre.sum()
+        # d_pre.sum() is a numpy scalar; the gradient of score_b is a 0-d array
+        return (Fresh(g * weights + np.outer(d_pre, w)), Fresh(hd.T @ d_pre),
+                Fresh(np.asarray(d_pre.sum())))
 
     return apply_op(out, (h, p.score_w, p.score_b), grad_fn)
 
@@ -545,7 +552,7 @@ def softmax_ce(logits: Tensor, target):
     def grad_fn(g):
         d = probs.copy()
         d[np.arange(n), t] -= 1.0
-        return (g * d / n,)
+        return (Fresh(g * d / n),)
 
     loss = apply_op(np.asarray(-logp[np.arange(n), t].mean()), (logits,), grad_fn)
     return Tensor(probs), loss

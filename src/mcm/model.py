@@ -295,7 +295,7 @@ def _pool_time(flat: Tensor, n: int, steps: int, width: int) -> Tensor:
         d_max = np.zeros(cube.shape)
         np.put_along_axis(d_max, np.argmax(cube, axis=0)[None], g[None, :, :width], axis=0)
         d += d_max  # a whole-array add, as the composition accumulated: -0.0 + 0.0 is 0.0
-        return (d.reshape(flat.data.shape),)
+        return (T.Fresh(d.reshape(flat.data.shape)),)
 
     return T.apply_op(np.concatenate([cube.max(axis=0), cube.mean(axis=0)], axis=1),
                       (flat,), grad_fn)

@@ -11,6 +11,13 @@ gradients are freed during the backward, not when the tape goes. Every
 leaf keeps its ``grad``; an intermediate tensor keeps its gradient only
 while the caller holds that tensor.
 
+Rows of a rank-2 tensor are gathered one way, as ``GatheredRows``: the
+distinct rows once, and the slot each index fills. ``gather_rows`` is
+its ``dense()``; layers with an affine first step project the distinct
+rows instead. Either way the table's gradient is one ``RowGrad`` over
+the distinct rows, from the slots' gradients summed per row in slot
+order (for ``dense()``, bitwise a dense scatter-add into zeros).
+
 Design constraints, deliberately strict:
 
 * everything is float64,
@@ -293,7 +300,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return apply_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return apply_op(np.where(mask, a.data, 0.0), (a,), lambda g: (Fresh(g * mask),))
 
 
 _ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul}
@@ -448,41 +455,23 @@ def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
 
     Rows equal to ``skip_row`` still gather normally but are excluded from
     the scattered gradient (used to keep the padding embedding frozen).
-
-    The gradient is a ``RowGrad`` over the distinct gathered rows: each
-    row's sum is built with ``np.add.at`` in index order from 0.0, the same
-    additions a dense ``(rows, d)`` scatter makes, so it is bitwise equal
-    to it, without writing every row of a large table. ``m`` keeps it
-    row-sparse (``m.row_grad``) until a dense write arrives; ``m.grad``
-    reads it as the dense array.
+    It is ``GatheredRows(m, indices, skip_row).dense()``.
     """
-    idx = _row_indices(m, indices)
-
-    def grad_fn(g):
-        if not m.requires_grad:
-            return (None,)
-        if skip_row is None:
-            kept, gk = idx, g
-        else:
-            keep = idx != skip_row
-            kept, gk = idx[keep], g[keep]
-        rows, where = np.unique(kept, return_inverse=True)
-        values = np.zeros((rows.size, g.shape[1]))
-        np.add.at(values, where, gk)
-        return (RowGrad(rows, values),)
-
-    return apply_op(m.data[idx], (m,), grad_fn)
+    return GatheredRows(m, indices, skip_row).dense()
 
 
 class GatheredRows:
-    """The rows ``m[indices]`` of a rank-2 tensor, held as its distinct rows.
+    """The rows ``m[indices]`` of a rank-2 tensor, held as its distinct rows:
+    the one row gather.
 
-    It stands for the dense ``gather_rows(m, indices, skip_row)`` where a
-    layer's first step is an affine map: ``project`` applies the map once
-    per distinct row and spreads the results over the slots, and
-    ``project_grads`` turns the slots' gradients into the weight gradient
-    and a ``RowGrad`` for ``m``. Both then cost in distinct rows instead of
-    slots. Slots of ``skip_row`` gather normally but send ``m`` no gradient.
+    ``dense`` puts the rows on the tape as one (slots, d) tensor. Where a
+    layer's first step is an affine map, ``project`` applies it once per
+    distinct row and spreads the results over the slots, and
+    ``project_grads`` gives the weight gradient. The gradient of ``m`` is a
+    ``RowGrad`` of the slots' gradients summed per distinct row (for
+    ``dense``, bitwise a scatter-add into zeros), which ``m`` keeps
+    row-sparse until a dense write arrives. Slots of ``skip_row`` gather
+    normally but send ``m`` no gradient.
     """
 
     __slots__ = ("table", "indices", "skip_row", "rows", "inverse", "order", "bounds", "values")
@@ -503,7 +492,8 @@ class GatheredRows:
 
     def dense(self) -> Tensor:
         """The gathered rows as one (slots, d) tensor on the tape."""
-        return gather_rows(self.table, self.indices, self.skip_row)
+        return apply_op(self.values[self.inverse], (self.table,),
+                        lambda g: (self._table_grad(self.segment_sum(g)),))
 
     def project(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``m[indices] @ w.T + b`` for w (out, d) and b (out,)."""
@@ -522,18 +512,18 @@ class GatheredRows:
             g[self.order[lo:hi]].sum(axis=0, out=out[k])
         return out
 
-    def project_grads(self, dz: np.ndarray, w: np.ndarray):
-        """(dW, gradient of ``m``) of ``z = project(w, b)`` from dz = dL/dz.
-
-        The gradient of ``m`` is a ``RowGrad`` over the distinct rows other
-        than ``skip_row``, or None when ``m`` takes no gradient.
-        """
-        s = self.segment_sum(dz)
-        dw = s.T @ self.values
+    def _table_grad(self, s: np.ndarray, w: Optional[np.ndarray] = None) -> Optional[RowGrad]:
+        """``m``'s gradient from ``s = segment_sum(g)`` (times ``w`` when given):
+        a ``RowGrad`` over the distinct rows but ``skip_row``, or None."""
         if not self.table.requires_grad:
-            return dw, None
+            return None
         keep = self.rows != self.skip_row
-        return dw, RowGrad(self.rows[keep], s[keep] @ w)
+        return RowGrad(self.rows[keep], s[keep] if w is None else s[keep] @ w)
+
+    def project_grads(self, dz: np.ndarray, w: np.ndarray):
+        """(dW, gradient of ``m``) of ``z = project(w, b)`` from dz = dL/dz."""
+        s = self.segment_sum(dz)
+        return s.T @ self.values, self._table_grad(s, w)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:

@@ -66,6 +66,23 @@ def test_a_value_that_does_not_parse_names_the_file_line_and_key(tmp_path, capsy
     assert capsys.readouterr().err.splitlines() == [f"error: {path}:2: {message}"]
 
 
+@pytest.mark.parametrize("key,choices", [
+    ("optimizer", "'adam', 'adadelta', 'sgd'"),
+    ("embedding", "'elmo_like', 'random', 'domain'"),
+    ("select_on", "'test', 'validation'"),
+])
+def test_a_config_value_outside_its_choices_names_the_file_line_and_key(
+        tmp_path, monkeypatch, capsys, key, choices):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.tsv").write_text("shukria bahut acha\tAppreciation\n"
+                                       "rishwat mangta hai\tCorruption\n", encoding="utf-8")
+    path = write_config(tmp_path, f"train = data.tsv\n{key} = foo\ntest = data.tsv\nout = run\n")
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}:2: {key}: invalid choice 'foo' (choose from {choices})"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"epochs=3\nlr=\xff\n")

@@ -124,7 +124,8 @@ def lstm_run(seq_fn, x, n, l, p, seed=0):
 def stored_tanh_lstm(x, n, l, p, g):
     """The fused LSTM as it was written with a stored tanh(c) buffer and a
     separate dZ buffer: (H, dx, dW, dU, db) for the output gradient g, where
-    dx is what the input projection gives (an array, a RowGrad or None)."""
+    dx is what the input projection gives (an array, a RowGrad or None;
+    a ``Fresh`` array is unwrapped)."""
     hd, u = p.hidden_dim, p.u.data
     gates, _, input_grads = _affine(x, p.w.data, p.b.data)
     h_all, c_all, tanh_c = (np.empty((l * n, hd)) for _ in range(3))
@@ -162,6 +163,8 @@ def stored_tanh_lstm(x, n, l, p, g):
             dc_next = dc * gf
             dh_rec = dz @ u
     dw, dx = input_grads(dz_all)
+    if isinstance(dx, T.Fresh):
+        dx = dx.array
     return h_all, dx, dw, dz_all[n:].T @ h_all[:-n], dz_all.sum(axis=0)
 
 

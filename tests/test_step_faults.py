@@ -1,5 +1,6 @@
-"""tools/step_faults.py: a two-step run prints every phase's medians and the
-process's peak RSS; bad arguments and incomplete checkouts are refused."""
+"""tools/step_faults.py: a two-step run prints every phase's medians, the
+MiB a backward copies and the process's peak RSS; bad arguments and
+incomplete checkouts are refused."""
 import json
 import os
 import subprocess
@@ -24,6 +25,9 @@ def test_two_steps_give_faults_and_times_of_each_phase():
     assert list(result["phases"]) == ["forward", "backward", "optimizer"]
     for phase in result["phases"].values():
         assert phase["minflt"] >= 0 and phase["ms"] > 0
+    assert result["copied_mib"] >= 0
+    assert lines[2].split() == ["backward", *lines[2].split()[1:6],
+                                f"{result['copied_mib']:.2f}", "MiB", "copied"]
     assert result["peak_rss_mb"] > 0
     assert lines[-2].strip() == f"peak RSS of the process, set-up included: " \
                                 f"{result['peak_rss_mb']:.1f} MiB"

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from mcm import tensor as T
+from mcm.embeddings import PAD_ID, EmbeddingTable, lookup
 from mcm.tensor import ShapeError, Tape, Tensor, backward
 
 from .helpers import away_from_zero, gradcheck, max_rel_err, traced_memory, weighted_sum
@@ -202,33 +203,76 @@ class TestStructureOps:
         assert np.all(p.data >= 0)
 
 
-class TestRowSparseGrad:
-    """gather_rows' row-sparse gradient against a dense np.add.at scatter."""
+def lookup_rows(m, indices, skip_row=PAD_ID):
+    """``lookup`` on a table whose vectors are ``m``; it skips PAD_ID only."""
+    assert skip_row == PAD_ID
+    return lookup(EmbeddingTable(*m.shape, m, m.requires_grad), indices)
 
-    @pytest.mark.parametrize("skip_row", [None, 0])
+
+def dense_rows(m, indices, skip_row=None):
+    return T.GatheredRows(m, indices, skip_row).dense()
+
+
+# The three ways to gather rows densely, which are one op; without a
+# skip_row argument, lookup skips PAD_ID and the others skip nothing.
+GATHERS = {"gather_rows": T.gather_rows, "lookup": lookup_rows, "dense": dense_rows}
+
+
+def gather_cases(skip_rows):
+    """(gather name, skip_row) pairs: lookup goes with PAD_ID alone."""
+    return [(name, skip) for name in GATHERS for skip in skip_rows
+            if name != "lookup" or skip == PAD_ID]
+
+
+class TestRowSparseGrad:
+    """The dense row gather's row-sparse gradient against a dense np.add.at
+    scatter into zeros, the rule it had before it became one op."""
+
+    @pytest.mark.parametrize("neg_zero", [False, True], ids=["plain", "neg-zero"])
+    @pytest.mark.parametrize("gather,skip_row", gather_cases([None, 0]))
     @pytest.mark.parametrize("indices", [[3, 0, 3, 5, 3, 0, 7], [0, 0, 0], [6], list(range(8))])
-    def test_equals_dense_scatter_bitwise(self, indices, skip_row):
+    def test_equals_dense_scatter_bitwise(self, indices, gather, skip_row, neg_zero):
         rng = np.random.default_rng(len(indices))
         m = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
         idx = np.asarray(indices)
         r = rng.normal(size=(idx.size, 4))
+        if neg_zero:  # every slot of the last id, and part of the first slot
+            r[idx == idx[-1]] = -0.0
+            r[0, :2] = -0.0
         with Tape() as tape:
-            s = weighted_sum(T.gather_rows(m, idx, skip_row=skip_row), r)
+            out = GATHERS[gather](m, idx, skip_row)
+            s = weighted_sum(out, r)
         backward(s, tape)
+        assert out.data.tobytes() == m.data[idx].tobytes()
         keep = idx != skip_row
         dense = np.zeros((9, 4))
         np.add.at(dense, idx[keep], r[keep])
         assert m.grad.tobytes() == dense.tobytes()
         assert m.grad.flags.c_contiguous
 
-    def test_two_gathers_accumulate_like_dense(self):
+    @pytest.mark.parametrize("gather", GATHERS)
+    def test_a_table_without_grad_gets_none(self, gather):
+        rng = np.random.default_rng(4)
+        m = Tensor(rng.normal(size=(6, 3)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        idx = [2, 0, 2, 5]
+        with Tape() as tape:
+            out = GATHERS[gather](m, idx)
+            s = T.reduce_sum(T.reduce_sum(T.mul(out, w), 1), 0)
+        backward(s, tape)
+        assert out.data.tobytes() == m.data[idx].tobytes()
+        assert m.grad is None and m.row_grad is None
+        assert w.grad.tobytes() == m.data[idx].tobytes()
+
+    @pytest.mark.parametrize("gather", GATHERS)
+    def test_two_gathers_accumulate_like_dense(self, gather):
         rng = np.random.default_rng(3)
         m = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         a, b = np.array([1, 4, 1]), np.array([4, 2])
         ra, rb = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
         with Tape() as tape:
-            s = T.add(weighted_sum(T.gather_rows(m, a), ra),
-                      weighted_sum(T.gather_rows(m, b), rb))
+            s = T.add(weighted_sum(GATHERS[gather](m, a), ra),
+                      weighted_sum(GATHERS[gather](m, b), rb))
         backward(s, tape)
         za, zb = np.zeros((6, 2)), np.zeros((6, 2))
         np.add.at(za, a, ra)
@@ -236,29 +280,32 @@ class TestRowSparseGrad:
         zb += za  # backward visits the later gather first
         assert m.grad.tobytes() == zb.tobytes()
 
+    @pytest.mark.parametrize("gather", GATHERS)
     @pytest.mark.parametrize("dense_first", [True, False])
-    def test_dense_and_row_sparse_writes_accumulate(self, dense_first):
+    def test_dense_and_row_sparse_writes_accumulate(self, dense_first, gather):
         m = Tensor(np.ones((5, 2)), requires_grad=True)
         with Tape() as tape:
             parts = [T.reduce_sum(T.reduce_sum(m, 1), 0),
-                     T.reduce_sum(T.reduce_sum(T.gather_rows(m, [2, 2]), 1), 0)]
+                     T.reduce_sum(T.reduce_sum(GATHERS[gather](m, [2, 2]), 1), 0)]
             s = T.add(*(parts if dense_first else parts[::-1]))
         backward(s, tape)
         assert np.array_equal(m.grad, [[1, 1], [1, 1], [3, 3], [1, 1], [1, 1]])
 
-    def test_only_skipped_rows_give_zero_grad(self):
+    @pytest.mark.parametrize("gather", GATHERS)
+    def test_only_skipped_rows_give_zero_grad(self, gather):
         m = Tensor(np.ones((4, 3)), requires_grad=True)
         with Tape() as tape:
-            s = weighted_sum(T.gather_rows(m, [0, 0], skip_row=0), np.ones((2, 3)))
+            s = weighted_sum(GATHERS[gather](m, [0, 0], 0), np.ones((2, 3)))
         backward(s, tape)
         assert np.array_equal(m.grad, np.zeros((4, 3)))
 
-    def test_zero_grad_starts_the_next_backward_afresh(self):
+    @pytest.mark.parametrize("gather", GATHERS)
+    def test_zero_grad_starts_the_next_backward_afresh(self, gather):
         m = Tensor(np.ones((4, 3)), requires_grad=True)
         for rows in ([1], [2]):
             m.zero_grad()
             with Tape() as tape:
-                s = weighted_sum(T.gather_rows(m, rows), np.ones((1, 3)))
+                s = weighted_sum(GATHERS[gather](m, rows), np.ones((1, 3)))
             backward(s, tape)
         expected = np.zeros((4, 3))
         expected[2] = 1.0
@@ -419,16 +466,19 @@ class TestGatheredRows:
         m.requires_grad = False
         assert T.GatheredRows(m, idx, skip_row).project_grads(dz, w)[1] is None
 
-    def test_checks_its_indices_as_gather_rows_does(self):
+    @pytest.mark.parametrize("gather", ["GatheredRows", *GATHERS])
+    def test_checks_its_indices_as_gather_rows_does(self, gather):
+        make = {"GatheredRows": T.GatheredRows, **GATHERS}[gather]
         m = Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="out of range"):
-            T.GatheredRows(m, [1, 4])
+            make(m, [1, 4])
         with pytest.raises(ValueError, match="out of range"):
-            T.GatheredRows(m, [-1])
+            make(m, [-1])
         with pytest.raises(ShapeError):
-            T.GatheredRows(m, [[1]])
-        with pytest.raises(ShapeError):
-            T.GatheredRows(Tensor(np.zeros(4)), [1])
+            make(m, [[1]])
+        if gather != "lookup":  # an EmbeddingTable's vectors are rank 2
+            with pytest.raises(ShapeError):
+                make(Tensor(np.zeros(4)), [1])
 
 
 class TestBackward:

@@ -13,13 +13,16 @@ training batches in a seeded order. Each step has three phases:
 * optimizer: ``Optimizer.step`` and ``zero_grad``.
 
 Around each phase it reads ``resource.getrusage(RUSAGE_SELF).ru_minflt``
-and the clock, in this process only. After ``--warmup`` steps it prints the
-median of each phase over the next ``--steps`` steps, one line per phase,
-then the process's peak resident set (``ru_maxrss``, in MiB) after the
-measured steps, then all of it as one JSON object (the peak as
-``peak_rss_mb``) on the last line. That peak covers the whole process, so
-it includes the set-up: the inputs, the vocabulary, the embedding table
-and the model.
+and the clock, in this process only. It also wraps ``mcm.tensor._accumulate``
+to count the bytes that first dense gradient writes copy in each backward:
+each write that ``_accumulate`` does not adopt as the gradient itself (see
+``tensor.Fresh``). After ``--warmup`` steps it prints the median of each
+phase over the next ``--steps`` steps, one line per phase (the backward's
+with the MiB copied), then the process's peak resident set (``ru_maxrss``,
+in MiB) after the measured steps, then all of it as one JSON object (the
+copies as ``copied_mib``, the peak as ``peak_rss_mb``) on the last line.
+That peak covers the whole process, so it includes the set-up: the
+inputs, the vocabulary, the embedding table and the model.
 
 ``--checkout`` names the tree whose ``src/`` and ``perfbench/`` are measured
 (default: the one holding this script), so two checkouts can be compared
@@ -54,12 +57,14 @@ def parse_args(argv=None):
     return args
 
 
-def measure(args) -> dict:
-    """{phase: (median minor faults, median ms)} over the measured steps."""
+def measure(args):
+    """({phase: (median minor faults, median ms)}, median MiB copied per
+    backward) over the measured steps."""
     checkout = os.path.abspath(args.checkout)
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import bench
     import numpy as np
+    from mcm import tensor
     from mcm.model import heads_loss
     from mcm.tensor import Tape, backward
     from mcm.trainer import Optimizer
@@ -79,7 +84,19 @@ def measure(args) -> dict:
     def now():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
 
+    accumulate = tensor._accumulate
+    copied = [0]  # bytes copied by first dense writes since the last reset
+
+    def counting_accumulate(t, g):
+        array = g.array if isinstance(g, tensor.Fresh) else g
+        first_dense = t._grad is None and not isinstance(array, tensor.RowGrad)
+        accumulate(t, g)
+        if first_dense and t._grad is not array:
+            copied[0] += t._grad.nbytes
+
+    tensor._accumulate = counting_accumulate
     samples = {phase: [] for phase in PHASES}
+    copied_mib = []
     for step in range(args.warmup + args.steps):
         batch = batches[step % len(batches)]
         marks = [now()]
@@ -87,16 +104,20 @@ def measure(args) -> dict:
             logits = s.model.head_logits(s.train.sequences[batch], "train", rng)
             total = heads_loss(logits, s.train.labels[batch])
         marks.append(now())
+        copied[0] = 0
         backward(total, tape)
         marks.append(now())
         opt.step()
         opt.zero_grad()
         marks.append(now())
         if step >= args.warmup:
+            copied_mib.append(copied[0] / 2**20)
             for phase, (f0, t0), (f1, t1) in zip(PHASES, marks, marks[1:]):
                 samples[phase].append((f1 - f0, (t1 - t0) * 1e3))
-    return {phase: (statistics.median(f for f, _ in rows), statistics.median(ms for _, ms in rows))
-            for phase, rows in samples.items()}
+    medians = {phase: (statistics.median(f for f, _ in rows),
+                       statistics.median(ms for _, ms in rows))
+               for phase, rows in samples.items()}
+    return medians, statistics.median(copied_mib)
 
 
 def main(argv=None) -> int:
@@ -108,17 +129,18 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads, as in perfbench/run.py
-    result = measure(args)
+    result, copied_mib = measure(args)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"{args.workload} seed {args.seed}: medians over {args.steps} steps "
           f"after {args.warmup} warm-up steps")
     for phase, (faults, ms) in result.items():
-        print(f"  {phase:<10} {faults:8.0f} minor faults {ms:9.1f} ms")
+        copies = f" {copied_mib:6.2f} MiB copied" if phase == "backward" else ""
+        print(f"  {phase:<10} {faults:8.0f} minor faults {ms:9.1f} ms{copies}")
     print(f"  peak RSS of the process, set-up included: {peak_mb:.1f} MiB")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "steps": args.steps,
                       "phases": {phase: {"minflt": faults, "ms": ms}
                                  for phase, (faults, ms) in result.items()},
-                      "peak_rss_mb": round(peak_mb, 1)}))
+                      "copied_mib": round(copied_mib, 2), "peak_rss_mb": round(peak_mb, 1)}))
     return 0
 
 
