@@ -14,20 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PAD_ID, UNK_ID
+from .layers import Params
 from .tensor import GatheredRows, Tensor
 
 
 @dataclass
-class EmbeddingTable:
-    """Token-id -> vector table. Row 0 is padding: all-zero and never updated."""
+class EmbeddingTable(Params):
+    """Token-id -> vector table: ``vectors`` is (vocab_size, dim). Row 0 is
+    padding: all-zero and never updated. The table trains when
+    ``vectors.requires_grad`` is set; a checkpoint stores that as
+    ``embedding_trainable``."""
 
-    vocab_size: int
-    dim: int
-    vectors: Tensor  # (vocab_size, dim)
-    trainable: bool = True
-
-    def tensors(self):
-        return [("vectors", self.vectors)]
+    vectors: Tensor
 
 
 @dataclass
@@ -52,7 +50,7 @@ def init_random(vocab_size: int, dim: int, rng: np.random.Generator,
         raise ValueError("vocab_size must be >= 2 (pad and unk are reserved)")
     vecs = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
     vecs[PAD_ID] = 0.0
-    return EmbeddingTable(vocab_size, dim, Tensor(vecs, requires_grad=trainable), trainable)
+    return EmbeddingTable(Tensor(vecs, requires_grad=trainable))
 
 
 def lookup(table: EmbeddingTable, ids) -> Tensor:
@@ -112,7 +110,7 @@ def char_compose_table(tokens: list[str], dim: int, rng: np.random.Generator,
     vecs[UNK_ID] = rng.uniform(-0.05, 0.05, size=dim)
     for i, tok in enumerate(tokens[2:], start=2):
         vecs[i] = char_compose(tok, dim)
-    return EmbeddingTable(len(tokens), dim, Tensor(vecs, requires_grad=trainable), trainable)
+    return EmbeddingTable(Tensor(vecs, requires_grad=trainable))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ backward sums the slots' gradients per distinct id in the same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,13 +73,45 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out:
 # parameter containers
 
 
+class Params:
+    """A parameter group is its dataclass fields, named in field order: a
+    ``Tensor`` field is a tensor, an ndarray field is a buffer, a ``Params``
+    field nests its own under its field name ("head_cnn.bn1.gamma"), and
+    any other field (a size, a rate, a config, an absent ``None`` part)
+    holds none."""
+
+    def _walk(self, method: str, kind: type, value=lambda v: v) -> list:
+        """(name, value) of each field of type ``kind``, and each entry of
+        ``method()`` of each nested group under its field name."""
+        out = []
+        for f in fields(self):
+            part = getattr(self, f.name)
+            if isinstance(part, Params):
+                out += [(f"{f.name}.{n}", v) for n, v in getattr(part, method)()]
+            elif isinstance(part, kind):
+                out.append((f.name, value(part)))
+        return out
+
+    def tensors(self) -> list:
+        return self._walk("tensors", Tensor)
+
+    def buffers(self) -> list:
+        return self._walk("buffers", np.ndarray)
+
+    def tensor_arrays(self) -> list:
+        """Each tensor's data, named as checkpoints store it."""
+        return self._walk("tensor_arrays", Tensor, lambda t: t.data)
+
+    def arrays(self) -> dict:
+        """Every stored array by name, not copied: each tensor's data
+        (``tensor_arrays``), then each buffer."""
+        return dict(self.tensor_arrays() + self.buffers())
+
+
 @dataclass
-class Conv1dParams:
+class Conv1dParams(Params):
     """One bank of F filters over windows of k word vectors of width d."""
 
-    kernel_size: int
-    in_dim: int
-    num_filters: int
     weights: Tensor  # (k, d, F)
     bias: Tensor     # (F,)
 
@@ -90,14 +122,11 @@ class Conv1dParams:
         w = glorot_uniform(rng, (kernel_size, in_dim, num_filters),
                            kernel_size * in_dim, num_filters)
         b = Tensor(np.zeros(num_filters), requires_grad=True)
-        return cls(kernel_size, in_dim, num_filters, w, b)
-
-    def tensors(self):
-        return [("weights", self.weights), ("bias", self.bias)]
+        return cls(w, b)
 
 
 @dataclass
-class LstmParams:
+class LstmParams(Params):
     """Gate and recurrent weights for one LSTM layer, stacked in the gate
     order i, f, o, u: ``w`` (4H, d), ``u`` (4H, H) and ``b`` (4H,). Row
     block j*H:(j+1)*H of each stack belongs to gate j (``w.data[H:2H]`` is
@@ -126,10 +155,7 @@ class LstmParams:
         b[hidden_dim:2 * hidden_dim] = 1.0  # forget bias +1 so early training retains memory
         return cls(input_dim, hidden_dim, w, u, Tensor(b, requires_grad=True))
 
-    def tensors(self):
-        return [("w", self.w), ("u", self.u), ("b", self.b)]
-
-    def arrays(self):
+    def tensor_arrays(self) -> list:
         """Each stack's gate row blocks, not copied, named as checkpoints
         store them: ``w_i`` .. ``w_u``, ``u_i`` .. ``u_u``, ``b_i`` .. ``b_u``."""
         hd = self.hidden_dim
@@ -138,7 +164,7 @@ class LstmParams:
 
 
 @dataclass
-class DenseParams:
+class DenseParams(Params):
     weights: Tensor  # (out, in)
     bias: Tensor     # (out,)
 
@@ -148,9 +174,6 @@ class DenseParams:
         b = Tensor(np.zeros(out_dim), requires_grad=True)
         return cls(w, b)
 
-    def tensors(self):
-        return [("weights", self.weights), ("bias", self.bias)]
-
 
 # Batch normalization's running-estimate momentum and variance epsilon.
 BN_MOMENTUM = 0.1
@@ -158,7 +181,7 @@ BN_EPSILON = 1e-5
 
 
 @dataclass
-class BatchNormParams:
+class BatchNormParams(Params):
     gamma: Tensor
     beta: Tensor
     running_mean: np.ndarray
@@ -170,15 +193,9 @@ class BatchNormParams:
                    Tensor(np.zeros(dim), requires_grad=True),
                    np.zeros(dim), np.ones(dim))
 
-    def tensors(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
 
 @dataclass
-class AttentionParams:
+class AttentionParams(Params):
     """Additive scoring vector + scalar bias for soft attention."""
 
     score_w: Tensor  # (dim,)
@@ -188,9 +205,6 @@ class AttentionParams:
     def init(cls, dim: int, rng: np.random.Generator):
         return cls(glorot_uniform(rng, (dim,), dim, 1),
                    Tensor(np.zeros(()), requires_grad=True))
-
-    def tensors(self):
-        return [("score_w", self.score_w), ("score_b", self.score_b)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +258,7 @@ def conv1d_batch(x, n: int, l: int, p: Conv1dParams) -> Tensor:
     per distinct row, and with k > 1 they are gathered densely first. The
     affine map and ReLU are one op.
     """
-    k, d, f = p.kernel_size, p.in_dim, p.num_filters
+    k, d, f = p.weights.shape
     if x.shape != (l * n, d):
         raise ShapeError(f"conv1d: expected ({l * n}, {d}) input, got {x.shape}")
     if l < k:

@@ -14,10 +14,14 @@ dense, attention) and one of this module, ``_pool_time``: the max- and
 mean-pool over time, concatenated, as one tape node. With dropout on, a
 training step of McM records 55 tape nodes, 57 with attention; an
 infer-mode forward records 40 and 42.
+
+Both models and their parameter groups are ``layers.Params``, so their
+arrays are named from their fields in field order, as checkpoints store
+them. The embedding table trains when ``embedding.vectors.requires_grad``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +34,7 @@ from .layers import (
     Conv1dParams,
     DenseParams,
     LstmParams,
+    Params,
     batchnorm,
     conv1d_batch,
     dense,
@@ -82,20 +87,8 @@ class McmConfig:
             raise ValueError("dropout must lie in [0, 1)")
 
 
-def _prefixed(obj, method: str) -> list:
-    """("field.name", value) for each entry of ``method()`` of every field
-    of the dataclass ``obj``, in field order; a field without that method
-    (a config, a rate, an absent part) adds none."""
-    out = []
-    for f in fields(obj):
-        part = getattr(obj, f.name)
-        if hasattr(part, method):
-            out.extend((f"{f.name}.{n}", v) for n, v in getattr(part, method)())
-    return out
-
-
 @dataclass
-class LearnerHead:
+class LearnerHead(Params):
     """dense -> batchnorm -> relu -> dropout, twice, then a linear output.
 
     The post-ReLU activation of the second block is the feature handed to
@@ -121,45 +114,23 @@ class LearnerHead:
             dropout_rate,
         )
 
-    def tensors(self):
-        return _prefixed(self, "tensors")
 
-    def buffers(self):
-        return _prefixed(self, "buffers")
-
-
-class Model:
+class Model(Params):
     """What training, evaluation, checkpoints and serving use of a model.
 
     ``heads`` names its supervised outputs; the last one is the prediction.
     ``head_logits(ids, mode, rng)`` returns one logits tensor per head for
     an (n, max_len) id batch. Subclasses are dataclasses whose parameter
-    groups are fields; their field order is the order of the named tensors,
-    and so of a checkpoint's arrays.
+    groups are fields, so ``Params`` names their arrays in field order
+    ("lstm_s1.w_i", "head_cnn.bn1.running_mean"), the order a checkpoint
+    stores them in.
     """
 
     heads: tuple = ()
     name = ""  # how reports name a checkpoint that records no variant
 
-    def named_tensors(self):
-        return _prefixed(self, "tensors")
-
-    def named_buffers(self):
-        return _prefixed(self, "buffers")
-
-    def arrays(self) -> dict:
-        """Every stored array by name, not copied: each tensor's data (an
-        LSTM's as its gates' row blocks, ``LstmParams.arrays``), then each
-        buffer."""
-        out = {}
-        for f in fields(self):
-            part = getattr(self, f.name)
-            if isinstance(part, LstmParams):
-                out.update((f"{f.name}.{n}", a) for n, a in part.arrays())
-            elif hasattr(part, "tensors"):
-                out.update((f"{f.name}.{n}", t.data) for n, t in part.tensors())
-        out.update(self.named_buffers())
-        return out
+    named_tensors = Params.tensors
+    named_buffers = Params.buffers
 
     def parameters(self):
         return [t for _, t in self.named_tensors() if t.requires_grad]
@@ -208,10 +179,6 @@ class McmModel(Model):
     def head_logits(self, ids, mode, rng=None):
         return forward_batch(self, ids, mode, rng).logits()
 
-    def head_probabilities(self, ids) -> list:
-        """The softmaxes ``forward_batch`` already computed."""
-        return forward_batch(self, ids, "infer").probs()
-
 
 def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmModel:
     """Assemble the network; raises on inconsistent dimensions.
@@ -221,7 +188,7 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
     untouched.
     """
     config.validate()
-    if embedding.vocab_size != config.vocab_size or embedding.dim != config.embed_dim:
+    if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
         raise ValueError("embedding table does not match the configuration")
     if isinstance(seed_seq, (int, np.integer)):
         seed_seq = np.random.SeedSequence(seed_seq)
@@ -251,13 +218,10 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
 
 @dataclass
 class McmOutput:
-    """Per-head probabilities (detached), the logits behind them, and the
-    features the discriminator consumed. Batched fields are (n, .)."""
+    """Per-head logits and the features the discriminator consumed.
+    Batched fields are (n, .). ``probs_disc`` is the prediction's softmax,
+    computed when read; ``Model.head_probabilities`` gives every head's."""
 
-    probs_cnn: Tensor
-    probs_slstm: Tensor
-    probs_lstm: Tensor
-    probs_disc: Tensor
     logits_cnn: Tensor
     logits_slstm: Tensor
     logits_lstm: Tensor
@@ -270,9 +234,10 @@ class McmOutput:
         """One logits tensor per head, in ``McmModel.heads`` order."""
         return [self.logits_cnn, self.logits_slstm, self.logits_lstm, self.logits_disc]
 
-    def probs(self):
-        """One probabilities tensor per head, in ``McmModel.heads`` order."""
-        return [self.probs_cnn, self.probs_slstm, self.probs_lstm, self.probs_disc]
+    @property
+    def probs_disc(self) -> Tensor:
+        """The discriminator's probabilities (detached)."""
+        return probabilities(self.logits_disc)
 
 
 def probabilities(logits: Tensor) -> Tensor:
@@ -345,8 +310,6 @@ def forward_batch(model: McmModel, ids: np.ndarray, mode: str,
     logits_disc, _ = _head_forward(feats, model.disc, mode, rng)
 
     return McmOutput(
-        probs_cnn=probabilities(logits_cnn), probs_slstm=probabilities(logits_slstm),
-        probs_lstm=probabilities(logits_lstm), probs_disc=probabilities(logits_disc),
         logits_cnn=logits_cnn, logits_slstm=logits_slstm,
         logits_lstm=logits_lstm, logits_disc=logits_disc,
         features_cnn=feat_cnn, features_slstm=feat_slstm, features_lstm=feat_lstm,
@@ -445,7 +408,7 @@ def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) 
     """Embedding -> one valid conv (ReLU) -> global max-pool -> dense (ReLU)
     -> dense -> softmax."""
     config.validate()
-    if embedding.vocab_size != config.vocab_size or embedding.dim != config.embed_dim:
+    if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
         raise ValueError("embedding table does not match the configuration")
     if isinstance(seed_seq, (int, np.integer)):
         seed_seq = np.random.SeedSequence(seed_seq)

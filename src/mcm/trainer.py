@@ -403,8 +403,8 @@ def make_checkpoint(model, vocab: Optional[Vocabulary], class_names,
     kind = next((k for k, (cls, _, _) in _KINDS.items() if type(model) is cls), None)
     if kind is None:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    config = {**asdict(model.config), "embedding_trainable": model.embedding.trainable,
-              **(extra or {})}
+    config = {**asdict(model.config),
+              "embedding_trainable": model.embedding.vectors.requires_grad, **(extra or {})}
     return Checkpoint(
         kind=kind, config=config,
         vocab_tokens=list(vocab.id_to_token) if vocab is not None else [],
@@ -574,11 +574,13 @@ def rebuild_model(ckpt: Checkpoint):
     cfg = ckpt.config
     _check_sizing_fields(ckpt)
     _, config_cls, build = _KINDS[ckpt.kind]
+    for key in ["embedding_trainable"] + [f.name for f in fields(config_cls)
+                                          if isinstance(f.default, bool)]:
+        if key in cfg and not isinstance(cfg[key], bool):
+            raise CheckpointError(f"config {key} {cfg[key]!r} is not true or false")
     try:
-        trainable = cfg["embedding_trainable"]
-        table = EmbeddingTable(cfg["vocab_size"], cfg["embed_dim"],
-                               Tensor(ckpt.arrays["embedding.vectors"], requires_grad=trainable),
-                               trainable)
+        table = EmbeddingTable(Tensor(ckpt.arrays["embedding.vectors"],
+                                      requires_grad=cfg["embedding_trainable"]))
         model = build(config_cls(**{f.name: cfg[f.name] for f in fields(config_cls)}), table, 0)
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
@@ -590,13 +592,11 @@ def rebuild_model(ckpt: Checkpoint):
         missing = sorted(expected - stored)
         extra = sorted(stored - expected)
         raise CheckpointError(f"tensor set mismatch: missing {missing}, unexpected {extra}")
-    shapes = {name: a.shape for name, a in targets.items()}
-    shapes["embedding.vectors"] = (cfg["vocab_size"], cfg["embed_dim"])  # the adopted table
     for name in sorted(expected):  # the same error names the same tensor every run
-        if shapes[name] != ckpt.arrays[name].shape:
+        if targets[name].shape != ckpt.arrays[name].shape:
             raise CheckpointError(
                 f"shape of {name} disagrees: checkpoint {ckpt.arrays[name].shape}, "
-                f"model {shapes[name]}")
+                f"model {targets[name].shape}")
         if not np.isfinite(ckpt.arrays[name]).all():
             raise CheckpointError(f"{name} holds non-finite values")
     for name, a in targets.items():

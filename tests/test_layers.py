@@ -75,7 +75,7 @@ def lstm_step_oracle(x, h_prev, c_prev, p):
 
 def conv_gather_reference(x, n, l, p):
     """conv1d_batch built from one row gather over all window positions."""
-    k, d, f = p.kernel_size, p.in_dim, p.num_filters
+    k, d, f = p.weights.shape
     w = l - k + 1
     j = np.arange(w)[:, None, None]
     e = np.arange(n)[None, :, None]
@@ -176,14 +176,14 @@ def zero_lstm(input_dim, hidden_dim):
 
 class TestConv1d:
     def test_single_filter_window_sum(self):
-        p = Conv1dParams(1, 2, 1, Tensor([[[1.0], [0.0]]], requires_grad=True),
+        p = Conv1dParams(Tensor([[[1.0], [0.0]]], requires_grad=True),
                          Tensor([0.0], requires_grad=True))
         out = conv1d(Tensor([[3.0, 7.0], [-2.0, 5.0]]), p)
         assert np.array_equal(out.data, [[3.0], [0.0]])
 
     def test_zero_weights_give_zero_map(self):
         rng = np.random.default_rng(0)
-        p = Conv1dParams(2, 3, 4, Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(4)))
+        p = Conv1dParams(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(4)))
         out = conv1d(Tensor(rng.normal(size=(5, 3))), p)
         assert np.array_equal(out.data, np.zeros((4, 4)))
 

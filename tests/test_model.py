@@ -154,15 +154,16 @@ def test_forward_row_equals_forward_batch_row():
 def test_every_output_field_has_its_shape(n):
     model, _ = tiny_mcm(num_classes=4, dense2_dim=5)
     # class scores are num_classes wide, the learner features dense2_dim
-    widths = {f"{kind}_{head}": 4 for kind in ("probs", "logits")
-              for head in ("cnn", "slstm", "lstm", "disc")}
+    widths = {f"logits_{head}": 4 for head in ("cnn", "slstm", "lstm", "disc")}
     widths.update({f"features_{head}": 5 for head in ("cnn", "slstm", "lstm")})
     batch = forward_batch(model, IDS[:n], "infer")
     assert {name: t.shape for name, t in vars(batch).items()} == {
         name: (n, w) for name, w in widths.items()}
+    assert [t.shape for t in model.head_probabilities(IDS[:n])] == [(n, 4)] * 4
     single = forward(model, IDS[0])
     assert {name: t.shape for name, t in vars(single).items()} == {
         name: (w,) for name, w in widths.items()}
+    assert single.probs_disc.shape == (4,)
 
 
 @pytest.mark.parametrize("stop", [True, False])

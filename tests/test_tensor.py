@@ -206,7 +206,7 @@ class TestStructureOps:
 def lookup_rows(m, indices, skip_row=PAD_ID):
     """``lookup`` on a table whose vectors are ``m``; it skips PAD_ID only."""
     assert skip_row == PAD_ID
-    return lookup(EmbeddingTable(*m.shape, m, m.requires_grad), indices)
+    return lookup(EmbeddingTable(m), indices)
 
 
 def dense_rows(m, indices, skip_row=None):

@@ -758,6 +758,28 @@ def test_max_len_must_be_an_int_within_bounds(ckpt_path, baseline_path, kind, va
         rebuild_model(load_checkpoint(with_config(path, max_len=value)))
 
 
+# A flag must be a JSON boolean: "no" is truthy, and 0 or 1 would be
+# written back as a number.
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+@pytest.mark.parametrize("kind,key", [("mcm", "embedding_trainable"), ("mcm", "attention"),
+                                      ("mcm", "stop_disc_gradients"),
+                                      ("baseline", "embedding_trainable")])
+def test_a_flag_must_be_true_or_false(ckpt_path, baseline_path, kind, key, value):
+    path = ckpt_path if kind == "mcm" else baseline_path
+    with pytest.raises(CheckpointError, match=f"config {key} .* is not true or false"):
+        rebuild_model(load_checkpoint(with_config(path, **{key: value})))
+
+
+def test_a_frozen_table_stays_frozen_through_a_checkpoint(tmp_path):
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
+    model.embedding.vectors.requires_grad = False
+    save_checkpoint(make_checkpoint(model, SMALL_VOCAB, CLASSES), tmp_path / "frozen.mcm")
+    rebuilt, _ = rebuild_model(load_checkpoint(tmp_path / "frozen.mcm"))
+    table = rebuilt.embedding.vectors
+    assert not table.requires_grad
+    assert all(p is not table for p in rebuilt.parameters())
+
+
 def test_a_baseline_checkpoint_with_a_zero_dimension_is_refused(baseline_path, capsys):
     ckpt = load_checkpoint(baseline_path)
     ckpt.config["num_filters"] = 0
@@ -779,10 +801,14 @@ def test_max_len_at_the_ceiling_loads(ckpt_path, baseline_path, kind):
 # Files written by the checkpoint code of commit c89f5c0, before McM and the
 # baseline shared one model protocol: SMALL_MCM (batchnorm buffers shifted
 # off their initial values) and a small baseline, each from make_checkpoint.
+# small_mcm_attention.mcm is SMALL_MCM with attention, its buffers shifted
+# the same way (buffer k in field order gets + 0.25 * (k + 1)), written by
+# the code of commit d3d270e, before parameter groups named their arrays
+# from their fields; it pins where the attention arrays are stored.
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
-@pytest.mark.parametrize("name", ["small_mcm.mcm", "baseline.mcm"])
+@pytest.mark.parametrize("name", ["small_mcm.mcm", "small_mcm_attention.mcm", "baseline.mcm"])
 def test_committed_checkpoint_loads_and_resaves_byte_identically(tmp_path, name):
     path = os.path.join(FIXTURES, name)
     ckpt = load_checkpoint(path)
