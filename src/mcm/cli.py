@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+import typing
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .data import (
     tokenize,
     write_tsv,
 )
+from .model import check_fields
 from .trainer import (
     CHOICES,
     COMPONENT_TITLES,
@@ -58,13 +59,13 @@ def _parse_bool(text: str) -> bool:
 _CLI_NAMES = {"learning_rate": "lr", "embedding_mode": "embedding"}
 _FILE_HELP = {"train": "training TSV (text<TAB>label)", "test": "test TSV",
               "out": "output directory"}
-# option name -> (TrainConfig field, its type: int where the default is None);
+# option name -> (TrainConfig field, its annotated type, an Optional's first);
 # the file locations have no field. stop_disc_gradients has no option: it stays
 # a config field until a measurement (per-component gradient norms) calls for it.
 _OPTIONS = {**dict.fromkeys(_FILE_HELP, (None, str)),
-            **{_CLI_NAMES.get(f.name, f.name):
-               (f.name, int if f.default is None else type(f.default))
-               for f in fields(TrainConfig) if f.name != "stop_disc_gradients"}}
+            **{_CLI_NAMES.get(name, name): (name, (typing.get_args(kind) or (kind,))[0])
+               for name, kind in typing.get_type_hints(TrainConfig).items()
+               if name != "stop_disc_gradients"}}
 
 
 def parse_config_file(path) -> dict:
@@ -87,12 +88,9 @@ def parse_config_file(path) -> dict:
         field, kind = _OPTIONS[key]
         try:
             value = (_parse_bool if kind is bool else kind)(raw.strip())
+            check_fields(TrainConfig, {field: value}, CHOICES)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
-        choices = CHOICES.get(field)
-        if choices and value not in choices:
-            raise ValueError(f"{path}:{line_no}: {key}: invalid choice {value!r} "
-                             f"(choose from {', '.join(map(repr, choices))})")
         values[key] = value
     return values
 

@@ -21,6 +21,7 @@ them. The embedding table trains when ``embedding.vectors.requires_grad``.
 """
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,14 +53,38 @@ from .tensor import Tensor
 MAX_LEN_CEILING = 1024
 
 
-def check_max_len(max_len, shortest: int) -> None:
-    """Reject a ``max_len`` that is not an int or lies outside
-    [``shortest``, ``MAX_LEN_CEILING``]; ``shortest`` is the receptive
-    field of the model's convolutions."""
-    if isinstance(max_len, bool) or not isinstance(max_len, (int, np.integer)):
-        raise ValueError(f"max_len must be an integer, got {max_len!r}")
+def check_max_len(max_len: int, shortest: int) -> None:
+    """Reject a ``max_len`` outside [``shortest``, ``MAX_LEN_CEILING``];
+    ``shortest`` is the receptive field of the model's convolutions."""
     if not shortest <= max_len <= MAX_LEN_CEILING:
         raise ValueError(f"max_len {max_len} outside [{shortest}, {MAX_LEN_CEILING}]")
+
+
+# What a field of each annotated type takes, and what an error calls it. A
+# bool is an int to Python, but only a bool field takes one.
+_TAKES = {bool: ((bool,), "true or false"), int: ((int, np.integer), "an integer"),
+          float: ((int, np.integer, float), "a number"), str: ((str,), "a string"),
+          Optional[int]: ((int, np.integer, type(None)), "an integer or None")}
+
+
+def admits(kind, value) -> bool:
+    """Whether a field annotated ``kind`` takes ``value`` (``_TAKES``)."""
+    return isinstance(value, _TAKES[kind][0]) and (kind is bool or not isinstance(value, bool))
+
+
+def check_fields(cls, values: dict, choices: Optional[dict] = None, **types) -> None:
+    """The one rule for a config value. Each entry of ``values`` whose name
+    is a field of the dataclass ``cls``, or a key of ``types`` (name ->
+    type), must be a value its type ``admits``, and one of its ``choices``
+    (name -> allowed values) if it has any. The ValueError of a wrong type
+    names the field; that of a wrong choice is worded as argparse words it."""
+    hints = {**typing.get_type_hints(cls), **types}
+    for name, value in values.items():
+        if name in hints and not admits(hints[name], value):
+            raise ValueError(f"{name} {value!r} is not {_TAKES[hints[name]][1]}")
+        if name in (choices or {}) and value not in choices[name]:
+            raise ValueError(f"invalid choice {value!r} "
+                             f"(choose from {', '.join(map(repr, choices[name]))})")
 
 
 @dataclass
@@ -78,7 +103,8 @@ class McmConfig:
     dropout: float = 0.2
     stop_disc_gradients: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_fields(McmConfig, vars(self))
         check_max_len(self.max_len, self.kernel1 + self.kernel2 - 1)
         if min(self.vocab_size, self.embed_dim, self.num_classes, self.num_filters,
                self.hidden_dim, self.dense1_dim, self.dense2_dim) < 1:
@@ -187,7 +213,6 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
     so toggling attention leaves every other component's initial weights
     untouched.
     """
-    config.validate()
     if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
         raise ValueError("embedding table does not match the configuration")
     if isinstance(seed_seq, (int, np.integer)):
@@ -370,7 +395,8 @@ class BaselineConfig:
     num_filters: int = 128
     hidden_dim: int = 128
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_fields(BaselineConfig, vars(self))
         check_max_len(self.max_len, self.kernel)
         if min(self.vocab_size, self.embed_dim, self.num_classes, self.kernel,
                self.num_filters, self.hidden_dim) < 1:
@@ -407,7 +433,6 @@ class BaselineModel(Model):
 def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) -> BaselineModel:
     """Embedding -> one valid conv (ReLU) -> global max-pool -> dense (ReLU)
     -> dense -> softmax."""
-    config.validate()
     if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
         raise ValueError("embedding table does not match the configuration")
     if isinstance(seed_seq, (int, np.integer)):

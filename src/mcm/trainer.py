@@ -42,8 +42,10 @@ from .model import (
     BaselineModel,
     McmConfig,
     McmModel,
+    admits,
     build_baseline,
     build_mcm,
+    check_fields,
     check_max_len,
     heads_loss,
 )
@@ -85,6 +87,7 @@ class TrainConfig:
     stop_disc_gradients: bool = False
 
     def __post_init__(self):
+        check_fields(TrainConfig, vars(self), CHOICES)
         if min(self.epochs, self.batch_size, self.min_count, self.resolved_embedding_dim) < 1:
             raise ValueError("epochs, batch_size, min_count and embedding_dim must be at least 1")
         if not 0 < self.learning_rate < math.inf:
@@ -93,12 +96,6 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.optimizer not in CHOICES["optimizer"]:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.embedding_mode not in CHOICES["embedding_mode"]:
-            raise ValueError(f"unknown embedding mode {self.embedding_mode!r}")
-        if self.select_on not in CHOICES["select_on"]:
-            raise ValueError("select_on must be " + " or ".join(map(repr, CHOICES["select_on"])))
         if self.max_len is not None:
             check_max_len(self.max_len, 2)  # encode needs at least 2 ids
 
@@ -270,8 +267,7 @@ class Optimizer:
     """Binds one update rule to a model's trainable tensors."""
 
     def __init__(self, kind: str, params, lr: float):
-        if kind not in _RULES:
-            raise ValueError(f"unknown optimizer {kind!r}")
+        check_fields(TrainConfig, {"optimizer": kind}, CHOICES)
         self.params = list(params)
         self.lr = lr
         self.rule = _RULES[kind]()
@@ -512,13 +508,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("malformed checkpoint: vocabulary block is not an object")
     kind = header.pop("kind", None)
     class_names = header.pop("class_names", [])
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     tokens = vocab_block.get("tokens")
     min_count = vocab_block.get("min_count")
-    if not _is_str_list(tokens) or not isinstance(min_count, int):
+    if not _is_str_list(tokens) or not admits(int, min_count) or min_count < 1:
         raise CheckpointError("malformed checkpoint: vocabulary block needs a token list "
-                              "and an integer min_count")
+                              "and an integer min_count of at least 1")
     if not _is_str_list(class_names):
         raise CheckpointError("malformed checkpoint: class_names is not a list of names")
     return Checkpoint(kind, header, tokens, min_count, class_names, arrays)
@@ -572,17 +568,17 @@ def rebuild_model(ckpt: Checkpoint):
     arrays into the row blocks of its stacks).
     """
     cfg = ckpt.config
-    _check_sizing_fields(ckpt)
     _, config_cls, build = _KINDS[ckpt.kind]
-    for key in ["embedding_trainable"] + [f.name for f in fields(config_cls)
-                                          if isinstance(f.default, bool)]:
-        if key in cfg and not isinstance(cfg[key], bool):
-            raise CheckpointError(f"config {key} {cfg[key]!r} is not true or false")
+    try:
+        check_fields(config_cls, cfg, embedding_trainable=bool)
+    except ValueError as exc:
+        raise CheckpointError(f"config {exc}") from None
+    _check_sizing_fields(ckpt)
     try:
         table = EmbeddingTable(Tensor(ckpt.arrays["embedding.vectors"],
                                       requires_grad=cfg["embedding_trainable"]))
         model = build(config_cls(**{f.name: cfg[f.name] for f in fields(config_cls)}), table, 0)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
 
     targets = model.arrays()

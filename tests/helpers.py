@@ -1,10 +1,12 @@
-"""Shared test oracles: central finite differences for gradient checks, and
-the memory a call allocates.
+"""Shared test oracles: central finite differences for gradient checks,
+the memory a call allocates, and the values a config field must refuse.
 
 The numeric side only ever calls the forward pass (outside any tape), so
 it stays independent of the backward rules it verifies.
 """
 import tracemalloc
+import typing
+from typing import Optional
 
 import numpy as np
 
@@ -80,3 +82,15 @@ def traced_memory(fn):
         return (result, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+
+
+# Values a config field of each annotated type must refuse: a bool for a
+# number, a float for an int, an int or a string for a bool
+WRONG_TYPED = {int: [True, 2.0], Optional[int]: [False, 2.0], float: [False], bool: [1, "yes"]}
+
+
+def wrong_typed(cls, choices=()):
+    """(field, value) for each field of the config dataclass ``cls`` and
+    each value it must refuse; a field named in ``choices`` refuses 'foo'."""
+    return [(name, value) for name, kind in typing.get_type_hints(cls).items()
+            for value in (["foo"] if name in choices else WRONG_TYPED[kind])]

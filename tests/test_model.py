@@ -1,8 +1,9 @@
 """McM model: guards on the shape of its training graph, the fused time
 pool against its per-op composition, the max_len bounds that training
-shares with checkpoint loading, the single-example entry points against
-the batch, each head's probabilities, and a finite-difference check of
-the whole model's gradient, and the baseline's dimension check."""
+shares with checkpoint loading, the type of each config field, the
+single-example entry points against the batch, each head's probabilities,
+and a finite-difference check of the whole model's gradient, and the
+baseline's dimension check."""
 import dataclasses
 
 import numpy as np
@@ -25,9 +26,9 @@ from mcm.model import (
 )
 from mcm.layers import softmax_ce
 from mcm.tensor import Tape, Tensor, backward
-from mcm.trainer import TrainConfig
+from mcm.trainer import CHOICES, TrainConfig
 
-from .helpers import gradcheck, max_rel_err, numerical_grad, weighted_sum
+from .helpers import gradcheck, max_rel_err, numerical_grad, weighted_sum, wrong_typed
 
 # step-major batches hold few distinct ids: repeats within and across rows,
 # and right-padding
@@ -106,7 +107,7 @@ def test_head_probabilities_are_the_softmaxes_of_the_head_logits():
     assert probs.data.tobytes() == probabilities(baseline.head_logits(IDS, "infer")[0]).data.tobytes()
 
 
-@pytest.mark.parametrize("max_len", [MAX_LEN_CEILING + 1, 1, 12.0])
+@pytest.mark.parametrize("max_len", [MAX_LEN_CEILING + 1, 1, 12.0, True])
 def test_training_configs_refuse_what_loading_refuses(max_len):
     table = init_random(10, 4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="max_len"):
@@ -116,6 +117,32 @@ def test_training_configs_refuse_what_loading_refuses(max_len):
                                       max_len=max_len), table, 0)
     with pytest.raises(ValueError, match="max_len"):
         TrainConfig(max_len=max_len)
+
+
+# the fields each config class needs, besides its defaults
+REQUIRED = {McmConfig: dict(vocab_size=10, embed_dim=4, num_classes=3, max_len=6),
+            BaselineConfig: dict(vocab_size=10, embed_dim=4, num_classes=3, max_len=6),
+            TrainConfig: {}}
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    pytest.param(cls, field, value, id=f"{cls.__name__}-{field}-{value!r}")
+    for cls in REQUIRED
+    for field, value in wrong_typed(cls, CHOICES if cls is TrainConfig else ())])
+def test_a_config_refuses_a_value_of_the_wrong_type(cls, field, value):
+    with pytest.raises(ValueError) as info:
+        cls(**{**REQUIRED[cls], field: value})
+    if cls is TrainConfig and field in CHOICES:
+        assert str(info.value).startswith("invalid choice 'foo' (choose from ")
+    else:
+        assert str(info.value).startswith(f"{field} {value!r} is not ")
+
+
+def test_a_config_takes_a_numpy_integer_for_an_int_and_an_int_for_a_float():
+    cfg = McmConfig(vocab_size=np.int64(10), embed_dim=4, num_classes=3, max_len=np.int32(6),
+                    dropout=0)
+    assert cfg.dropout == 0 and cfg.vocab_size == 10
+    assert TrainConfig(learning_rate=1, max_len=None, embedding_dim=np.int64(8)).learning_rate == 1
 
 
 @pytest.mark.parametrize("field", ["vocab_size", "embed_dim", "num_classes", "kernel",

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -41,7 +42,7 @@ from mcm.trainer import (
     save_checkpoint,
 )
 
-from .helpers import traced_memory, weighted_sum
+from .helpers import traced_memory, weighted_sum, wrong_typed
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -137,6 +138,8 @@ def test_fit_on_the_baseline_refuses_an_empty_validation_part():
 @pytest.mark.parametrize("field,value", [
     ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
     ("embedding_dim", 0), ("min_count", 0), ("seed", -1),
+    ("epochs", True), ("learning_rate", True), ("dropout", False), ("min_count", 1.5),
+    ("attention", 1), ("max_len", 12.0),
 ])
 def test_train_config_refuses_a_value_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=field.split("_")[-1]):
@@ -535,6 +538,12 @@ BAD_BLOCKS = {
     "config block not JSON": {"header": b'{kind'},
     "config block not UTF-8": {"header": b'{"kind": "\xff"}'},
     "class names not a list": {"header": b'{"kind": "mcm", "class_names": 3}'},
+    "kind a list": {"header": b'{"kind": []}'},
+    "kind an object": {"header": b'{"kind": {}}'},
+    "min_count true": {"vocab": b'{"tokens": ["a"], "min_count": true}'},
+    "min_count false": {"vocab": b'{"tokens": ["a"], "min_count": false}'},
+    "min_count 0": {"vocab": b'{"tokens": ["a"], "min_count": 0}'},
+    "min_count -1": {"vocab": b'{"tokens": ["a"], "min_count": -1}'},
 }
 
 
@@ -768,6 +777,43 @@ def test_a_flag_must_be_true_or_false(ckpt_path, baseline_path, kind, key, value
     path = ckpt_path if kind == "mcm" else baseline_path
     with pytest.raises(CheckpointError, match=f"config {key} .* is not true or false"):
         rebuild_model(load_checkpoint(with_config(path, **{key: value})))
+
+
+@pytest.mark.parametrize("kind,key,value", [("mcm", *case) for case in wrong_typed(McmConfig)]
+                         + [("baseline", *case) for case in wrong_typed(BaselineConfig)])
+def test_rebuild_refuses_a_config_value_of_the_wrong_type(ckpt_path, baseline_path, kind, key,
+                                                          value):
+    path = ckpt_path if kind == "mcm" else baseline_path
+    with pytest.raises(CheckpointError) as info:
+        rebuild_model(load_checkpoint(with_config(path, **{key: value})))
+    assert str(info.value).startswith(f"config {key} {value!r} is not ")
+
+
+# `mcm eval` on the committed fixture with one value of the wrong type:
+# (block, key, value, the one line it prints)
+WRONG_TYPED_FIXTURE = [
+    ("header", "dropout", False, "error: config dropout False is not a number"),
+    ("header", "kernel1", True, "error: config kernel1 True is not an integer"),
+    ("header", "kind", [], "error: unknown checkpoint kind []"),
+    ("vocab", "min_count", True, "error: malformed checkpoint: vocabulary block needs a token "
+                                 "list and an integer min_count of at least 1"),
+]
+
+
+@pytest.mark.parametrize("block,key,value,message", WRONG_TYPED_FIXTURE)
+def test_eval_refuses_a_value_of_the_wrong_type_in_one_line(tmp_path, capsys, block, key, value,
+                                                            message):
+    path = tmp_path / "small_mcm.mcm"
+    shutil.copyfile(os.path.join(FIXTURES, "small_mcm.mcm"), path)
+    if block == "header":
+        bad = with_config(path, **{key: value})
+    else:
+        tokens = load_checkpoint(path).vocab_tokens
+        bad = splice(path, vocab=json.dumps({"tokens": tokens, key: value}).encode())
+    (tmp_path / "test.tsv").write_text("w1 w2\ta\n", encoding="utf-8")
+    assert cli.main(["eval", "--checkpoint", str(bad), "--test", str(tmp_path / "test.tsv"),
+                     "--out", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_a_frozen_table_stays_frozen_through_a_checkpoint(tmp_path):
