@@ -3,12 +3,12 @@ its own reverse-mode autodiff core, layers, embeddings, data pipeline,
 metrics, trainer, and CLI."""
 
 from .tensor import Tape, Tensor, backward
-from .model import McmConfig, McmModel, build_mcm, forward, loss, predict
+from .model import McmConfig, McmModel, build_mcm, loss
 from .trainer import TrainConfig, fit, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tape", "Tensor", "backward",
-    "McmConfig", "McmModel", "build_mcm", "forward", "loss", "predict",
+    "McmConfig", "McmModel", "build_mcm", "loss",
     "TrainConfig", "fit", "load_checkpoint", "save_checkpoint",
 ]
 

@@ -27,10 +27,11 @@ from .data import (
     tokenize,
     write_tsv,
 )
-from .model import check_fields
+from .layers import check_fields
 from .trainer import (
     CHOICES,
     COMPONENT_TITLES,
+    INFER_BATCH,
     CheckpointError,
     TrainConfig,
     TrainingDiverged,
@@ -89,8 +90,9 @@ def parse_config_file(path) -> dict:
         try:
             value = (_parse_bool if kind is bool else kind)(raw.strip())
             check_fields(TrainConfig, {field: value}, CHOICES)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
+        except ValueError as exc:  # the line names the key, not a choice's field
+            raise ValueError(f"{path}:{line_no}: {key}: "
+                             f"{str(exc).removeprefix(field + ': ')}") from None
         values[key] = value
     return values
 
@@ -242,8 +244,8 @@ def cmd_predict(args) -> int:
             outputs[i] = "UNKNOWN\t0.0000"
         else:
             pending.append((i, encode_tokens(tokens, vocab, max_len)))
-    for lo in range(0, len(pending), 256):
-        chunk = pending[lo:lo + 256]
+    for lo in range(0, len(pending), INFER_BATCH):
+        chunk = pending[lo:lo + INFER_BATCH]
         ids = np.stack([row for _, row in chunk])
         probs = model.head_probabilities(ids)[-1].data
         for (i, _), p in zip(chunk, probs):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PAD_ID, UNK_ID
-from .layers import Params
+from .layers import Params, check_fields
 from .tensor import GatheredRows, Tensor
 
 
@@ -37,20 +37,20 @@ class SkipGramConfig:
     learning_rate: float = 0.025
 
     def __post_init__(self):
+        check_fields(SkipGramConfig, vars(self))
         if self.dim <= 0 or self.window < 1 or self.negative_samples < 1:
             raise ValueError("invalid skip-gram configuration")
         if self.epochs < 0 or self.learning_rate <= 0:
             raise ValueError("invalid skip-gram configuration")
 
 
-def init_random(vocab_size: int, dim: int, rng: np.random.Generator,
-                trainable: bool = True) -> EmbeddingTable:
+def init_random(vocab_size: int, dim: int, rng: np.random.Generator) -> EmbeddingTable:
     """Uniform(-0.05, 0.05) rows; the pad row stays zero."""
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2 (pad and unk are reserved)")
     vecs = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
     vecs[PAD_ID] = 0.0
-    return EmbeddingTable(Tensor(vecs, requires_grad=trainable))
+    return EmbeddingTable(Tensor(vecs, requires_grad=True))
 
 
 def lookup(table: EmbeddingTable, ids) -> Tensor:
@@ -99,8 +99,7 @@ def char_compose(word: str, dim: int) -> np.ndarray:
     return vec / np.sqrt(len(grams))
 
 
-def char_compose_table(tokens: list[str], dim: int, rng: np.random.Generator,
-                       trainable: bool = True) -> EmbeddingTable:
+def char_compose_table(tokens: list[str], dim: int, rng: np.random.Generator) -> EmbeddingTable:
     """Fill a table from ``char_compose`` of each non-special token.
 
     ``tokens`` is the full id->token list; rows 0 and 1 are treated as pad
@@ -110,7 +109,7 @@ def char_compose_table(tokens: list[str], dim: int, rng: np.random.Generator,
     vecs[UNK_ID] = rng.uniform(-0.05, 0.05, size=dim)
     for i, tok in enumerate(tokens[2:], start=2):
         vecs[i] = char_compose(tok, dim)
-    return EmbeddingTable(Tensor(vecs, requires_grad=trainable))
+    return EmbeddingTable(Tensor(vecs, requires_grad=True))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ _BLOCK = 4096
 
 
 def train_skipgram(corpus: list, vocab_size: int, cfg: SkipGramConfig,
-                   rng: np.random.Generator, trainable: bool = True) -> EmbeddingTable:
+                   rng: np.random.Generator) -> EmbeddingTable:
     """Train input vectors on (center, context) pairs within the window.
 
     Each pair gets one positive update and ``negative_samples`` negative
@@ -148,7 +147,7 @@ def train_skipgram(corpus: list, vocab_size: int, cfg: SkipGramConfig,
     """
     if not corpus or all(len(s) == 0 for s in corpus):
         raise ValueError("skip-gram corpus is empty")
-    table = init_random(vocab_size, cfg.dim, rng, trainable=trainable)
+    table = init_random(vocab_size, cfg.dim, rng)
     w_in = table.vectors.data
     w_out = np.zeros_like(w_in)
 

@@ -45,6 +45,7 @@ backward sums the slots' gradients per distinct id in the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -70,7 +71,34 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out:
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# config fields and parameter containers
+
+
+# What a field of each annotated type takes, and what an error calls it. A
+# bool is an int to Python, but only a bool field takes one.
+_TAKES = {bool: ((bool,), "true or false"), int: ((int, np.integer), "an integer"),
+          float: ((int, np.integer, float), "a number"), str: ((str,), "a string"),
+          Optional[int]: ((int, np.integer, type(None)), "an integer or None")}
+
+
+def admits(kind, value) -> bool:
+    """Whether a field annotated ``kind`` takes ``value`` (``_TAKES``)."""
+    return isinstance(value, _TAKES[kind][0]) and (kind is bool or not isinstance(value, bool))
+
+
+def check_fields(cls, values: dict, choices: Optional[dict] = None, **types) -> None:
+    """The one rule for a config value. Each entry of ``values`` whose name
+    is a field of the dataclass ``cls``, or a key of ``types`` (name ->
+    type), must be a value its type ``admits``, and one of its ``choices``
+    (name -> allowed values) if it has any. The ValueError names the field;
+    that of a wrong choice goes on as argparse words it."""
+    hints = {**get_type_hints(cls), **types}
+    for name, value in values.items():
+        if name in hints and not admits(hints[name], value):
+            raise ValueError(f"{name} {value!r} is not {_TAKES[hints[name]][1]}")
+        if name in (choices or {}) and value not in choices[name]:
+            raise ValueError(f"{name}: invalid choice {value!r} "
+                             f"(choose from {', '.join(map(repr, choices[name]))})")
 
 
 class Params:

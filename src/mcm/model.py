@@ -3,11 +3,11 @@ learner, and an LSTM encoder learner, each with its own supervised head,
 feeding a discriminator that fuses their intermediate features for the
 final prediction. Also the single-layer CNN baseline it is compared to.
 
-Forward passes are batched internally (step-major layout, see layers);
-the single-example entry points wrap a batch of one. All four heads share
-one computation graph, so one backward pass trains every cascade and the
-discriminator jointly; ``stop_disc_gradients`` cuts the graph at the
-feature boundary for strictly local supervision of the learners.
+Forward passes are batched (step-major layout, see layers); one message
+is a batch of one. All four heads share one computation graph, so one
+backward pass trains every cascade and the discriminator jointly;
+``stop_disc_gradients`` cuts the graph at the feature boundary for
+strictly local supervision of the learners.
 
 The graph is built from the fused ops of ``layers`` (LSTM, convolution,
 dense, attention) and one of this module, ``_pool_time``: the max- and
@@ -21,7 +21,6 @@ them. The embedding table trains when ``embedding.vectors.requires_grad``.
 """
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .layers import (
     LstmParams,
     Params,
     batchnorm,
+    check_fields,
     conv1d_batch,
     dense,
     dropout,
@@ -58,33 +58,6 @@ def check_max_len(max_len: int, shortest: int) -> None:
     ``shortest`` is the receptive field of the model's convolutions."""
     if not shortest <= max_len <= MAX_LEN_CEILING:
         raise ValueError(f"max_len {max_len} outside [{shortest}, {MAX_LEN_CEILING}]")
-
-
-# What a field of each annotated type takes, and what an error calls it. A
-# bool is an int to Python, but only a bool field takes one.
-_TAKES = {bool: ((bool,), "true or false"), int: ((int, np.integer), "an integer"),
-          float: ((int, np.integer, float), "a number"), str: ((str,), "a string"),
-          Optional[int]: ((int, np.integer, type(None)), "an integer or None")}
-
-
-def admits(kind, value) -> bool:
-    """Whether a field annotated ``kind`` takes ``value`` (``_TAKES``)."""
-    return isinstance(value, _TAKES[kind][0]) and (kind is bool or not isinstance(value, bool))
-
-
-def check_fields(cls, values: dict, choices: Optional[dict] = None, **types) -> None:
-    """The one rule for a config value. Each entry of ``values`` whose name
-    is a field of the dataclass ``cls``, or a key of ``types`` (name ->
-    type), must be a value its type ``admits``, and one of its ``choices``
-    (name -> allowed values) if it has any. The ValueError of a wrong type
-    names the field; that of a wrong choice is worded as argparse words it."""
-    hints = {**typing.get_type_hints(cls), **types}
-    for name, value in values.items():
-        if name in hints and not admits(hints[name], value):
-            raise ValueError(f"{name} {value!r} is not {_TAKES[hints[name]][1]}")
-        if name in (choices or {}) and value not in choices[name]:
-            raise ValueError(f"invalid choice {value!r} "
-                             f"(choose from {', '.join(map(repr, choices[name]))})")
 
 
 @dataclass
@@ -155,15 +128,8 @@ class Model(Params):
     heads: tuple = ()
     name = ""  # how reports name a checkpoint that records no variant
 
-    named_tensors = Params.tensors
-    named_buffers = Params.buffers
-
     def parameters(self):
-        return [t for _, t in self.named_tensors() if t.requires_grad]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+        return [t for _, t in self.tensors() if t.requires_grad]
 
     def head_probabilities(self, ids) -> list:
         """Infer-mode probabilities (n, C), one detached tensor per head,
@@ -244,7 +210,7 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
 @dataclass
 class McmOutput:
     """Per-head logits and the features the discriminator consumed.
-    Batched fields are (n, .). ``probs_disc`` is the prediction's softmax,
+    Each field is (n, .). ``probs_disc`` is the prediction's softmax,
     computed when read; ``Model.head_probabilities`` gives every head's."""
 
     logits_cnn: Tensor
@@ -341,26 +307,9 @@ def forward_batch(model: McmModel, ids: np.ndarray, mode: str,
     )
 
 
-def forward(model: McmModel, ids, mode: str = "infer",
-            rng: Optional[np.random.Generator] = None) -> McmOutput:
-    """Single-example forward: ids of length max_len, vector outputs."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("forward takes one token-id row; use forward_batch for batches")
-    out = forward_batch(model, ids[None, :], mode, rng)
-
-    def squeeze(t: Tensor) -> Tensor:
-        return T.reshape(t, t.data.shape[1:])
-
-    return McmOutput(**{k: squeeze(v) for k, v in vars(out).items()})
-
-
 def heads_loss(logits, target) -> Tensor:
-    """Equal-weight sum of each head's categorical cross-entropy.
-
-    ``target`` is an int for single outputs, an (n,) array for batched
-    ones (each head's term is then the batch mean).
-    """
+    """Equal-weight sum of each head's categorical cross-entropy, each the
+    mean over the batch of (n,) ``target`` labels."""
     total = None
     for head_logits in logits:
         _, term = softmax_ce(head_logits, target)
@@ -371,14 +320,6 @@ def heads_loss(logits, target) -> Tensor:
 def loss(out: McmOutput, target) -> Tensor:
     """The sum of the four heads' cross-entropies (``heads_loss``)."""
     return heads_loss(out.logits(), target)
-
-
-def predict(model: McmModel, ids):
-    """Final prediction: argmax of the discriminator's probabilities,
-    ties broken toward the lowest class index."""
-    out = forward(model, ids, mode="infer")
-    p = out.probs_disc.data
-    return int(np.argmax(p)), p
 
 
 # ---------------------------------------------------------------------------

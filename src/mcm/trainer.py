@@ -36,16 +36,15 @@ from .embeddings import (
     init_random,
     train_skipgram,
 )
+from .layers import admits, check_fields
 from .metrics import EvalReport, evaluate
 from .model import (
     BaselineConfig,
     BaselineModel,
     McmConfig,
     McmModel,
-    admits,
     build_baseline,
     build_mcm,
-    check_fields,
     check_max_len,
     heads_loss,
 )
@@ -334,12 +333,16 @@ class Optimizer:
 # evaluation
 
 
-def evaluate_components(model, corpus: EncodedCorpus, batch_size: int = 256) -> dict:
+# Messages per forward when evaluating or predicting.
+INFER_BATCH = 256
+
+
+def evaluate_components(model, corpus: EncodedCorpus) -> dict:
     """Infer-mode evaluation of every head, each predicting the argmax of
     its probabilities; never mutates the model."""
     preds = {head: [] for head in model.heads}
-    for lo in range(0, len(corpus), batch_size):
-        probs = model.head_probabilities(corpus.sequences[lo:lo + batch_size])
+    for lo in range(0, len(corpus), INFER_BATCH):
+        probs = model.head_probabilities(corpus.sequences[lo:lo + INFER_BATCH])
         for head, head_probs in zip(model.heads, probs):
             preds[head].append(np.argmax(head_probs.data, axis=1))
     return {head: evaluate(corpus.labels, np.concatenate(p), model.config.num_classes)
@@ -570,7 +573,10 @@ def rebuild_model(ckpt: Checkpoint):
     cfg = ckpt.config
     _, config_cls, build = _KINDS[ckpt.kind]
     try:
-        check_fields(config_cls, cfg, embedding_trainable=bool)
+        check_fields(config_cls, cfg, embedding_trainable=bool, variant=str, best_epoch=int,
+                     seed=int)
+        if set(cfg.get("variant", "")) & set(",\r\n"):  # reports write it as a CSV field
+            raise ValueError(f"variant {cfg['variant']!r} holds a comma or a line break")
     except ValueError as exc:
         raise CheckpointError(f"config {exc}") from None
     _check_sizing_fields(ckpt)
@@ -714,7 +720,7 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
             loss_sum += float(total.data) * len(batch)
         # A loss sees an update only through later batches and the rows they
         # read, so every parameter is checked once an epoch.
-        bad = [name for name, t in model.named_tensors() if not np.isfinite(t.data).all()]
+        bad = [name for name, t in model.tensors() if not np.isfinite(t.data).all()]
         if bad:
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}: {', '.join(bad)}")
 

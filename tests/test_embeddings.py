@@ -22,6 +22,8 @@ from mcm.embeddings import (
 )
 from mcm.tensor import Tape, Tensor, backward
 
+from .helpers import wrong_typed
+
 
 def cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
@@ -150,6 +152,20 @@ class TestSkipGram:
         cfg = SkipGramConfig(epochs=1)
         table = train_skipgram(paired_corpus(10), 6, cfg, np.random.default_rng(3))
         assert table.vectors.shape[1] == 300 and table.vectors.requires_grad
+
+    @pytest.mark.parametrize("field,value", [
+        pytest.param(field, value, id=f"{field}-{value!r}")
+        for field, value in wrong_typed(SkipGramConfig)])
+    def test_config_refuses_a_value_of_the_wrong_type(self, field, value):
+        with pytest.raises(ValueError) as info:
+            SkipGramConfig(**{field: value})
+        assert str(info.value).startswith(f"{field} {value!r} is not ")
+
+    @pytest.mark.parametrize("field,value", [("dim", 0), ("window", 0), ("negative_samples", 0),
+                                             ("epochs", -1), ("learning_rate", 0.0)])
+    def test_config_refuses_a_value_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match="invalid skip-gram configuration"):
+            SkipGramConfig(**{field: value})
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

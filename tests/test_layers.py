@@ -547,7 +547,9 @@ class TestGatheredInput:
         n, l, rows = self.CASES[case]
         rng = np.random.default_rng(60)
         d = 5
-        table = init_random(self.VOCAB, d, rng, trainable=not frozen)
+        table = init_random(self.VOCAB, d, rng)
+        if frozen:
+            table.vectors.requires_grad = False
         layers = first_layers(kind, d, rng)
         ids = np.asarray(rows).T.reshape(-1)  # step-major
         outs_g, grads_g = first_layer_run(lookup_distinct, layers, table, ids, n, l)

@@ -1,7 +1,7 @@
 """McM model: guards on the shape of its training graph, the fused time
 pool against its per-op composition, the max_len bounds that training
-shares with checkpoint loading, the type of each config field, the
-single-example entry points against the batch, each head's probabilities,
+shares with checkpoint loading, the type of each config field, each row
+of a batch against that row as a batch of one, each head's probabilities,
 and a finite-difference check of the whole model's gradient, and the
 baseline's dimension check."""
 import dataclasses
@@ -18,10 +18,8 @@ from mcm.model import (
     _pool_time,
     build_baseline,
     build_mcm,
-    forward,
     forward_batch,
     loss,
-    predict,
     probabilities,
 )
 from mcm.layers import softmax_ce
@@ -133,7 +131,7 @@ def test_a_config_refuses_a_value_of_the_wrong_type(cls, field, value):
     with pytest.raises(ValueError) as info:
         cls(**{**REQUIRED[cls], field: value})
     if cls is TrainConfig and field in CHOICES:
-        assert str(info.value).startswith("invalid choice 'foo' (choose from ")
+        assert str(info.value).startswith(f"{field}: invalid choice 'foo' (choose from ")
     else:
         assert str(info.value).startswith(f"{field} {value!r} is not ")
 
@@ -167,14 +165,14 @@ def test_forward_row_equals_forward_batch_row():
     model, _ = tiny_mcm(dropout=0.2)
     batch = forward_batch(model, IDS, "infer")
     for i, row in enumerate(IDS):
-        single = forward(model, row)
+        single = forward_batch(model, row[None], "infer")
         for name, value in vars(single).items():
-            want = getattr(batch, name).data[i]
+            want = getattr(batch, name).data[i:i + 1]
             assert value.data.shape == want.shape
             assert max_rel_err(value.data, want) <= 1e-12, name
-        label, probs = predict(model, row)
-        assert label == int(np.argmax(batch.probs_disc.data[i]))
-        assert max_rel_err(probs, batch.probs_disc.data[i]) <= 1e-12
+        probs = single.probs_disc.data
+        assert np.argmax(probs) == np.argmax(batch.probs_disc.data[i])
+        assert max_rel_err(probs, batch.probs_disc.data[i:i + 1]) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -187,10 +185,6 @@ def test_every_output_field_has_its_shape(n):
     assert {name: t.shape for name, t in vars(batch).items()} == {
         name: (n, w) for name, w in widths.items()}
     assert [t.shape for t in model.head_probabilities(IDS[:n])] == [(n, 4)] * 4
-    single = forward(model, IDS[0])
-    assert {name: t.shape for name, t in vars(single).items()} == {
-        name: (w,) for name, w in widths.items()}
-    assert single.probs_disc.shape == (4,)
 
 
 @pytest.mark.parametrize("stop", [True, False])
@@ -203,8 +197,8 @@ def test_stop_disc_gradients_keeps_the_discriminator_loss_out_of_the_learners(st
     backward(disc_ce, tape)
     # Compared per component: in train mode the shift before a batchnorm has
     # a true gradient of 0, which rounding may or may not leave at 0.
-    components = {name.split(".")[0] for name, _ in model.named_tensors()}
-    reached = {name.split(".")[0] for name, t in model.named_tensors()
+    components = {name.split(".")[0] for name, _ in model.tensors()}
+    reached = {name.split(".")[0] for name, t in model.tensors()
                if t.grad is not None and np.any(t.grad != 0)}
     assert reached == ({"disc"} if stop else components)
 
@@ -212,7 +206,7 @@ def test_stop_disc_gradients_keeps_the_discriminator_loss_out_of_the_learners(st
 def shift_biases_off_zero(model, rng):
     # Pad rows and zero biases put the ReLUs exactly on their kink, where a
     # finite difference is meaningless.
-    for name, t in model.named_tensors():
+    for name, t in model.tensors():
         if name.rsplit(".", 1)[1] in ("bias", "beta", "score_b", "b"):
             t.data[...] += rng.uniform(0.1, 0.5, size=t.shape) * rng.choice([-1.0, 1.0], t.shape)
 
@@ -224,12 +218,13 @@ def model_gradcheck(model, ids, mode, targets):
     def value():
         return loss(forward_batch(model, ids, mode), targets)
 
-    model.zero_grad()
+    for p in model.parameters():
+        p.zero_grad()
     with Tape() as tape:
         total = value()
     backward(total, tape)
     grads = {}
-    for name, t in model.named_tensors():
+    for name, t in model.tensors():
         numeric = numerical_grad(lambda: float(value().data), t)
         analytic = t.grad
         if name == "embedding.vectors":
@@ -253,7 +248,7 @@ def test_whole_model_gradcheck_train_mode():
     model, rng = tiny_mcm(2)
     shift_biases_off_zero(model, rng)
     ids = np.concatenate([IDS, IDS[:, ::-1]])
-    saved = [(a, a.copy()) for _, a in model.named_buffers()]
+    saved = [(a, a.copy()) for _, a in model.buffers()]
     try:
         grads = model_gradcheck(model, ids, "train", rng.integers(0, 3, size=len(ids)))
     finally:

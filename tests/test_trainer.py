@@ -85,11 +85,11 @@ def test_validation_selection_with_no_validation_records_is_refused():
     cfg = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_filters=2,
                     hidden_dim=2, dense1_dim=2, dense2_dim=2)
     model = build_mcm(cfg, init_random(10, 4, np.random.default_rng(1)), 0)
-    before = {name: t.data.copy() for name, t in model.named_tensors()}
+    before = {name: t.data.copy() for name, t in model.tensors()}
     with pytest.raises(ValueError, match="no validation records"):
         fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"))
     # refused before the first epoch: nothing was trained
-    assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.named_tensors())
+    assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.tensors())
 
 
 def baseline_case(per_class):
@@ -122,17 +122,17 @@ def test_fit_on_the_baseline_selects_on_the_split_select_on_names(monkeypatch, s
     assert len(records) == 3 and ckpt.config["best_epoch"] == best_epoch
     assert len(seen["validation"]) == (3 if select_on == "validation" else 0)
     for epoch, arrays in enumerate(seen["test"]):  # the best epoch's parameters are restored
-        holds = all(np.array_equal(t.data, arrays[name]) for name, t in model.named_tensors())
+        holds = all(np.array_equal(t.data, arrays[name]) for name, t in model.tensors())
         assert holds == (epoch == best_epoch)
     shares_every_array(ckpt, model)
 
 
 def test_fit_on_the_baseline_refuses_an_empty_validation_part():
     model, train, test = baseline_case(2)
-    before = {name: t.data.copy() for name, t in model.named_tensors()}
+    before = {name: t.data.copy() for name, t in model.tensors()}
     with pytest.raises(ValueError, match="no validation records"):
         fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"))
-    assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.named_tensors())
+    assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.tensors())
 
 
 @pytest.mark.parametrize("field,value", [
@@ -201,10 +201,10 @@ def test_fit_restoring_an_earlier_epoch_fills_the_lstm_stacks(monkeypatch):
     real_evaluate = trainer.evaluate_components
     seen = []  # the parameters at each evaluation
 
-    def falling(model, corpus, batch_size=256):  # epoch 0 scores best
+    def falling(model, corpus):  # epoch 0 scores best
         seen.append(model_arrays(model))
         return {c: dataclasses.replace(r, macro_f1=1.0 / len(seen))
-                for c, r in real_evaluate(model, corpus, batch_size).items()}
+                for c, r in real_evaluate(model, corpus).items()}
 
     monkeypatch.setattr(trainer, "evaluate_components", falling)
     rng = np.random.default_rng(0)
@@ -797,6 +797,10 @@ WRONG_TYPED_FIXTURE = [
     ("header", "kind", [], "error: unknown checkpoint kind []"),
     ("vocab", "min_count", True, "error: malformed checkpoint: vocabulary block needs a token "
                                  "list and an integer min_count of at least 1"),
+    ("header", "variant", ["x", 1], "error: config variant ['x', 1] is not a string"),
+    ("header", "variant", "a,b", "error: config variant 'a,b' holds a comma or a line break"),
+    ("header", "best_epoch", 1.5, "error: config best_epoch 1.5 is not an integer"),
+    ("header", "seed", True, "error: config seed True is not an integer"),
 ]
 
 
@@ -814,6 +818,34 @@ def test_eval_refuses_a_value_of_the_wrong_type_in_one_line(tmp_path, capsys, bl
     assert cli.main(["eval", "--checkpoint", str(bad), "--test", str(tmp_path / "test.tsv"),
                      "--out", str(tmp_path / "eval")]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+# The keys training stores besides the model's config: the variant, which
+# `mcm eval` prints and writes as a field of eval_results.csv, the best
+# epoch and the seed.
+@pytest.mark.parametrize("key,value,reason", [
+    ("variant", ["x", 1], "is not a string"), ("variant", 1, "is not a string"),
+    ("variant", None, "is not a string"), ("variant", "a,b", "holds a comma or a line break"),
+    ("variant", "McM_R\n", "holds a comma or a line break"),
+    ("variant", "a\rb", "holds a comma or a line break"),
+    ("best_epoch", 1.5, "is not an integer"), ("best_epoch", True, "is not an integer"),
+    ("best_epoch", "1", "is not an integer"), ("seed", True, "is not an integer"),
+    ("seed", 1.0, "is not an integer"), ("seed", None, "is not an integer"),
+])
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_rebuild_refuses_a_training_record_it_cannot_report(ckpt_path, baseline_path, kind, key,
+                                                            value, reason):
+    path = ckpt_path if kind == "mcm" else baseline_path
+    with pytest.raises(CheckpointError) as info:
+        rebuild_model(load_checkpoint(with_config(path, **{key: value})))
+    assert str(info.value) == f"config {key} {value!r} {reason}"
+
+
+def test_an_unknown_optimizer_names_the_field():
+    with pytest.raises(ValueError) as info:
+        Optimizer("foo", [], 0.1)
+    assert str(info.value) == ("optimizer: invalid choice 'foo' "
+                               "(choose from 'adam', 'adadelta', 'sgd')")
 
 
 def test_a_frozen_table_stays_frozen_through_a_checkpoint(tmp_path):
