@@ -31,11 +31,11 @@ from .layers import check_fields
 from .trainer import (
     CHOICES,
     COMPONENT_TITLES,
-    INFER_BATCH,
     CheckpointError,
     TrainConfig,
     TrainingDiverged,
     evaluate_components,
+    infer_probabilities,
     load_checkpoint,
     rebuild_model,
     report_rows,
@@ -235,24 +235,16 @@ def cmd_predict(args) -> int:
     model, vocab = rebuild_model(ckpt)
     max_len = ckpt.config["max_len"]
     names = ckpt.class_names
-    lines = [line.rstrip("\n") for line in sys.stdin]
-    outputs = [None] * len(lines)
-    pending = []  # (line index, encoded row)
-    for i, line in enumerate(lines):
-        tokens = tokenize(line)
+    messages = [tokenize(line.rstrip("\n")) for line in sys.stdin]
+    ids = np.array([encode_tokens(t, vocab, max_len) for t in messages if t], dtype=np.int64)
+    probs = iter(infer_probabilities(model, ids.reshape(-1, max_len))[-1])
+    for tokens in messages:
         if not tokens:
-            outputs[i] = "UNKNOWN\t0.0000"
-        else:
-            pending.append((i, encode_tokens(tokens, vocab, max_len)))
-    for lo in range(0, len(pending), INFER_BATCH):
-        chunk = pending[lo:lo + INFER_BATCH]
-        ids = np.stack([row for _, row in chunk])
-        probs = model.head_probabilities(ids)[-1].data
-        for (i, _), p in zip(chunk, probs):
-            c = int(np.argmax(p))
-            outputs[i] = f"{names[c]}\t{p[c]:.4f}"
-    for line in outputs:
-        print(line)
+            print("UNKNOWN\t0.0000")
+            continue
+        p = next(probs)
+        c = int(np.argmax(p))
+        print(f"{names[c]}\t{p[c]:.4f}")
     return 0
 
 

@@ -1,12 +1,13 @@
 """Neural building blocks: 1-d convolution, LSTM, dense, batch norm,
 dropout, soft attention, and softmax cross-entropy.
 
-Every layer comes in a per-example form matching its mathematical
-definition, and where the model needs throughput there is a batched twin
-operating on a flattened step-major layout: a batch of n sequences of
-length l is one rank-2 tensor of shape (l*n, d) whose row t*n + e is time
-step t of example e. With n=1 the two layouts coincide, so the per-example
-functions are the batched ones specialized.
+The sequence layers (convolution, LSTM, attention) come in a per-example
+form matching its mathematical definition and a batched twin operating
+on a flattened step-major layout: a batch of n sequences of length l is
+one rank-2 tensor of shape (l*n, d) whose row t*n + e is time step t of
+example e. With n=1 the two layouts coincide, so the per-example
+functions are the batched ones specialized. Dense, batch norm and
+softmax cross-entropy take (n, .) batches; one message is a batch of one.
 
 The hot paths are fused ops with hand-written backward rules:
 
@@ -23,7 +24,8 @@ The hot paths are fused ops with hand-written backward rules:
 * ``conv1d_batch``: the affine map and ReLU are one op; for k > 1 one
   more op builds the windows from k contiguous row slices, so its
   backward is k slice-adds.
-* ``dense``: the affine map, one op.
+* ``dense``: the affine map, one op, through ``_affine`` as the
+  projections are.
 * ``soft_attention_batch``: scores, softmax over time and reweighting, one
   op in place of the 12 of their composition.
 
@@ -39,8 +41,8 @@ gradients per distinct id before the weight and table gradient matmuls,
 so those three matmuls cost in distinct ids, not in slots. ``_affine``
 computes the projection and its gradients for either input kind. The
 convolution with k > 1 takes the rows' ``dense()``, the one dense gather
-(``gather_rows`` and ``embeddings.lookup`` are the same op), whose
-backward sums the slots' gradients per distinct id in the same way.
+(``embeddings.lookup`` is the same op), whose backward sums the slots'
+gradients per distinct id in the same way.
 """
 from __future__ import annotations
 
@@ -444,22 +446,19 @@ def lstm_sequence(x: Tensor, p: LstmParams) -> Tensor:
 
 
 def dense(x: Tensor, p: DenseParams) -> Tensor:
-    """x @ W.T + b as one op, for a single (in,) vector or an (n, in) batch.
+    """x @ W.T + b over an (n, in) batch, as one op (``_affine``).
 
     The backward gives dx = g @ W, dW = g.T @ x and db = g summed over the
-    batch; a vector input is the batch of one.
+    batch.
     """
     xd, w = x.data, p.weights.data
-    if xd.ndim not in (1, 2):
-        raise ShapeError(f"dense expects rank 1 or 2, got {xd.shape}")
-    if xd.shape[-1] != w.shape[1]:
-        raise ShapeError(f"dense: expected input width {w.shape[1]}, got {xd.shape}")
-    z = xd @ w.T + p.bias.data
+    if xd.ndim != 2 or xd.shape[1] != w.shape[1]:
+        raise ShapeError(f"dense: expected (n, {w.shape[1]}) input, got {xd.shape}")
+    z, _, input_grads = _affine(x, w, p.bias.data)
 
     def grad_fn(g):
-        g2 = g.reshape(-1, w.shape[0])
-        return (Fresh(g @ w) if x.requires_grad else None,
-                Fresh(g2.T @ xd.reshape(-1, w.shape[1])), Fresh(g2.sum(axis=0)))
+        dw, dx = input_grads(g)
+        return dx, Fresh(dw), Fresh(g.sum(axis=0))
 
     return apply_op(z, (x, p.weights, p.bias), grad_fn)
 
@@ -568,19 +567,15 @@ def soft_attention(h: Tensor, p: AttentionParams) -> Tensor:
 
 
 def softmax_ce(logits: Tensor, target):
-    """Stabilized softmax with categorical cross-entropy.
+    """Stabilized softmax with categorical cross-entropy, for logits (n, C)
+    and a sequence of n int targets; one message is a batch of one.
 
-    Batched form: logits (n, C) and an int sequence; the loss is the batch
-    mean. Single form: logits (C,) and an int target; it is the batched
-    form on a batch of one and returns (probs (C,), loss). The gradient
-    flows through the loss output; probs are detached.
+    Returns (probs (n, C), loss), the loss being the batch mean. The
+    gradient flows through the loss output; probs are detached.
     """
     x = logits.data
-    if x.ndim == 1:
-        probs, loss = softmax_ce(reshape(logits, (1, x.shape[0])), [int(target)])
-        return Tensor(probs.data[0]), loss
     if x.ndim != 2:
-        raise ShapeError(f"softmax_ce expects rank 1 or 2 logits, got {x.shape}")
+        raise ShapeError(f"softmax_ce expects (n, C) logits, got {x.shape}")
     n, c = x.shape
     t = np.asarray(target, dtype=np.intp)
     if t.shape != (n,):

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .embeddings import EmbeddingTable, lookup, lookup_distinct
+from .embeddings import EmbeddingTable, lookup_distinct
 from .layers import (
     AttentionParams,
     BatchNormParams,
@@ -127,9 +127,23 @@ class Model(Params):
 
     heads: tuple = ()
     name = ""  # how reports name a checkpoint that records no variant
+    # What a training run fixes for a model class: the one embedding mode it
+    # trains on (None: the configured one; a class that fixes it has one
+    # variant, its ``name``), and the fewest ids per message it encodes.
+    embedding_mode: Optional[str] = None
+    shortest = 2
 
     def parameters(self):
         return [t for _, t in self.tensors() if t.requires_grad]
+
+    def embed(self, ids):
+        """(rows, n, l): the embedded rows of an (n, max_len) id batch, in
+        step-major order and held as the distinct ids (``GatheredRows``)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 2 or ids.shape[1] != self.config.max_len:
+            raise ValueError(f"expected (n, {self.config.max_len}) ids, got {ids.shape}")
+        n, l = ids.shape
+        return lookup_distinct(self.embedding, ids.T.reshape(-1)), n, l
 
     def head_probabilities(self, ids) -> list:
         """Infer-mode probabilities (n, C), one detached tensor per head,
@@ -261,16 +275,12 @@ def forward_batch(model: McmModel, ids: np.ndarray, mode: str,
                   rng: Optional[np.random.Generator] = None) -> McmOutput:
     """Run all four components over an (n, max_len) id batch.
 
-    The embedded batch is gathered once as its distinct ids, and the first
-    layer of each cascade (``cnn1``, ``lstm_s1``, ``lstm_enc``) projects
-    those rows instead of every token slot.
+    The embedded batch is gathered once as its distinct ids (``Model.embed``),
+    and the first layer of each cascade (``cnn1``, ``lstm_s1``,
+    ``lstm_enc``) projects those rows instead of every token slot.
     """
     cfg = model.config
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
-        raise ValueError(f"expected (n, {cfg.max_len}) ids, got {ids.shape}")
-    n, l = ids.shape
-    x = lookup_distinct(model.embedding, ids.T.reshape(-1))  # step-major (l*n, d)
+    x, n, l = model.embed(ids)  # step-major (l*n, d)
 
     # stacked-CNN cascade
     c1 = conv1d_batch(x, n, l, model.cnn1)
@@ -348,6 +358,8 @@ class BaselineConfig:
 class BaselineModel(Model):
     heads = ("baseline",)
     name = "Baseline"
+    embedding_mode = "random"
+    shortest = 3  # its kernel
 
     config: BaselineConfig
     embedding: EmbeddingTable
@@ -360,11 +372,7 @@ class BaselineModel(Model):
         baseline has no dropout or batchnorm, so ``mode`` and ``rng`` change
         nothing."""
         cfg = self.config
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
-            raise ValueError(f"expected (n, {cfg.max_len}) ids, got {ids.shape}")
-        n, l = ids.shape
-        x = lookup(self.embedding, ids.T.reshape(-1))
+        x, n, l = self.embed(ids)
         c = conv1d_batch(x, n, l, self.conv)
         cube = T.reshape(c, (l - cfg.kernel + 1, n, cfg.num_filters))
         pooled = T.reduce_max(cube, 0)

@@ -12,10 +12,10 @@ leaf keeps its ``grad``; an intermediate tensor keeps its gradient only
 while the caller holds that tensor.
 
 Rows of a rank-2 tensor are gathered one way, as ``GatheredRows``: the
-distinct rows once, and the slot each index fills. ``gather_rows`` is
-its ``dense()``; layers with an affine first step project the distinct
-rows instead. Either way the table's gradient is one ``RowGrad`` over
-the distinct rows, from the slots' gradients summed per row in slot
+distinct rows once, and the slot each index fills. Its ``dense()`` puts
+the rows on the tape; layers with an affine first step project the
+distinct rows instead. Either way the table's gradient is one ``RowGrad``
+over the distinct rows, from the slots' gradients summed per row in slot
 order (for ``dense()``, bitwise a dense scatter-add into zeros).
 
 Design constraints, deliberately strict:
@@ -441,23 +441,13 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def _row_indices(m: Tensor, indices) -> np.ndarray:
     """``indices`` as a flat intp array of valid row numbers of rank-2 ``m``."""
     if m.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects rank-2, got {m.data.shape}")
+        raise ShapeError(f"GatheredRows expects rank-2, got {m.data.shape}")
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
-        raise ShapeError("gather_rows indices must be a flat sequence")
+        raise ShapeError("GatheredRows indices must be a flat sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
-        raise ValueError(f"gather_rows index out of range for {m.data.shape[0]} rows")
+        raise ValueError(f"GatheredRows index out of range for {m.data.shape[0]} rows")
     return idx
-
-
-def gather_rows(m: Tensor, indices, skip_row: Optional[int] = None) -> Tensor:
-    """Gather rows of a rank-2 tensor; gradient scatter-adds back.
-
-    Rows equal to ``skip_row`` still gather normally but are excluded from
-    the scattered gradient (used to keep the padding embedding frozen).
-    It is ``GatheredRows(m, indices, skip_row).dense()``.
-    """
-    return GatheredRows(m, indices, skip_row).dense()
 
 
 class GatheredRows:

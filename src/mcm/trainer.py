@@ -337,16 +337,22 @@ class Optimizer:
 INFER_BATCH = 256
 
 
+def infer_probabilities(model, ids) -> list:
+    """Each head's infer-mode probabilities, an (n, C) array, for an
+    (n, max_len) id batch, ``INFER_BATCH`` messages per forward."""
+    out = [np.empty((len(ids), model.config.num_classes)) for _ in model.heads]
+    for lo in range(0, len(ids), INFER_BATCH):
+        for head_out, probs in zip(out, model.head_probabilities(ids[lo:lo + INFER_BATCH])):
+            head_out[lo:lo + INFER_BATCH] = probs.data
+    return out
+
+
 def evaluate_components(model, corpus: EncodedCorpus) -> dict:
     """Infer-mode evaluation of every head, each predicting the argmax of
     its probabilities; never mutates the model."""
-    preds = {head: [] for head in model.heads}
-    for lo in range(0, len(corpus), INFER_BATCH):
-        probs = model.head_probabilities(corpus.sequences[lo:lo + INFER_BATCH])
-        for head, head_probs in zip(model.heads, probs):
-            preds[head].append(np.argmax(head_probs.data, axis=1))
-    return {head: evaluate(corpus.labels, np.concatenate(p), model.config.num_classes)
-            for head, p in preds.items()}
+    probs = infer_probabilities(model, corpus.sequences)
+    return {head: evaluate(corpus.labels, np.argmax(p, axis=1), model.config.num_classes)
+            for head, p in zip(model.heads, probs)}
 
 
 @dataclass
@@ -761,43 +767,33 @@ def build_embedding_table(cfg: TrainConfig, vocab: Vocabulary, train_records,
                           np.random.default_rng(streams["skipgram"]))
 
 
-def _encode_splits(train_records, test_records, cfg: TrainConfig, shortest: int = 2):
-    """The training vocabulary and both splits encoded to ``cfg.max_len``
-    ids (by default the 95th-percentile rule's), but at least ``shortest``."""
+def run_training(train_records, test_records, cfg: TrainConfig, class_names, kind="mcm"):
+    """Vocab -> embedding -> model -> fit, all from one seed, for a model
+    kind of ``_KINDS``.
+
+    Both splits are encoded to ``cfg.max_len`` ids (by default the
+    95th-percentile rule's), but at least the model class's ``shortest``.
+    The model config takes ``cfg``'s fields of the same name and the four
+    sizes. A model class that fixes ``embedding_mode`` trains on a table of
+    that mode and records its name as the variant: the baseline always
+    trains on a random table.
+    """
+    check_fields(TrainConfig, {"kind": kind}, {"kind": _KINDS})
+    model_cls, config_cls, build = _KINDS[kind]
+    cfg = replace(cfg, embedding_mode=model_cls.embedding_mode or cfg.embedding_mode)
+    streams = seed_streams(cfg.seed)
     vocab = build_vocab(train_records, cfg.min_count)
     max_len = max(cfg.max_len if cfg.max_len is not None else pick_max_len(train_records),
-                  shortest)
-    return vocab, encode(train_records, vocab, max_len), encode(test_records, vocab, max_len)
-
-
-def run_training(train_records, test_records, cfg: TrainConfig, class_names):
-    """Vocab -> embedding -> model -> fit, all from one seed."""
-    streams = seed_streams(cfg.seed)
-    vocab, enc_train, enc_test = _encode_splits(train_records, test_records, cfg)
+                  model_cls.shortest)
+    enc_train, enc_test = (encode(r, vocab, max_len) for r in (train_records, test_records))
     table = build_embedding_table(cfg, vocab, train_records, streams)
-    mcfg = McmConfig(
-        vocab_size=vocab.size, embed_dim=cfg.resolved_embedding_dim,
-        num_classes=len(class_names), max_len=enc_train.max_len,
-        attention=cfg.attention, dropout=cfg.dropout,
-        stop_disc_gradients=cfg.stop_disc_gradients,
-    )
-    model = build_mcm(mcfg, table, streams["model"])
+    shared = {f.name for f in fields(config_cls)} & {f.name for f in fields(TrainConfig)}
+    sizes = {"vocab_size": vocab.size, "embed_dim": cfg.resolved_embedding_dim,
+             "num_classes": len(class_names), "max_len": max_len}
+    model = build(config_cls(**{**{name: getattr(cfg, name) for name in shared}, **sizes}),
+                  table, streams["model"])
     ckpt, records = fit(model, enc_train, enc_test, cfg, vocab, class_names)
-    ckpt.config["variant"] = cfg.variant_name
-    return model, ckpt, records, vocab
-
-
-def run_baseline_training(train_records, test_records, cfg: TrainConfig, class_names):
-    """The single-CNN baseline, always on a random table, trained by ``fit``."""
-    cfg = replace(cfg, embedding_mode="random")
-    streams = seed_streams(cfg.seed)
-    vocab, enc_train, enc_test = _encode_splits(train_records, test_records, cfg, 3)
-    table = build_embedding_table(cfg, vocab, train_records, streams)
-    bcfg = BaselineConfig(vocab_size=vocab.size, embed_dim=cfg.resolved_embedding_dim,
-                          num_classes=len(class_names), max_len=enc_train.max_len)
-    model = build_baseline(bcfg, table, streams["model"])
-    ckpt, records = fit(model, enc_train, enc_test, cfg, vocab, class_names)
-    ckpt.config["variant"] = model.name
+    ckpt.config["variant"] = model.name if model.embedding_mode else cfg.variant_name
     return model, ckpt, records, vocab
 
 
@@ -846,22 +842,23 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
     cell and before ``out_dir`` is made.
     """
     _check_selection([rec.label for rec in train_records], base_cfg)
-    # (model class, variant name, training run, its config)
-    cells = [(BaselineModel, BaselineModel.name, run_baseline_training, base_cfg)]
+    # (model kind, variant name, its config)
+    cells = [("baseline", BaselineModel.name, base_cfg)]
     for mode in _MODE_SUFFIX:
         for attention in (False, True):
             cfg = replace(base_cfg, embedding_mode=mode, attention=attention)
-            cells.append((McmModel, cfg.variant_name, run_training, cfg))
+            cells.append(("mcm", cfg.variant_name, cfg))
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for model_cls, variant, run, cfg in cells:
+    for kind, variant, cfg in cells:
+        heads = _KINDS[kind][0].heads
         try:
-            _, ckpt, records, _ = run(train_records, test_records, cfg, class_names)
+            _, ckpt, records, _ = run_training(train_records, test_records, cfg, class_names,
+                                               kind)
             write_curve_csv(records, os.path.join(out_dir, f"curve_{variant}.csv"))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            rows += report_rows(variant, model_cls.heads, status=f"error: {exc}")
+            rows += report_rows(variant, heads, status=f"error: {exc}")
         else:
-            rows += report_rows(variant, model_cls.heads,
-                                records[ckpt.config["best_epoch"]].reports)
+            rows += report_rows(variant, heads, records[ckpt.config["best_epoch"]].reports)
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     return rows

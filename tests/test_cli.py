@@ -6,8 +6,11 @@ import os
 import subprocess
 import sys
 
-from mcm.data import DEFAULT_CLASSES
-from mcm.trainer import load_checkpoint
+import numpy as np
+import pytest
+
+from mcm.data import DEFAULT_CLASSES, encode_tokens, tokenize
+from mcm.trainer import INFER_BATCH, load_checkpoint, rebuild_model
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -162,6 +165,44 @@ def test_eval_and_predict_take_a_baseline_checkpoint(tmp_path):
     for line in lines:
         label, prob = line.split("\t")
         assert label in ("a", "b", "c") and 0.0 < float(prob) <= 1.0
+
+
+@pytest.mark.parametrize("fixture", ["small_mcm.mcm", "baseline.mcm"])
+def test_predict_answers_each_of_more_lines_than_a_batch_in_order(tmp_path, fixture):
+    """300 lines, more than ``INFER_BATCH``, with empty and punctuation-only
+    lines on both sides of line 256: one output line per input, each the
+    label and probability of that line predicted alone."""
+    assert INFER_BATCH < 300
+    ckpt_file = os.path.join(TESTS, "fixtures", fixture)  # classes a, b, c; words w0-w7
+    rng = np.random.default_rng(31)
+    lines = [" ".join(f"w{i}" for i in rng.integers(0, 9, size=rng.integers(1, 8)))
+             for _ in range(300)]
+    for i in (0, 120, 254, 255, 256, 299):
+        lines[i] = ""
+    for i in (1, 253, 257, 258):
+        lines[i] = "?! ... ,,"
+    pred = mcm(tmp_path, "predict", "--checkpoint", ckpt_file, stdin="\n".join(lines) + "\n")
+    assert pred.returncode == 0, pred.stderr
+
+    ckpt = load_checkpoint(ckpt_file)
+    model, vocab = rebuild_model(ckpt)
+    alone = []
+    for line in lines:
+        if not tokenize(line):
+            alone.append("UNKNOWN\t0.0000")
+            continue
+        ids = encode_tokens(tokenize(line), vocab, ckpt.config["max_len"])[None]
+        p = model.head_probabilities(ids)[-1].data[0]
+        alone.append(f"{ckpt.class_names[int(np.argmax(p))]}\t{p.max():.4f}")
+    assert pred.stdout.splitlines() == alone
+
+
+@pytest.mark.parametrize("stdin", ["", "\n ,, \n\n"])
+def test_predict_without_a_message_to_classify(tmp_path, stdin):
+    ckpt_file = os.path.join(TESTS, "fixtures", "small_mcm.mcm")
+    pred = mcm(tmp_path, "predict", "--checkpoint", ckpt_file, stdin=stdin)
+    assert (pred.returncode, pred.stderr) == (0, "")
+    assert pred.stdout.splitlines() == ["UNKNOWN\t0.0000"] * stdin.count("\n")
 
 
 def test_matrix_on_a_tiny_corpus_fills_every_row(tmp_path):

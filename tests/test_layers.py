@@ -80,7 +80,8 @@ def conv_gather_reference(x, n, l, p):
     j = np.arange(w)[:, None, None]
     e = np.arange(n)[None, :, None]
     i = np.arange(k)[None, None, :]
-    windows = T.reshape(T.gather_rows(x, ((j + i) * n + e).reshape(-1)), (w * n, k * d))
+    windows = T.reshape(T.GatheredRows(x, ((j + i) * n + e).reshape(-1)).dense(),
+                        (w * n, k * d))
     pre = T.add(T.matmul(windows, T.reshape(p.weights, (k * d, f))), T.expand_rows(p.bias, w * n))
     return T.relu(pre)
 
@@ -576,15 +577,13 @@ class TestGatheredInput:
 
 
 def dense_composition(x, p):
-    """dense as the four tape ops it once was: matvec, or matmul by a
-    transposed copy of W plus the bias expanded over the rows."""
-    if x.data.ndim == 1:
-        return T.add(T.matvec(p.weights, x), p.bias)
+    """dense as the tape ops it once was: matmul by a transposed copy of W
+    plus the bias expanded over the rows."""
     return T.add(T.matmul(x, T.transpose(p.weights)), T.expand_rows(p.bias, x.data.shape[0]))
 
 
 class TestDense:
-    @pytest.mark.parametrize("shape", [(4,), (1, 4), (6, 4)])
+    @pytest.mark.parametrize("shape", [(1, 4), (6, 4)])
     def test_one_op_matches_composition(self, shape):
         rng = np.random.default_rng(14)
         p = DenseParams.init(4, 3, rng)
@@ -615,20 +614,20 @@ class TestDense:
 
     def test_width_mismatch_rejected(self):
         p = DenseParams.init(4, 3, np.random.default_rng(16))
-        for shape in ((5,), (2, 5), (2, 2, 4)):
+        for shape in ((4,), (5,), (2, 5), (2, 2, 4)):
             with pytest.raises(T.ShapeError):
                 dense(Tensor(np.zeros(shape)), p)
 
     def test_bias_only(self):
         p = DenseParams(Tensor(np.zeros((1, 3))), Tensor([5.0]))
-        assert np.array_equal(dense(Tensor([1.0, 2.0, 3.0]), p).data, [5.0])
+        assert np.array_equal(dense(Tensor([[1.0, 2.0, 3.0]]), p).data, [[5.0]])
 
     def test_matches_matmul_add_oracle(self):
         rng = np.random.default_rng(12)
         p = DenseParams.init(4, 3, rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         out = dense(Tensor(x), p)
-        assert max_rel_err(out.data, p.weights.data @ x + p.bias.data) < 1e-12
+        assert max_rel_err(out.data, x @ p.weights.data.T + p.bias.data) < 1e-12
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(13)
@@ -636,7 +635,7 @@ class TestDense:
         xs = rng.normal(size=(5, 4))
         batched = dense(Tensor(xs), p)
         for e in range(5):
-            assert max_rel_err(batched.data[e], dense(Tensor(xs[e]), p).data) < 1e-12
+            assert max_rel_err(batched.data[e], dense(Tensor(xs[e:e + 1]), p).data[0]) < 1e-12
 
 
 class TestBatchNorm:
@@ -825,34 +824,34 @@ class TestFusedAttention:
 
 class TestSoftmaxCe:
     def test_uniform_logits(self):
-        probs, loss = softmax_ce(Tensor(np.zeros(4)), 2)
+        probs, loss = softmax_ce(Tensor(np.zeros((1, 4))), [2])
         assert np.allclose(probs.data, 0.25, atol=1e-12)
         assert abs(float(loss.data) - math.log(4)) < 1e-12
 
     def test_confident_correct_prediction(self):
-        _, loss = softmax_ce(Tensor([10.0, -10.0]), 0)
+        _, loss = softmax_ce(Tensor([[10.0, -10.0]]), [0])
         assert abs(float(loss.data) - math.log1p(math.exp(-20.0))) < 1e-15
         assert float(loss.data) == pytest.approx(2.061e-9, rel=1e-3)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(25)
-        logits = rng.normal(size=6)
-        p1, _ = softmax_ce(Tensor(logits), 3)
-        p2, _ = softmax_ce(Tensor(logits + 123.456), 3)
+        logits = rng.normal(size=(1, 6))
+        p1, _ = softmax_ce(Tensor(logits), [3])
+        p2, _ = softmax_ce(Tensor(logits + 123.456), [3])
         assert max_rel_err(p1.data, p2.data) < 1e-12
 
     def test_loss_nonnegative_and_ln_c_at_uniform(self):
         for c in (2, 4, 12):
-            _, loss = softmax_ce(Tensor(np.full(c, 3.3)), c - 1)
+            _, loss = softmax_ce(Tensor(np.full((1, c), 3.3)), [c - 1])
             assert abs(float(loss.data) - math.log(c)) < 1e-9
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_ce(Tensor(np.zeros(3)), 3)
+            softmax_ce(Tensor(np.zeros((1, 3))), [3])
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(26)
-        probs, _ = softmax_ce(Tensor(rng.normal(size=9) * 10), 0)
+        probs, _ = softmax_ce(Tensor(rng.normal(size=(1, 9)) * 10), [0])
         assert abs(probs.data.sum() - 1.0) < 1e-9
 
     def test_batched_matches_single_mean(self):
@@ -860,16 +859,21 @@ class TestSoftmaxCe:
         logits = rng.normal(size=(5, 4))
         targets = rng.integers(0, 4, size=5)
         probs, loss = softmax_ce(Tensor(logits), targets)
-        singles = [softmax_ce(Tensor(logits[i]), int(targets[i])) for i in range(5)]
-        assert max_rel_err(probs.data, np.stack([p.data for p, _ in singles])) < 1e-12
+        singles = [softmax_ce(Tensor(logits[i:i + 1]), targets[i:i + 1]) for i in range(5)]
+        assert max_rel_err(probs.data, np.concatenate([p.data for p, _ in singles])) < 1e-12
         assert abs(float(loss.data) - np.mean([float(l.data) for _, l in singles])) < 1e-12
 
     def test_gradients(self):
         rng = np.random.default_rng(28)
-        logits = Tensor(rng.normal(size=5), requires_grad=True)
+        logits = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
 
         def build():
-            _, loss = softmax_ce(logits, 2)
+            _, loss = softmax_ce(logits, [2])
             return loss
 
         assert gradcheck(build, [logits]) < 1e-4
+
+    def test_logits_of_another_rank_rejected(self):
+        for shape in ((3,), (1, 1, 3)):
+            with pytest.raises(T.ShapeError):
+                softmax_ce(Tensor(np.zeros(shape)), [0])

@@ -161,6 +161,30 @@ def tiny_mcm(seed=0, **overrides):
     return model, rng
 
 
+def tiny_model(kind):
+    if kind == "mcm":
+        return tiny_mcm()[0]
+    cfg = BaselineConfig(vocab_size=10, embed_dim=3, num_classes=3, max_len=IDS.shape[1],
+                         num_filters=2, hidden_dim=2)
+    return build_baseline(cfg, init_random(10, 3, np.random.default_rng(1)), 1)
+
+
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_embed_gives_the_step_major_rows_of_the_batch(kind):
+    model = tiny_model(kind)
+    rows, n, l = model.embed(IDS)
+    assert (n, l) == IDS.shape and rows.table is model.embedding.vectors
+    assert np.array_equal(rows.dense().data, model.embedding.vectors.data[IDS.T.reshape(-1)])
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 5), (2, 7), (1, 2, 6)])
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_both_models_refuse_a_batch_that_is_not_n_by_max_len(kind, shape):
+    model = tiny_model(kind)
+    with pytest.raises(ValueError, match=r"expected \(n, 6\) ids"):
+        model.head_logits(np.zeros(shape, dtype=np.int64), "infer")
+
+
 def test_forward_row_equals_forward_batch_row():
     model, _ = tiny_mcm(dropout=0.2)
     batch = forward_batch(model, IDS, "infer")

@@ -165,26 +165,27 @@ class TestStructureOps:
         backward(s, tape)
         assert max_rel_err(x.grad, 2 * x.data) < 1e-12
 
-    def test_gather_rows(self):
+    def test_gathered_rows_dense(self):
         m = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
-        out = T.gather_rows(m, [2, 0, 2])
+        out = T.GatheredRows(m, [2, 0, 2]).dense()
         assert np.array_equal(out.data, m.data[[2, 0, 2]])
         with pytest.raises(ValueError):
-            T.gather_rows(m, [4])
+            T.GatheredRows(m, [4])
 
-    def test_gather_rows_scatter_adds(self):
+    def test_gathered_rows_dense_scatter_adds(self):
         m = Tensor(np.zeros((4, 2)), requires_grad=True)
         with Tape() as tape:
-            s = T.reduce_sum(T.reduce_sum(T.gather_rows(m, [3, 3]), 1), 0)
+            s = T.reduce_sum(T.reduce_sum(T.GatheredRows(m, [3, 3]).dense(), 1), 0)
         backward(s, tape)
         expected = np.zeros((4, 2))
         expected[3] = 2.0
         assert np.array_equal(m.grad, expected)
 
-    def test_gather_rows_skip_row_gets_no_gradient(self):
+    def test_gathered_rows_dense_skip_row_gets_no_gradient(self):
         m = Tensor(np.ones((3, 2)), requires_grad=True)
         with Tape() as tape:
-            s = T.reduce_sum(T.reduce_sum(T.gather_rows(m, [0, 1, 0], skip_row=0), 1), 0)
+            s = T.reduce_sum(T.reduce_sum(T.GatheredRows(m, [0, 1, 0], skip_row=0).dense(), 1),
+                             0)
         backward(s, tape)
         assert np.array_equal(m.grad[0], [0.0, 0.0])
         assert np.array_equal(m.grad[1], [1.0, 1.0])
@@ -213,9 +214,9 @@ def dense_rows(m, indices, skip_row=None):
     return T.GatheredRows(m, indices, skip_row).dense()
 
 
-# The three ways to gather rows densely, which are one op; without a
-# skip_row argument, lookup skips PAD_ID and the others skip nothing.
-GATHERS = {"gather_rows": T.gather_rows, "lookup": lookup_rows, "dense": dense_rows}
+# The two ways to gather rows densely, which are one op; without a
+# skip_row argument, lookup skips PAD_ID and dense skips nothing.
+GATHERS = {"lookup": lookup_rows, "dense": dense_rows}
 
 
 def gather_cases(skip_rows):
@@ -467,7 +468,7 @@ class TestGatheredRows:
         assert T.GatheredRows(m, idx, skip_row).project_grads(dz, w)[1] is None
 
     @pytest.mark.parametrize("gather", ["GatheredRows", *GATHERS])
-    def test_checks_its_indices_as_gather_rows_does(self, gather):
+    def test_checks_its_indices(self, gather):
         make = {"GatheredRows": T.GatheredRows, **GATHERS}[gather]
         m = Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="out of range"):

@@ -16,12 +16,20 @@ from hypothesis import strategies as st
 
 from mcm import cli, trainer
 from mcm import tensor as T
-from mcm.data import EncodedCorpus, Vocabulary
+from mcm.data import (
+    EncodedCorpus,
+    Vocabulary,
+    gen_synthetic,
+    stratified_split,
+    table1_profile,
+)
 from mcm.embeddings import init_random
 from mcm.model import (
     MAX_LEN_CEILING,
     BaselineConfig,
+    BaselineModel,
     McmConfig,
+    McmModel,
     build_baseline,
     build_mcm,
     forward_batch,
@@ -39,6 +47,7 @@ from mcm.trainer import (
     make_checkpoint,
     model_arrays,
     rebuild_model,
+    run_training,
     save_checkpoint,
 )
 
@@ -144,6 +153,50 @@ def test_fit_on_the_baseline_refuses_an_empty_validation_part():
 def test_train_config_refuses_a_value_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=field.split("_")[-1]):
         TrainConfig(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# run_training: one run for either model kind
+
+
+@pytest.fixture(scope="module")
+def synth_run():
+    """``run_training`` on the splits of a small Table-1 corpus."""
+    rng = np.random.default_rng(23)
+    profile = table1_profile()
+    train, test = stratified_split(gen_synthetic(profile, 120, 0.5, 0.1, rng), 0.8, rng)
+    return lambda cfg, **kind: run_training(train, test, cfg, profile.names, **kind)
+
+
+def test_the_baseline_run_trains_on_a_random_table_of_at_least_3_ids(synth_run):
+    cfg = TrainConfig(epochs=1, batch_size=32, embedding_dim=8, max_len=2)
+    runs = [synth_run(dataclasses.replace(cfg, embedding_mode=mode), kind="baseline")
+            for mode in ("domain", "random")]
+    (model, ckpt, _, _), (_, random_ckpt, _, _) = runs
+    assert isinstance(model, BaselineModel) and ckpt.kind == "baseline"
+    assert model.config.max_len == 3
+    assert ckpt.config["variant"] == "Baseline"
+    # no skip-gram table: every array is the random-table run's, bit for bit
+    assert ckpt.arrays.keys() == random_ckpt.arrays.keys()
+    for name, a in ckpt.arrays.items():
+        assert a.tobytes() == random_ckpt.arrays[name].tobytes(), name
+
+
+def test_the_mcm_run_copies_its_config_fields_into_the_model_config(synth_run):
+    cfg = TrainConfig(epochs=1, batch_size=32, embedding_dim=8, attention=True, dropout=0.35,
+                      stop_disc_gradients=True)
+    model, ckpt, _, vocab = synth_run(cfg)
+    assert isinstance(model, McmModel) and ckpt.kind == "mcm"
+    mc = model.config
+    assert (mc.attention, mc.dropout, mc.stop_disc_gradients) == (True, 0.35, True)
+    assert (mc.vocab_size, mc.embed_dim, mc.num_classes) == (vocab.size, 8, 12)
+    assert model.att_cnn is not None and model.head_cnn.dropout_rate == 0.35
+    assert ckpt.config["variant"] == "McM_RA"
+
+
+def test_run_training_refuses_an_unknown_kind(synth_run):
+    with pytest.raises(ValueError, match="kind: invalid choice 'cnn'"):
+        synth_run(TrainConfig(epochs=1), kind="cnn")
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +356,8 @@ def test_blockwise_steps_equal_whole_array_updates_bitwise(kind):
                           weighted_sum(params["bias"], rng.normal(size=40000)))
             total = T.add(total, weighted_sum(params["scale"], rng.normal(size=())))
             if ids is not None:
-                total = T.add(total, weighted_sum(T.gather_rows(table, ids, skip_row=0),
-                                                  rng.normal(size=(len(ids), 70))))
+                rows = T.GatheredRows(table, ids, skip_row=0).dense()
+                total = T.add(total, weighted_sum(rows, rng.normal(size=(len(ids), 70))))
             if use_dense:
                 total = T.add(total, weighted_sum(table, rng.normal(size=(1000, 70))))
         backward(total, tape)
@@ -321,7 +374,7 @@ def test_blockwise_steps_equal_whole_array_updates_bitwise(kind):
 
 def neg_zero_rows(table, rows):
     """A scalar whose gradient is -0.0 on ``rows`` of ``table``.
-    (``gather_rows`` sums from 0.0, so it never yields -0.0 itself.)"""
+    (``GatheredRows`` sums from 0.0, so it never yields -0.0 itself.)"""
     values = np.full((len(rows), table.shape[1]), -0.0)
     return T.apply_op(np.zeros(()), (table,), lambda g: (T.RowGrad(np.asarray(rows), values),))
 
@@ -395,7 +448,7 @@ def test_row_sparse_gradients_take_the_row_sparse_path_bitwise(kind, read_grad):
                 total = T.add(total, weighted_sum(params[k], dense_weights[k]))
             for (kind_, rows), r in zip(terms, weights):
                 if kind_ == "gather":
-                    term = weighted_sum(T.gather_rows(table, rows, skip_row=0), r)
+                    term = weighted_sum(T.GatheredRows(table, rows, skip_row=0).dense(), r)
                 elif kind_ == "dense":
                     term = weighted_sum(table, r)
                 else:
@@ -434,7 +487,7 @@ def test_folded_adam_tracks_the_textbook_formula():
         ids = rng.integers(0, 10, size=3)
         r = rng.normal(size=(3, 6))
         with Tape() as tape:
-            total = T.add(weighted_sum(T.gather_rows(table, ids), r),
+            total = T.add(weighted_sum(T.GatheredRows(table, ids).dense(), r),
                           weighted_sum(weight, rng.normal(size=(4, 5))))
         backward(total, tape)
         grads = {"table": table.grad, "weight": weight.grad}
@@ -616,6 +669,19 @@ def small_model(kind):
         return build_mcm(dataclasses.replace(SMALL_MCM, attention=True), table, 0)
     return build_baseline(BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3,
                                          max_len=6, kernel=2), table, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, trainer.INFER_BATCH, trainer.INFER_BATCH + 1])
+@pytest.mark.parametrize("kind", ["mcm", "baseline"])
+def test_infer_probabilities_are_each_batchs_head_probabilities(kind, n):
+    model = small_model(kind)
+    ids = np.random.default_rng(n).integers(0, 10, size=(n, 6))
+    probs = trainer.infer_probabilities(model, ids)
+    assert [p.shape for p in probs] == [(n, 3)] * len(model.heads)
+    for lo in range(0, n, trainer.INFER_BATCH):
+        batch = model.head_probabilities(ids[lo:lo + trainer.INFER_BATCH])
+        for p, want in zip(probs, batch):
+            assert p[lo:lo + trainer.INFER_BATCH].tobytes() == want.data.tobytes()
 
 
 SMALL_TOKENS = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
