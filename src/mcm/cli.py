@@ -193,8 +193,8 @@ def cmd_train(args) -> int:
     out_dir = opts["out"]
     class_names, train_records, test_records = _load_splits(opts, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    model, ckpt, records, vocab = run_training(train_records, test_records, cfg, class_names)
-    variant = cfg.variant_name
+    model, ckpt, records = run_training(train_records, test_records, cfg, class_names)
+    variant = ckpt.config["variant"]
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.mcm"))
     best = records[ckpt.config["best_epoch"]]
     write_results_csv(report_rows(variant, model.heads, best.reports),
@@ -215,8 +215,7 @@ def cmd_eval(args) -> int:
     if unknown:
         listing = "; ".join(f"line {ln}: {reason}" for ln, reason in unknown[:20])
         raise ValueError(f"{len(unknown)} records carry labels unseen in training: {listing}")
-    if not result.records:
-        raise ValueError(f"{args.test} contains no usable records")
+    _report_rejections(result, args.test, "test")
     corpus = encode(result.records, vocab, ckpt.config["max_len"])
     os.makedirs(args.out, exist_ok=True)
     reports = evaluate_components(model, corpus)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,6 +198,11 @@ class Vocabulary:
     id_to_token: list
     min_count: int
 
+    @classmethod
+    def of(cls, id_to_token: list, min_count: int) -> Vocabulary:
+        """The vocabulary whose token ``i`` is ``id_to_token[i]``."""
+        return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token, min_count)
+
     @property
     def size(self) -> int:
         return len(self.id_to_token)
@@ -215,15 +220,13 @@ def build_vocab(records, min_count: int = 2) -> Vocabulary:
         counts.update(tokenize(rec.text))
     kept = sorted((t for t, c in counts.items() if c >= min_count),
                   key=lambda t: (-counts[t], t))
-    id_to_token = [PAD_TOKEN, UNK_TOKEN] + kept
-    return Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token, min_count)
+    return Vocabulary.of([PAD_TOKEN, UNK_TOKEN] + kept, min_count)
 
 
 @dataclass
 class EncodedCorpus:
     sequences: np.ndarray  # (n, max_len) int64, right-padded with PAD_ID
     labels: np.ndarray     # (n,) int64
-    max_len: int
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -246,7 +249,7 @@ def encode(records, vocab: Vocabulary, max_len: int) -> EncodedCorpus:
     for i, rec in enumerate(records):
         seqs[i] = encode_tokens(tokenize(rec.text), vocab, max_len)
         labels[i] = rec.label
-    return EncodedCorpus(seqs, labels, max_len)
+    return EncodedCorpus(seqs, labels)
 
 
 def token_id_sequences(records, vocab: Vocabulary) -> list:

@@ -223,17 +223,14 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
 
 @dataclass
 class McmOutput:
-    """Per-head logits and the features the discriminator consumed.
-    Each field is (n, .). ``probs_disc`` is the prediction's softmax,
-    computed when read; ``Model.head_probabilities`` gives every head's."""
+    """Each head's (n, num_classes) logits. ``probs_disc`` is the
+    prediction's softmax, computed when read; ``Model.head_probabilities``
+    gives every head's."""
 
     logits_cnn: Tensor
     logits_slstm: Tensor
     logits_lstm: Tensor
     logits_disc: Tensor
-    features_cnn: Tensor
-    features_slstm: Tensor
-    features_lstm: Tensor
 
     def logits(self):
         """One logits tensor per head, in ``McmModel.heads`` order."""
@@ -310,11 +307,7 @@ def forward_batch(model: McmModel, ids: np.ndarray, mode: str,
         feats = feats.detach()
     logits_disc, _ = _head_forward(feats, model.disc, mode, rng)
 
-    return McmOutput(
-        logits_cnn=logits_cnn, logits_slstm=logits_slstm,
-        logits_lstm=logits_lstm, logits_disc=logits_disc,
-        features_cnn=feat_cnn, features_slstm=feat_slstm, features_lstm=feat_lstm,
-    )
+    return McmOutput(logits_cnn, logits_slstm, logits_lstm, logits_disc)
 
 
 def heads_loss(logits, target) -> Tensor:

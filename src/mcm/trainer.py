@@ -37,7 +37,7 @@ from .embeddings import (
     train_skipgram,
 )
 from .layers import admits, check_fields
-from .metrics import EvalReport, evaluate
+from .metrics import evaluate
 from .model import (
     BaselineConfig,
     BaselineModel,
@@ -384,8 +384,7 @@ _KINDS = {
 class Checkpoint:
     kind: str           # "mcm" or "baseline"
     config: dict
-    vocab_tokens: list
-    vocab_min_count: int
+    vocab: Vocabulary
     class_names: list
     arrays: dict        # name -> float64 ndarray
 
@@ -395,28 +394,22 @@ def model_arrays(model) -> dict:
     return {name: a.copy() for name, a in model.arrays().items()}
 
 
-def make_checkpoint(model, vocab: Optional[Vocabulary], class_names,
-                    arrays: Optional[dict] = None, extra: Optional[dict] = None) -> Checkpoint:
-    """A checkpoint of ``model`` with its config (plus ``extra``),
-    vocabulary and class names.
+def make_checkpoint(model, vocab: Optional[Vocabulary], class_names) -> Checkpoint:
+    """A checkpoint of ``model`` with its config, vocabulary (None: an
+    empty one) and class names.
 
-    Without ``arrays`` it holds ``model.arrays()``, the model's own arrays,
-    not copies: a later update of the model shows in the checkpoint. Save it
-    before training or editing the model further, or pass
-    ``arrays=model_arrays(model)`` for a snapshot that stays as it is.
+    It holds ``model.arrays()``, the model's own arrays, not copies: a later
+    update of the model shows in the checkpoint. Save it before training or
+    editing the model further, or replace its ``arrays`` with
+    ``model_arrays(model)`` (``dataclasses.replace``) for a snapshot that
+    stays as it is.
     """
     kind = next((k for k, (cls, _, _) in _KINDS.items() if type(model) is cls), None)
     if kind is None:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    config = {**asdict(model.config),
-              "embedding_trainable": model.embedding.vectors.requires_grad, **(extra or {})}
-    return Checkpoint(
-        kind=kind, config=config,
-        vocab_tokens=list(vocab.id_to_token) if vocab is not None else [],
-        vocab_min_count=vocab.min_count if vocab is not None else 1,
-        class_names=list(class_names),
-        arrays=arrays if arrays is not None else model.arrays(),
-    )
+    config = {**asdict(model.config), "embedding_trainable": model.embedding.vectors.requires_grad}
+    return Checkpoint(kind, config, Vocabulary.of([], 1) if vocab is None else vocab,
+                      list(class_names), model.arrays())
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -449,8 +442,8 @@ def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     fh.write(struct.pack("<I", len(raw)))
     fh.write(raw)
-    vocab_raw = json.dumps({"tokens": ckpt.vocab_tokens,
-                            "min_count": ckpt.vocab_min_count}).encode("utf-8")
+    vocab_raw = json.dumps({"tokens": ckpt.vocab.id_to_token,
+                            "min_count": ckpt.vocab.min_count}).encode("utf-8")
     fh.write(struct.pack("<I", len(vocab_raw)))
     fh.write(vocab_raw)
     fh.write(struct.pack("<I", len(ckpt.arrays)))
@@ -526,7 +519,7 @@ def load_checkpoint(path) -> Checkpoint:
                               "and an integer min_count of at least 1")
     if not _is_str_list(class_names):
         raise CheckpointError("malformed checkpoint: class_names is not a list of names")
-    return Checkpoint(kind, header, tokens, min_count, class_names, arrays)
+    return Checkpoint(kind, header, Vocabulary.of(tokens, min_count), class_names, arrays)
 
 
 # For each config field that sizes a tensor, one stored array and axis that
@@ -556,8 +549,8 @@ def _check_sizing_fields(ckpt: Checkpoint) -> None:
         if stored is None or ckpt.config.get(field) != stored:
             raise CheckpointError(f"config {field} {ckpt.config.get(field)!r} disagrees "
                                   f"with {name} of shape {shape}")
-    if len(ckpt.vocab_tokens) != ckpt.config["vocab_size"]:
-        raise CheckpointError(f"vocabulary holds {len(ckpt.vocab_tokens)} tokens, "
+    if ckpt.vocab.size != ckpt.config["vocab_size"]:
+        raise CheckpointError(f"vocabulary holds {ckpt.vocab.size} tokens, "
                               f"config says vocab_size {ckpt.config['vocab_size']}")
     if len(ckpt.class_names) != ckpt.config["num_classes"]:
         raise CheckpointError(f"{len(ckpt.class_names)} class names, "
@@ -565,8 +558,9 @@ def _check_sizing_fields(ckpt: Checkpoint) -> None:
 
 
 def rebuild_model(ckpt: Checkpoint):
-    """Instantiate the checkpointed model and vocabulary, verifying every
-    stored tensor against the rebuilt skeleton before any assignment.
+    """``(model, ckpt.vocab)``: the checkpointed model, every stored tensor
+    verified against the rebuilt skeleton before any assignment, and the
+    checkpoint's own vocabulary.
 
     The model's embedding table is ``ckpt.arrays["embedding.vectors"]``
     itself, not a copy: the model and the checkpoint share that array, so
@@ -610,9 +604,7 @@ def rebuild_model(ckpt: Checkpoint):
     for name, a in targets.items():
         if a is not ckpt.arrays[name]:
             a[...] = ckpt.arrays[name]
-    vocab = Vocabulary({tok: i for i, tok in enumerate(ckpt.vocab_tokens)},
-                       list(ckpt.vocab_tokens), ckpt.vocab_min_count)
-    return model, vocab
+    return model, ckpt.vocab
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +628,7 @@ def _carve_validation(corpus: EncodedCorpus, rng: np.random.Generator):
     parts = []
     for idx in stratified_indices(corpus.labels, 0.8, rng):
         idx = np.sort(np.asarray(idx, dtype=np.intp))
-        parts.append(EncodedCorpus(corpus.sequences[idx], corpus.labels[idx], corpus.max_len))
+        parts.append(EncodedCorpus(corpus.sequences[idx], corpus.labels[idx]))
     return tuple(parts)
 
 
@@ -745,8 +737,8 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
 
     for name, a in model.arrays().items():
         a[...] = best_arrays.pop(name)  # the snapshot goes as the model takes it back
-    ckpt = make_checkpoint(model, vocab, class_names,
-                           extra={"best_epoch": best_epoch, "seed": cfg.seed})
+    ckpt = make_checkpoint(model, vocab, class_names)
+    ckpt.config.update(best_epoch=best_epoch, seed=cfg.seed)
     return ckpt, records
 
 
@@ -769,7 +761,9 @@ def build_embedding_table(cfg: TrainConfig, vocab: Vocabulary, train_records,
 
 def run_training(train_records, test_records, cfg: TrainConfig, class_names, kind="mcm"):
     """Vocab -> embedding -> model -> fit, all from one seed, for a model
-    kind of ``_KINDS``.
+    kind of ``_KINDS``: ``(model, checkpoint, per-epoch records)``. The
+    checkpoint holds the vocabulary and, besides ``fit``'s ``best_epoch``
+    and ``seed``, the ``variant`` the run's outputs are named by.
 
     Both splits are encoded to ``cfg.max_len`` ids (by default the
     95th-percentile rule's), but at least the model class's ``shortest``.
@@ -794,7 +788,7 @@ def run_training(train_records, test_records, cfg: TrainConfig, class_names, kin
                   table, streams["model"])
     ckpt, records = fit(model, enc_train, enc_test, cfg, vocab, class_names)
     ckpt.config["variant"] = model.name if model.embedding_mode else cfg.variant_name
-    return model, ckpt, records, vocab
+    return model, ckpt, records
 
 
 def report_rows(variant, heads, reports=None, status="ok") -> list:
@@ -853,8 +847,7 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
     for kind, variant, cfg in cells:
         heads = _KINDS[kind][0].heads
         try:
-            _, ckpt, records, _ = run_training(train_records, test_records, cfg, class_names,
-                                               kind)
+            _, ckpt, records = run_training(train_records, test_records, cfg, class_names, kind)
             write_curve_csv(records, os.path.join(out_dir, f"curve_{variant}.csv"))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             rows += report_rows(variant, heads, status=f"error: {exc}")

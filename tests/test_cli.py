@@ -167,6 +167,16 @@ def test_eval_and_predict_take_a_baseline_checkpoint(tmp_path):
         assert label in ("a", "b", "c") and 0.0 < float(prob) <= 1.0
 
 
+def test_eval_reports_the_lines_it_rejects(tmp_path):
+    ckpt_file = os.path.join(TESTS, "fixtures", "baseline.mcm")  # classes a, b, c
+    (tmp_path / "test.tsv").write_text("w1 w2 w3\ta\nno tab here\nw4 w5\tb\nw6 w7 w0\tc\n")
+    ev = mcm(tmp_path, "eval", "--checkpoint", ckpt_file, "--test", "test.tsv", "--out", "ev")
+    assert ev.returncode == 0
+    assert ev.stderr.splitlines() == ["test: rejected 1 of 4 lines"]
+    with open(tmp_path / "ev" / "eval_results.csv", newline="", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["ok"]
+
+
 @pytest.mark.parametrize("fixture", ["small_mcm.mcm", "baseline.mcm"])
 def test_predict_answers_each_of_more_lines_than_a_batch_in_order(tmp_path, fixture):
     """300 lines, more than ``INFER_BATCH``, with empty and punctuation-only

@@ -20,7 +20,7 @@ from mcm.embeddings import (
     lookup,
     train_skipgram,
 )
-from mcm.tensor import Tape, Tensor, backward
+from mcm.tensor import Tape, backward
 
 from .helpers import wrong_typed
 

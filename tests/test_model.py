@@ -202,9 +202,8 @@ def test_forward_row_equals_forward_batch_row():
 @pytest.mark.parametrize("n", [1, 3])
 def test_every_output_field_has_its_shape(n):
     model, _ = tiny_mcm(num_classes=4, dense2_dim=5)
-    # class scores are num_classes wide, the learner features dense2_dim
+    # class scores are num_classes wide
     widths = {f"logits_{head}": 4 for head in ("cnn", "slstm", "lstm", "disc")}
-    widths.update({f"features_{head}": 5 for head in ("cnn", "slstm", "lstm")})
     batch = forward_batch(model, IDS[:n], "infer")
     assert {name: t.shape for name, t in vars(batch).items()} == {
         name: (n, w) for name, w in widths.items()}

@@ -70,15 +70,15 @@ def carve_by_label(corpus, rng):
         train_idx.extend(idxs[order[:cut]])
         val_idx.extend(idxs[order[cut:]])
     tr, va = np.asarray(sorted(train_idx)), np.asarray(sorted(val_idx))
-    return (EncodedCorpus(corpus.sequences[tr], corpus.labels[tr], corpus.max_len),
-            EncodedCorpus(corpus.sequences[va], corpus.labels[va], corpus.max_len))
+    return (EncodedCorpus(corpus.sequences[tr], corpus.labels[tr]),
+            EncodedCorpus(corpus.sequences[va], corpus.labels[va]))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_validation_carve_out_is_unchanged(seed):
     rng = np.random.default_rng(100 + seed)
     labels = rng.integers(0, 4, size=37)
-    corpus = EncodedCorpus(rng.integers(0, 50, size=(37, 5)), labels, 5)
+    corpus = EncodedCorpus(rng.integers(0, 50, size=(37, 5)), labels)
     new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for new, old in zip(_carve_validation(corpus, new_rng), carve_by_label(corpus, old_rng)):
         assert np.array_equal(new.sequences, old.sequences)
@@ -89,8 +89,8 @@ def test_validation_carve_out_is_unchanged(seed):
 def test_validation_selection_with_no_validation_records_is_refused():
     # 2 records per class: round(0.8 * 2) == 2 sends all of them to training
     rng = np.random.default_rng(0)
-    train = EncodedCorpus(rng.integers(2, 10, size=(6, 6)), np.array([0, 0, 1, 1, 2, 2]), 6)
-    test = EncodedCorpus(rng.integers(2, 10, size=(3, 6)), np.array([0, 1, 2]), 6)
+    train = EncodedCorpus(rng.integers(2, 10, size=(6, 6)), np.array([0, 0, 1, 1, 2, 2]))
+    test = EncodedCorpus(rng.integers(2, 10, size=(3, 6)), np.array([0, 1, 2]))
     cfg = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_filters=2,
                     hidden_dim=2, dense1_dim=2, dense2_dim=2)
     model = build_mcm(cfg, init_random(10, 4, np.random.default_rng(1)), 0)
@@ -104,8 +104,8 @@ def test_validation_selection_with_no_validation_records_is_refused():
 def baseline_case(per_class):
     rng = np.random.default_rng(0)
     train = EncodedCorpus(rng.integers(2, 10, size=(3 * per_class, 6)),
-                          np.repeat([0, 1, 2], per_class), 6)
-    test = EncodedCorpus(rng.integers(2, 10, size=(6, 6)), np.array([0, 1, 2, 0, 1, 2]), 6)
+                          np.repeat([0, 1, 2], per_class))
+    test = EncodedCorpus(rng.integers(2, 10, size=(6, 6)), np.array([0, 1, 2, 0, 1, 2]))
     cfg = BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, kernel=2,
                          num_filters=2, hidden_dim=3)
     return build_baseline(cfg, init_random(10, 4, np.random.default_rng(1)), 0), train, test
@@ -172,7 +172,7 @@ def test_the_baseline_run_trains_on_a_random_table_of_at_least_3_ids(synth_run):
     cfg = TrainConfig(epochs=1, batch_size=32, embedding_dim=8, max_len=2)
     runs = [synth_run(dataclasses.replace(cfg, embedding_mode=mode), kind="baseline")
             for mode in ("domain", "random")]
-    (model, ckpt, _, _), (_, random_ckpt, _, _) = runs
+    (model, ckpt, _), (_, random_ckpt, _) = runs
     assert isinstance(model, BaselineModel) and ckpt.kind == "baseline"
     assert model.config.max_len == 3
     assert ckpt.config["variant"] == "Baseline"
@@ -185,11 +185,11 @@ def test_the_baseline_run_trains_on_a_random_table_of_at_least_3_ids(synth_run):
 def test_the_mcm_run_copies_its_config_fields_into_the_model_config(synth_run):
     cfg = TrainConfig(epochs=1, batch_size=32, embedding_dim=8, attention=True, dropout=0.35,
                       stop_disc_gradients=True)
-    model, ckpt, _, vocab = synth_run(cfg)
+    model, ckpt, _ = synth_run(cfg)
     assert isinstance(model, McmModel) and ckpt.kind == "mcm"
     mc = model.config
     assert (mc.attention, mc.dropout, mc.stop_disc_gradients) == (True, 0.35, True)
-    assert (mc.vocab_size, mc.embed_dim, mc.num_classes) == (vocab.size, 8, 12)
+    assert (mc.vocab_size, mc.embed_dim, mc.num_classes) == (ckpt.vocab.size, 8, 12)
     assert model.att_cnn is not None and model.head_cnn.dropout_rate == 0.35
     assert ckpt.config["variant"] == "McM_RA"
 
@@ -261,8 +261,8 @@ def test_fit_restoring_an_earlier_epoch_fills_the_lstm_stacks(monkeypatch):
 
     monkeypatch.setattr(trainer, "evaluate_components", falling)
     rng = np.random.default_rng(0)
-    train = EncodedCorpus(rng.integers(2, 10, size=(8, 6)), rng.integers(0, 3, size=8), 6)
-    test = EncodedCorpus(rng.integers(2, 10, size=(4, 6)), rng.integers(0, 3, size=4), 6)
+    train = EncodedCorpus(rng.integers(2, 10, size=(8, 6)), rng.integers(0, 3, size=8))
+    test = EncodedCorpus(rng.integers(2, 10, size=(4, 6)), rng.integers(0, 3, size=4))
     model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(1)), 0)
     ckpt, _ = fit(model, train, test, TrainConfig(epochs=3, batch_size=4, seed=2))
     assert ckpt.config["best_epoch"] == 0
@@ -274,8 +274,8 @@ def test_fit_restoring_an_earlier_epoch_fills_the_lstm_stacks(monkeypatch):
 def tiny_fit_case():
     """One batch per epoch of ids 2-8; table row 9 is never read."""
     rng = np.random.default_rng(0)
-    train = EncodedCorpus(rng.integers(2, 9, size=(16, 6)), rng.integers(0, 3, size=16), 6)
-    test = EncodedCorpus(rng.integers(2, 9, size=(4, 6)), rng.integers(0, 3, size=4), 6)
+    train = EncodedCorpus(rng.integers(2, 9, size=(16, 6)), rng.integers(0, 3, size=16))
+    test = EncodedCorpus(rng.integers(2, 9, size=(4, 6)), rng.integers(0, 3, size=4))
     return build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(1)), 0), train, test
 
 
@@ -524,8 +524,8 @@ def tiny_fit(path):
     seqs = rng.integers(USED_ROWS.start, USED_ROWS.stop, size=(24, 6))
     seqs[::3, 4:] = 0  # some padding
     labels = rng.integers(0, 3, size=24)
-    train = EncodedCorpus(seqs[:16], labels[:16], 6)
-    test = EncodedCorpus(seqs[16:], labels[16:], 6)
+    train = EncodedCorpus(seqs[:16], labels[:16])
+    test = EncodedCorpus(seqs[16:], labels[16:])
     cfg = McmConfig(vocab_size=VOCAB, embed_dim=4, num_classes=3, max_len=6, num_filters=3,
                     hidden_dim=3, dense1_dim=3, dense2_dim=3, attention=True)
     table = init_random(VOCAB, 4, np.random.default_rng(1))
@@ -692,7 +692,8 @@ SMALL_VOCAB = Vocabulary({t: i for i, t in enumerate(SMALL_TOKENS)}, SMALL_TOKEN
 def test_a_checkpoint_holds_the_models_arrays_and_a_snapshot_copies_them(kind):
     model = small_model(kind)
     shares_every_array(make_checkpoint(model, SMALL_VOCAB, CLASSES), model)
-    snapshot = make_checkpoint(model, SMALL_VOCAB, CLASSES, arrays=model_arrays(model))
+    snapshot = dataclasses.replace(make_checkpoint(model, SMALL_VOCAB, CLASSES),
+                                   arrays=model_arrays(model))
     for name, a in model.arrays().items():
         assert not np.shares_memory(snapshot.arrays[name], a), name
         assert np.array_equal(snapshot.arrays[name], a), name
@@ -764,8 +765,8 @@ def test_make_checkpoint_copies_no_array():
 def test_fit_returns_holding_no_copy_of_the_table():
     model = big_model()
     rng = np.random.default_rng(0)
-    train = EncodedCorpus(rng.integers(2, 50, size=(6, 6)), np.array([0, 1, 2] * 2), 6)
-    test = EncodedCorpus(rng.integers(2, 50, size=(3, 6)), np.array([0, 1, 2]), 6)
+    train = EncodedCorpus(rng.integers(2, 50, size=(6, 6)), np.array([0, 1, 2] * 2))
+    test = EncodedCorpus(rng.integers(2, 50, size=(3, 6)), np.array([0, 1, 2]))
     (ckpt, _), held, _ = traced_memory(
         lambda: fit(model, train, test, TrainConfig(epochs=1, batch_size=6)))
     assert held < 0.5 * BIG_TABLE_BYTES
@@ -774,7 +775,7 @@ def test_fit_returns_holding_no_copy_of_the_table():
 
 def test_vocab_size_must_match_token_count(ckpt_path):
     ckpt = load_checkpoint(ckpt_path)
-    ckpt.vocab_tokens = ckpt.vocab_tokens[:-1]
+    ckpt.vocab = Vocabulary.of(ckpt.vocab.id_to_token[:-1], ckpt.vocab.min_count)
     with pytest.raises(CheckpointError, match="vocab_size"):
         rebuild_model(ckpt)
 
@@ -878,7 +879,7 @@ def test_eval_refuses_a_value_of_the_wrong_type_in_one_line(tmp_path, capsys, bl
     if block == "header":
         bad = with_config(path, **{key: value})
     else:
-        tokens = load_checkpoint(path).vocab_tokens
+        tokens = load_checkpoint(path).vocab.id_to_token
         bad = splice(path, vocab=json.dumps({"tokens": tokens, key: value}).encode())
     (tmp_path / "test.tsv").write_text("w1 w2\ta\n", encoding="utf-8")
     assert cli.main(["eval", "--checkpoint", str(bad), "--test", str(tmp_path / "test.tsv"),
