@@ -137,10 +137,20 @@ def _read_tsv(path):
                 yield line_no, text, label, None
 
 
+def index_of(items, what: str) -> dict:
+    """Each item's index in the sequence ``items``. Raises ``ValueError``
+    naming, as ``what``, the first item that appears twice."""
+    index = {item: i for i, item in enumerate(items)}
+    if len(index) != len(items):
+        item = next(x for i, x in enumerate(items) if index[x] != i)
+        raise ValueError(f"{what} {item!r} appears more than once")
+    return index
+
+
 def _label_lines(lines, names) -> TsvLoadResult:
     """Records of the loadable ``lines`` (as ``_read_tsv`` yields them)
     whose label is one of ``names``; every other line is a rejection."""
-    label_ids = {name: i for i, name in enumerate(names)}
+    label_ids = index_of(names, "class name")
     records = []
     rejections = []
     for line_no, text, label, reason in lines:
@@ -154,16 +164,15 @@ def _label_lines(lines, names) -> TsvLoadResult:
     return TsvLoadResult(records, rejections)
 
 
-def load_tsv(path, class_names=None) -> TsvLoadResult:
-    """Read "text<TAB>label" lines into labeled records.
+def load_tsv(path, class_names) -> TsvLoadResult:
+    """Read "text<TAB>label" lines into records labelled by their index in
+    ``class_names``.
 
     Malformed lines (invalid UTF-8, missing tab, unknown label, fewer than
     two tokens) are collected into the rejection report instead of aborting
-    the load. Lines end at LF, CR or CRLF. ``class_names`` defaults to
-    ``DEFAULT_CLASSES``.
+    the load. Lines end at LF, CR or CRLF.
     """
-    names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
-    return _label_lines(_read_tsv(path), names)
+    return _label_lines(_read_tsv(path), class_names)
 
 
 def load_training_tsv(path) -> tuple:
@@ -181,11 +190,10 @@ def load_training_tsv(path) -> tuple:
     return names, _label_lines(lines, names)
 
 
-def write_tsv(records, path, class_names=None) -> None:
-    names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
+def write_tsv(records, path, class_names) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(f"{rec.text}\t{names[rec.label]}\n")
+            fh.write(f"{rec.text}\t{class_names[rec.label]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +208,13 @@ class Vocabulary:
 
     @classmethod
     def of(cls, id_to_token: list, min_count: int) -> Vocabulary:
-        """The vocabulary whose token ``i`` is ``id_to_token[i]``."""
-        return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token, min_count)
+        """The vocabulary whose token ``i`` is ``id_to_token[i]``. Raises
+        ``ValueError`` unless id ``PAD_ID`` is ``PAD_TOKEN``, id ``UNK_ID`` is
+        ``UNK_TOKEN`` and no token appears twice."""
+        if list(id_to_token[:2]) != [PAD_TOKEN, UNK_TOKEN]:
+            raise ValueError(f"vocabulary must start with {PAD_TOKEN!r} and {UNK_TOKEN!r}, "
+                             f"got {list(id_to_token[:2])}")
+        return cls(index_of(id_to_token, "vocabulary token"), id_to_token, min_count)
 
     @property
     def size(self) -> int:
@@ -211,7 +224,7 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
 
-def build_vocab(records, min_count: int = 2) -> Vocabulary:
+def build_vocab(records, min_count: int) -> Vocabulary:
     """Frequency-then-lexicographic ids after the pad/unk specials."""
     if not records:
         raise ValueError("cannot build a vocabulary from an empty corpus")

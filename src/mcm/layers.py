@@ -60,6 +60,7 @@ from .tensor import (
     apply_op,
     matvec,
     mul,
+    relu_array,
     reshape,
     sigmoid,
     slice_rows,
@@ -304,7 +305,7 @@ def conv1d_batch(x, n: int, l: int, p: Conv1dParams) -> Tensor:
         dw, dx = input_grads(dz)
         return dx, dw.T.reshape(k, d, f), Fresh(dz.sum(axis=0))
 
-    return apply_op(np.where(mask, z, 0.0), (source, p.weights, p.bias), grad_fn)
+    return apply_op(relu_array(z, out=z), (source, p.weights, p.bias), grad_fn)
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:

@@ -29,6 +29,7 @@ Design constraints, deliberately strict:
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -298,9 +299,19 @@ def tanh(a: Tensor) -> Tensor:
     return apply_op(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+def relu_array(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """max(x, 0) on a plain array, with NaN and -0.0 as +0.0: the bits of
+    ``np.where(x > 0, x, 0.0)`` without a per-element select. ``fmax``
+    takes 0.0 over NaN; adding +0.0 turns a -0.0 that it may return into
+    +0.0 and leaves every other value as it is."""
+    out = np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return apply_op(np.where(mask, a.data, 0.0), (a,), lambda g: (Fresh(g * mask),))
+    return apply_op(relu_array(a.data), (a,), lambda g: (Fresh(g * mask),))
 
 
 _ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul}
@@ -464,42 +475,59 @@ class GatheredRows:
     normally but send ``m`` no gradient.
     """
 
-    __slots__ = ("table", "indices", "skip_row", "rows", "inverse", "order", "bounds", "values")
-
     def __init__(self, m: Tensor, indices, skip_row: Optional[int] = None):
         self.table = m
         self.indices = _row_indices(m, indices)
         self.skip_row = skip_row
-        self.rows, self.inverse = np.unique(self.indices, return_inverse=True)
-        # order[bounds[k]:bounds[k + 1]] are the slots of rows[k], in slot
-        # order; only a backward needs them, so the first segment_sum makes them
-        self.order = self.bounds = None
-        self.values = m.data[self.rows]
 
     @property
     def shape(self) -> tuple:
         return (self.indices.size, self.table.data.shape[1])
 
+    # The distinct rows are found and gathered when first needed (by
+    # ``project``, or by a backward's ``segment_sum``), so ``dense``'s
+    # forward is one plain gather.
+    @cached_property
+    def distinct(self) -> tuple:
+        """(rows, inverse): the sorted distinct indices, and each slot's
+        position in ``rows``."""
+        return np.unique(self.indices, return_inverse=True)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.distinct[0]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The distinct rows ``m[rows]``."""
+        return self.table.data[self.rows]
+
+    @cached_property
+    def _segments(self) -> tuple:
+        """(order, bounds): order[bounds[k]:bounds[k + 1]] are the slots of
+        rows[k], in slot order."""
+        rows, inverse = self.distinct
+        counts = np.bincount(inverse, minlength=rows.size)
+        return (np.argsort(inverse, kind="stable"),
+                np.concatenate(([0], np.cumsum(counts))).tolist())
+
     def dense(self) -> Tensor:
         """The gathered rows as one (slots, d) tensor on the tape."""
-        return apply_op(self.values[self.inverse], (self.table,),
+        return apply_op(self.table.data[self.indices], (self.table,),
                         lambda g: (self._table_grad(self.segment_sum(g)),))
 
     def project(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``m[indices] @ w.T + b`` for w (out, d) and b (out,)."""
-        return (self.values @ w.T + b)[self.inverse]
+        return (self.values @ w.T + b)[self.distinct[1]]
 
     def segment_sum(self, g: np.ndarray) -> np.ndarray:
         """(distinct rows, out): row k sums the rows of ``g`` at the slots of
         ``rows[k]`` one by one in slot order, the additions ``np.add.at``
         makes. (``np.add.reduceat`` reassociates them.)"""
-        if self.order is None:
-            self.order = np.argsort(self.inverse, kind="stable")
-            counts = np.bincount(self.inverse, minlength=self.rows.size)
-            self.bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        order, bounds = self._segments
         out = np.empty((self.rows.size, g.shape[1]))
-        for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
-            g[self.order[lo:hi]].sum(axis=0, out=out[k])
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            g[order[lo:hi]].sum(axis=0, out=out[k])
         return out
 
     def _table_grad(self, s: np.ndarray, w: Optional[np.ndarray] = None) -> Optional[RowGrad]:

@@ -25,6 +25,7 @@ from .data import (
     Vocabulary,
     build_vocab,
     encode,
+    index_of,
     pick_max_len,
     stratified_indices,
     token_id_sequences,
@@ -394,9 +395,8 @@ def model_arrays(model) -> dict:
     return {name: a.copy() for name, a in model.arrays().items()}
 
 
-def make_checkpoint(model, vocab: Optional[Vocabulary], class_names) -> Checkpoint:
-    """A checkpoint of ``model`` with its config, vocabulary (None: an
-    empty one) and class names.
+def make_checkpoint(model, vocab: Vocabulary, class_names) -> Checkpoint:
+    """A checkpoint of ``model`` with its config, vocabulary and class names.
 
     It holds ``model.arrays()``, the model's own arrays, not copies: a later
     update of the model shows in the checkpoint. Save it before training or
@@ -408,8 +408,7 @@ def make_checkpoint(model, vocab: Optional[Vocabulary], class_names) -> Checkpoi
     if kind is None:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
     config = {**asdict(model.config), "embedding_trainable": model.embedding.vectors.requires_grad}
-    return Checkpoint(kind, config, Vocabulary.of([], 1) if vocab is None else vocab,
-                      list(class_names), model.arrays())
+    return Checkpoint(kind, config, vocab, list(class_names), model.arrays())
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -519,7 +518,12 @@ def load_checkpoint(path) -> Checkpoint:
                               "and an integer min_count of at least 1")
     if not _is_str_list(class_names):
         raise CheckpointError("malformed checkpoint: class_names is not a list of names")
-    return Checkpoint(kind, header, Vocabulary.of(tokens, min_count), class_names, arrays)
+    try:
+        index_of(class_names, "class name")
+        vocab = Vocabulary.of(tokens, min_count)
+    except ValueError as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from None
+    return Checkpoint(kind, header, vocab, class_names, arrays)
 
 
 # For each config field that sizes a tensor, one stored array and axis that
@@ -667,7 +671,7 @@ def _diverges_as(where: str):
 
 
 def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
-        vocab: Optional[Vocabulary] = None, class_names=None):
+        vocab: Vocabulary, class_names):
     """Train either model on the sum of its heads' cross-entropies,
     evaluate every head each epoch, and return the best checkpoint (by the
     macro-F1 of the last head, the prediction, on the split ``cfg.select_on``
@@ -688,8 +692,6 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
     """
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test splits must be nonempty")
-    if class_names is None:
-        class_names = [f"class{i}" for i in range(model.config.num_classes)]
     streams = seed_streams(cfg.seed)
     shuffle_rng = np.random.default_rng(streams["shuffle"])
     dropout_rng = np.random.default_rng(streams["dropout"])

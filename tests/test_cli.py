@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from mcm.data import DEFAULT_CLASSES, encode_tokens, tokenize
-from mcm.trainer import INFER_BATCH, load_checkpoint, rebuild_model
+from mcm.data import DEFAULT_CLASSES, Vocabulary, encode_tokens, tokenize
+from mcm.trainer import INFER_BATCH, load_checkpoint, rebuild_model, save_checkpoint
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -175,6 +175,40 @@ def test_eval_reports_the_lines_it_rejects(tmp_path):
     assert ev.stderr.splitlines() == ["test: rejected 1 of 4 lines"]
     with open(tmp_path / "ev" / "eval_results.csv", newline="", encoding="utf-8") as fh:
         assert [r["status"] for r in csv.DictReader(fh)] == ["ok"]
+
+
+# A checkpoint's vocabulary and class list, each made wrong in one way, and
+# the one line `mcm predict` and `mcm eval` print for it.
+PAD_UNK = "vocabulary must start with '<pad>' and '<unk>'"
+BAD_LISTS = {
+    "repeated-token": ("tokens", ["<pad>", "<unk>", "w0", "w0"] + [f"w{i}" for i in range(2, 8)],
+                       "vocabulary token 'w0' appears more than once"),
+    "specials-out-of-place": ("tokens", ["<unk>", "<pad>"] + [f"w{i}" for i in range(8)],
+                              f"{PAD_UNK}, got ['<unk>', '<pad>']"),
+    "empty-vocabulary": ("tokens", [], f"{PAD_UNK}, got []"),
+    "repeated-class-names": ("class_names", ["a", "a", "a"],
+                             "class name 'a' appears more than once"),
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("case", sorted(BAD_LISTS))
+def test_a_malformed_vocabulary_or_class_list_prints_one_error(tmp_path, command, case):
+    field, value, message = BAD_LISTS[case]
+    ckpt = load_checkpoint(os.path.join(TESTS, "fixtures", "small_mcm.mcm"))
+    if field == "tokens":
+        ckpt.vocab = Vocabulary({}, value, ckpt.vocab.min_count)  # unchecked, as a file may be
+    else:
+        ckpt.class_names = value
+    save_checkpoint(ckpt, tmp_path / "bad.mcm")
+    (tmp_path / "test.tsv").write_text("w1 w2 w3\ta\nw4 w5\tb\n")
+    if command == "predict":
+        run = mcm(tmp_path, "predict", "--checkpoint", "bad.mcm", stdin="w1 w2\n")
+    else:
+        run = mcm(tmp_path, "eval", "--checkpoint", "bad.mcm", "--test", "test.tsv", "--out", "ev")
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [f"error: malformed checkpoint: {message}"]
+    assert run.stdout == "" and not (tmp_path / "ev").exists()
 
 
 @pytest.mark.parametrize("fixture", ["small_mcm.mcm", "baseline.mcm"])

@@ -12,6 +12,7 @@ from mcm.data import (
     UNK_ID,
     LabeledText,
     TsvLoadResult,
+    Vocabulary,
     apportion,
     build_vocab,
     gen_synthetic,
@@ -55,7 +56,24 @@ class TestBuildVocab:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            build_vocab([])
+            build_vocab([], min_count=1)
+
+
+class TestVocabularyOf:
+    @pytest.mark.parametrize("tokens,message", [
+        ([], "vocabulary must start with '<pad>' and '<unk>', got []"),
+        (["<pad>"], "vocabulary must start with '<pad>' and '<unk>', got ['<pad>']"),
+        (["<unk>", "<pad>", "a"], "vocabulary must start with '<pad>' and '<unk>', "
+                                  "got ['<unk>', '<pad>']"),
+        (["a", "<pad>", "<unk>"], "vocabulary must start with '<pad>' and '<unk>', "
+                                  "got ['a', '<pad>']"),
+        (["<pad>", "<unk>", "a", "b", "a"], "vocabulary token 'a' appears more than once"),
+        (["<pad>", "<unk>", "<pad>"], "vocabulary token '<pad>' appears more than once"),
+    ])
+    def test_refuses_misplaced_specials_and_repeated_tokens(self, tokens, message):
+        with pytest.raises(ValueError) as info:
+            Vocabulary.of(tokens, 1)
+        assert str(info.value) == message
 
 
 class TestTokenIdSequences:
@@ -177,11 +195,10 @@ class TestGenSynthetic:
                                      np.random.default_rng(0))) == 120
 
 
-def strict_load_tsv(path, class_names=None):
+def strict_load_tsv(path, class_names):
     """load_tsv as it was before it took invalid UTF-8: strict decoding, so
     one bad byte raised UnicodeDecodeError and failed the whole load."""
-    names = list(class_names) if class_names is not None else list(DEFAULT_CLASSES)
-    label_ids = {name: i for i, name in enumerate(names)}
+    label_ids = {name: i for i, name in enumerate(class_names)}
     records, rejections = [], []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -253,7 +270,7 @@ class TestLoadTsv:
         raw = b"".join(lines) + tail
         path = tmp_path / "fuzz.tsv"
         path.write_bytes(raw)
-        result = load_tsv(path)
+        result = load_tsv(path, DEFAULT_CLASSES)
         lines = byte_lines(raw)
         assert result.records_in == len(lines)
         invalid = {no for no, line in enumerate(lines, start=1) if not is_utf8(line)}
@@ -266,7 +283,7 @@ class TestLoadTsv:
     def test_valid_utf8_loads_as_strict_decoding_did(self, tmp_path, pieces):
         path = tmp_path / "valid.tsv"
         path.write_bytes("".join(pieces).encode("utf-8"))
-        assert load_tsv(path) == strict_load_tsv(path)
+        assert load_tsv(path, DEFAULT_CLASSES) == strict_load_tsv(path, DEFAULT_CLASSES)
 
     def test_bad_byte_rejects_its_line_only(self, tmp_path):
         path = tmp_path / "mixed.tsv"
@@ -274,8 +291,8 @@ class TestLoadTsv:
                          b"bahut \xff acha\tSatisfied\n"
                          b"acha shukria\tSatisfied\r")
         with pytest.raises(UnicodeDecodeError):
-            strict_load_tsv(path)
-        result = load_tsv(path)
+            strict_load_tsv(path, DEFAULT_CLASSES)
+        result = load_tsv(path, DEFAULT_CLASSES)
         assert [(r.text, r.label) for r in result.records] == [("shukria bahut acha", 0),
                                                                ("acha shukria", 1)]
         assert result.rejections == [(2, "invalid UTF-8")]
@@ -287,7 +304,7 @@ class TestLoadTrainingTsv:
         path.write_text("rishwat mangta hai\tCorruption\nshukria bahut\tSatisfied\n")
         names, result = load_training_tsv(path)
         assert names == DEFAULT_CLASSES
-        assert result == load_tsv(path)
+        assert result == load_tsv(path, DEFAULT_CLASSES)
 
     def test_other_labels_are_sorted_and_unloadable_lines_ignored(self, tmp_path):
         path = tmp_path / "own.tsv"
@@ -306,6 +323,12 @@ class TestLoadTrainingTsv:
                                      (6, "missing tab separator"),
                                      (7, "unknown label ''")]
         assert result == load_tsv(path, names)
+
+    def test_repeated_class_names_are_refused(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("shukria bahut acha\ta\n")
+        with pytest.raises(ValueError, match="class name 'a' appears more than once"):
+            load_tsv(path, ["a", "b", "a"])
 
     @FUZZ
     @given(lines=st.lists(tsv_lines(), max_size=12))

@@ -14,6 +14,20 @@ class TestElementwise:
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
+    # the values where a select and a max can differ: both zeros, NaN
+    # (negative too), both infinities, subnormals and the extreme normals
+    EDGES = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                      2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -1.0,
+                      np.finfo(float).max, -np.finfo(float).max])
+
+    def test_relu_array_has_the_bits_of_the_select(self):
+        want = np.where(self.EDGES > 0, self.EDGES, 0.0)
+        assert T.relu_array(self.EDGES).tobytes() == want.tobytes()
+        assert T.relu(Tensor(self.EDGES)).data.tobytes() == want.tobytes()
+        out = self.EDGES.copy()
+        assert T.relu_array(out, out=out) is out and out.tobytes() == want.tobytes()
+        assert np.signbit(want).sum() == 0  # -0.0 and -NaN become +0.0
+
     def test_sigmoid_symmetry_point(self):
         assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
 
@@ -450,6 +464,19 @@ class TestGatheredRows:
         assert x.shape == (len(indices), 4)
         assert max_rel_err(x.project(w, b), m.data[indices] @ w.T + b) <= 1e-12
         assert np.array_equal(x.dense().data, m.data[indices])
+
+    def test_a_dense_forward_finds_the_distinct_rows_only_for_its_backward(self, monkeypatch):
+        m = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+        idx = [4, 1, 4, 0]
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        with Tape() as tape:
+            out = T.GatheredRows(m, idx, skip_row=0).dense()
+            s = T.reduce_sum(T.reduce_sum(out, 1), 0)
+        assert calls == [] and out.data.tobytes() == m.data[idx].tobytes()
+        backward(s, tape)
+        assert calls and m.row_grad.rows.tolist() == [1, 4]
+        assert m.row_grad.values.tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
     @pytest.mark.parametrize("skip_row", [None, 0])
     def test_project_grads_equal_dense_rule(self, skip_row):

@@ -96,7 +96,8 @@ def test_validation_selection_with_no_validation_records_is_refused():
     model = build_mcm(cfg, init_random(10, 4, np.random.default_rng(1)), 0)
     before = {name: t.data.copy() for name, t in model.tensors()}
     with pytest.raises(ValueError, match="no validation records"):
-        fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"))
+        fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"),
+            SMALL_VOCAB, CLASSES)
     # refused before the first epoch: nothing was trained
     assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.tensors())
 
@@ -127,7 +128,8 @@ def test_fit_on_the_baseline_selects_on_the_split_select_on_names(monkeypatch, s
 
     monkeypatch.setattr(trainer, "evaluate", scripted)
     ckpt, records = fit(model, train, test,
-                        TrainConfig(epochs=3, batch_size=4, select_on=select_on))
+                        TrainConfig(epochs=3, batch_size=4, select_on=select_on),
+                        SMALL_VOCAB, CLASSES)
     assert len(records) == 3 and ckpt.config["best_epoch"] == best_epoch
     assert len(seen["validation"]) == (3 if select_on == "validation" else 0)
     for epoch, arrays in enumerate(seen["test"]):  # the best epoch's parameters are restored
@@ -140,7 +142,8 @@ def test_fit_on_the_baseline_refuses_an_empty_validation_part():
     model, train, test = baseline_case(2)
     before = {name: t.data.copy() for name, t in model.tensors()}
     with pytest.raises(ValueError, match="no validation records"):
-        fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"))
+        fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"),
+            SMALL_VOCAB, CLASSES)
     assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.tensors())
 
 
@@ -264,7 +267,8 @@ def test_fit_restoring_an_earlier_epoch_fills_the_lstm_stacks(monkeypatch):
     train = EncodedCorpus(rng.integers(2, 10, size=(8, 6)), rng.integers(0, 3, size=8))
     test = EncodedCorpus(rng.integers(2, 10, size=(4, 6)), rng.integers(0, 3, size=4))
     model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(1)), 0)
-    ckpt, _ = fit(model, train, test, TrainConfig(epochs=3, batch_size=4, seed=2))
+    ckpt, _ = fit(model, train, test, TrainConfig(epochs=3, batch_size=4, seed=2),
+                  SMALL_VOCAB, CLASSES)
     assert ckpt.config["best_epoch"] == 0
     stacks_hold(model, seen[0])
     shares_every_array(ckpt, model)
@@ -284,7 +288,8 @@ def test_fit_refuses_a_learning_rate_that_overflows():
     # the overflow comes from the forward that reads the updated parameters.
     model, train, test = tiny_fit_case()
     with pytest.raises(TrainingDiverged, match="overflow encountered in .* epoch 0"):
-        fit(model, train, test, TrainConfig(epochs=1, batch_size=16, learning_rate=1e308))
+        fit(model, train, test, TrainConfig(epochs=1, batch_size=16, learning_rate=1e308),
+            SMALL_VOCAB, CLASSES)
 
 
 def test_fit_refuses_to_return_parameters_that_turned_non_finite():
@@ -294,7 +299,7 @@ def test_fit_refuses_to_return_parameters_that_turned_non_finite():
     model.embedding.vectors.data[9] = np.nan
     with pytest.raises(TrainingDiverged,
                        match="non-finite parameters after epoch 0: embedding.vectors$"):
-        fit(model, train, test, TrainConfig(epochs=1, batch_size=16))
+        fit(model, train, test, TrainConfig(epochs=1, batch_size=16), SMALL_VOCAB, CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +734,7 @@ def test_the_rebuilt_model_shares_only_the_table_with_the_checkpoint(ckpt_path, 
 BIG = McmConfig(vocab_size=20000, embed_dim=64, num_classes=3, max_len=6, num_filters=2,
                 hidden_dim=2, dense1_dim=2, dense2_dim=2)
 BIG_TABLE_BYTES = BIG.vocab_size * BIG.embed_dim * 8
+BIG_VOCAB = Vocabulary.of(["<pad>", "<unk>"] + [f"w{i}" for i in range(BIG.vocab_size - 2)], 1)
 
 
 def big_model():
@@ -738,9 +744,7 @@ def big_model():
 
 def test_save_load_and_rebuild_hold_one_copy_of_the_table(tmp_path):
     model = big_model()
-    tokens = [f"w{i}" for i in range(BIG.vocab_size)]
-    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, 1)
-    ckpt = make_checkpoint(model, vocab, CLASSES)
+    ckpt = make_checkpoint(model, BIG_VOCAB, CLASSES)
     path = tmp_path / "big.mcm"
     _, _, peak = traced_memory(lambda: save_checkpoint(ckpt, path))
     assert peak <= 0.5 * BIG_TABLE_BYTES
@@ -758,7 +762,7 @@ def test_save_load_and_rebuild_hold_one_copy_of_the_table(tmp_path):
 
 def test_make_checkpoint_copies_no_array():
     model = big_model()
-    _, _, peak = traced_memory(lambda: make_checkpoint(model, None, CLASSES))
+    _, _, peak = traced_memory(lambda: make_checkpoint(model, BIG_VOCAB, CLASSES))
     assert peak < 0.5 * BIG_TABLE_BYTES
 
 
@@ -768,7 +772,7 @@ def test_fit_returns_holding_no_copy_of_the_table():
     train = EncodedCorpus(rng.integers(2, 50, size=(6, 6)), np.array([0, 1, 2] * 2))
     test = EncodedCorpus(rng.integers(2, 50, size=(3, 6)), np.array([0, 1, 2]))
     (ckpt, _), held, _ = traced_memory(
-        lambda: fit(model, train, test, TrainConfig(epochs=1, batch_size=6)))
+        lambda: fit(model, train, test, TrainConfig(epochs=1, batch_size=6), BIG_VOCAB, CLASSES))
     assert held < 0.5 * BIG_TABLE_BYTES
     shares_every_array(ckpt, model)
 
