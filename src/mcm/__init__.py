@@ -4,7 +4,8 @@ metrics, trainer, and CLI."""
 
 from .tensor import Tape, Tensor, backward
 from .model import McmConfig, McmModel, build_mcm, loss
-from .trainer import TrainConfig, fit, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
+from .trainer import TrainConfig, fit
 
 __all__ = [
     "Tape", "Tensor", "backward",

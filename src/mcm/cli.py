@@ -15,6 +15,7 @@ import typing
 
 import numpy as np
 
+from .checkpoint import CheckpointError, load_checkpoint, rebuild_model, save_checkpoint
 from .data import (
     DEFAULT_CLASSES,
     encode,
@@ -31,17 +32,13 @@ from .layers import check_fields
 from .trainer import (
     CHOICES,
     COMPONENT_TITLES,
-    CheckpointError,
     TrainConfig,
     TrainingDiverged,
     evaluate_components,
     infer_probabilities,
-    load_checkpoint,
-    rebuild_model,
     report_rows,
     run_experiment_matrix,
     run_training,
-    save_checkpoint,
     write_curve_csv,
     write_results_csv,
 )

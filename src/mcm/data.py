@@ -202,19 +202,35 @@ def write_tsv(records, path, class_names) -> None:
 
 @dataclass
 class Vocabulary:
+    """Token ``i`` is ``id_to_token[i]``, and ``token_to_id`` is the index
+    of that list. A vocabulary is made only in a form that ``check``
+    accepts."""
     token_to_id: dict
     id_to_token: list
     min_count: int
 
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raises ``ValueError`` unless id ``PAD_ID`` is ``PAD_TOKEN``, id
+        ``UNK_ID`` is ``UNK_TOKEN``, no token appears twice and
+        ``token_to_id`` maps each token to its id and holds no other key.
+        The fields stay mutable, so a checkpoint checks again."""
+        tokens = self.id_to_token
+        if list(tokens[:2]) != [PAD_TOKEN, UNK_TOKEN]:
+            raise ValueError(f"vocabulary must start with {PAD_TOKEN!r} and {UNK_TOKEN!r}, "
+                             f"got {list(tokens[:2])}")
+        # token i maps to i and nothing else is held: the tokens are distinct
+        if (len(self.token_to_id) != len(tokens)
+                or list(map(self.token_to_id.get, tokens)) != list(range(len(tokens)))):
+            index_of(tokens, "vocabulary token")  # names a token that appears twice
+            raise ValueError("token_to_id is not the index of id_to_token")
+
     @classmethod
     def of(cls, id_to_token: list, min_count: int) -> Vocabulary:
-        """The vocabulary whose token ``i`` is ``id_to_token[i]``. Raises
-        ``ValueError`` unless id ``PAD_ID`` is ``PAD_TOKEN``, id ``UNK_ID`` is
-        ``UNK_TOKEN`` and no token appears twice."""
-        if list(id_to_token[:2]) != [PAD_TOKEN, UNK_TOKEN]:
-            raise ValueError(f"vocabulary must start with {PAD_TOKEN!r} and {UNK_TOKEN!r}, "
-                             f"got {list(id_to_token[:2])}")
-        return cls(index_of(id_to_token, "vocabulary token"), id_to_token, min_count)
+        """The vocabulary whose token ``i`` is ``id_to_token[i]``."""
+        return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token, min_count)
 
     @property
     def size(self) -> int:

@@ -1,7 +1,8 @@
 """Deterministic mini-batch training of McM or the baseline: Adam (plus
 minimal Adadelta/SGD), per-epoch evaluation of every head, best-checkpoint
-selection on the prediction head's macro-F1, binary checkpoints, and the
-6-variant experiment matrix with per-epoch error curves.
+selection on the prediction head's macro-F1 (the checkpoints themselves
+are ``mcm.checkpoint``'s), and the 6-variant experiment matrix with
+per-epoch error curves.
 
 All randomness flows from one seed: it is forked into fixed named streams
 (embedding init, skip-gram, model init, shuffling, dropout, validation
@@ -10,22 +11,27 @@ curves and checkpoints.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
-import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
+from .checkpoint import (
+    KINDS,
+    load_checkpoint,
+    make_checkpoint,
+    model_arrays,
+    rebuild_model,
+    save_checkpoint,
+)
 from .data import (
     EncodedCorpus,
     Vocabulary,
     build_vocab,
     encode,
-    index_of,
     pick_max_len,
     stratified_indices,
     token_id_sequences,
@@ -37,19 +43,15 @@ from .embeddings import (
     init_random,
     train_skipgram,
 )
-from .layers import admits, check_fields
+from .layers import check_fields
 from .metrics import evaluate
-from .model import (
-    BaselineConfig,
-    BaselineModel,
-    McmConfig,
-    McmModel,
-    build_baseline,
-    build_mcm,
-    check_max_len,
-    heads_loss,
-)
-from .tensor import Tape, Tensor, backward
+from .model import BaselineModel, check_max_len, heads_loss
+from .tensor import Tape, backward
+
+# The checkpoint names this module offered before ``mcm.checkpoint`` held
+# them; the benchmark harness still imports them from here.
+__all__ = ["load_checkpoint", "make_checkpoint", "model_arrays", "rebuild_model",
+           "save_checkpoint"]
 
 COMPONENT_TITLES = {
     "cnn": "Stacked-CNN Learner",
@@ -63,10 +65,6 @@ _MODE_SUFFIX = {"elmo_like": "E", "random": "R", "domain": "D"}
 
 
 class TrainingDiverged(RuntimeError):
-    pass
-
-
-class CheckpointError(Exception):
     pass
 
 
@@ -370,248 +368,6 @@ class EpochRecord:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
-
-_MAGIC = b"MCM1"
-
-# checkpoint kind -> (model class, config class, builder)
-_KINDS = {
-    "mcm": (McmModel, McmConfig, build_mcm),
-    "baseline": (BaselineModel, BaselineConfig, build_baseline),
-}
-
-
-@dataclass
-class Checkpoint:
-    kind: str           # "mcm" or "baseline"
-    config: dict
-    vocab: Vocabulary
-    class_names: list
-    arrays: dict        # name -> float64 ndarray
-
-
-def model_arrays(model) -> dict:
-    """A snapshot of ``model.arrays()``: a copy of each array."""
-    return {name: a.copy() for name, a in model.arrays().items()}
-
-
-def make_checkpoint(model, vocab: Vocabulary, class_names) -> Checkpoint:
-    """A checkpoint of ``model`` with its config, vocabulary and class names.
-
-    It holds ``model.arrays()``, the model's own arrays, not copies: a later
-    update of the model shows in the checkpoint. Save it before training or
-    editing the model further, or replace its ``arrays`` with
-    ``model_arrays(model)`` (``dataclasses.replace``) for a snapshot that
-    stays as it is.
-    """
-    kind = next((k for k, (cls, _, _) in _KINDS.items() if type(model) is cls), None)
-    if kind is None:
-        raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    config = {**asdict(model.config), "embedding_trainable": model.embedding.vectors.requires_grad}
-    return Checkpoint(kind, config, vocab, list(class_names), model.arrays())
-
-
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Self-describing binary layout: magic, config block, vocabulary
-    block, then (name, shape, little-endian float64 payload) entries.
-
-    Each payload is written from the array's own buffer, with no copy of a
-    little-endian float64 C-contiguous array. The file is written under a
-    temporary name in the same directory and then renamed over ``path``, so
-    a save that fails midway leaves any earlier file at ``path`` as it was.
-    A symbolic link at ``path`` stays, and its target is replaced.
-    """
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            _write_checkpoint(ckpt, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
-    fh.write(_MAGIC)
-    header = dict(ckpt.config)
-    header["kind"] = ckpt.kind
-    header["class_names"] = list(ckpt.class_names)
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
-    vocab_raw = json.dumps({"tokens": ckpt.vocab.id_to_token,
-                            "min_count": ckpt.vocab.min_count}).encode("utf-8")
-    fh.write(struct.pack("<I", len(vocab_raw)))
-    fh.write(vocab_raw)
-    fh.write(struct.pack("<I", len(ckpt.arrays)))
-    for name, arr in ckpt.arrays.items():
-        encoded = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(encoded)))
-        fh.write(encoded)
-        fh.write(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            fh.write(struct.pack("<I", dim))
-        # a byte view: memoryview(...).cast("B") refuses a zero-size array
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
-
-
-def _check_left(fh, count: int, what: str) -> None:
-    # Refuse before allocating: a corrupt length must not size a buffer.
-    if count > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-
-
-def _read_exact(fh, count: int, what: str) -> bytes:
-    _check_left(fh, count, what)
-    return fh.read(count)
-
-
-def _read_array(fh, shape: tuple, what: str) -> np.ndarray:
-    """A new little-endian float64 array of ``shape``, read into in place."""
-    _check_left(fh, 8 * math.prod(shape), what)
-    arr = np.empty(shape, dtype="<f8")
-    buf = arr.reshape(-1).view(np.uint8)
-    if fh.readinto(buf) != buf.size:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return arr
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint file; every malformed part raises ``CheckpointError``."""
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic bytes") != _MAGIC:
-            raise CheckpointError("not a model checkpoint (bad magic bytes)")
-        try:
-            (config_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-            header = json.loads(_read_exact(fh, config_len, "config block"))
-            (vocab_len,) = struct.unpack("<I", _read_exact(fh, 4, "vocab length"))
-            vocab_block = json.loads(_read_exact(fh, vocab_len, "vocabulary block"))
-            (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-            arrays = {}
-            for _ in range(count):
-                (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-                name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-                (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of {name}"))
-                shape = tuple(struct.unpack("<I", _read_exact(fh, 4, f"shape of {name}"))[0]
-                              for _ in range(rank))
-                arrays[name] = _read_array(fh, shape, f"payload of {name}")
-        except (ValueError, struct.error) as exc:  # JSON and UTF-8 errors are ValueErrors
-            raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError("malformed checkpoint: config block is not an object")
-    if not isinstance(vocab_block, dict):
-        raise CheckpointError("malformed checkpoint: vocabulary block is not an object")
-    kind = header.pop("kind", None)
-    class_names = header.pop("class_names", [])
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    tokens = vocab_block.get("tokens")
-    min_count = vocab_block.get("min_count")
-    if not _is_str_list(tokens) or not admits(int, min_count) or min_count < 1:
-        raise CheckpointError("malformed checkpoint: vocabulary block needs a token list "
-                              "and an integer min_count of at least 1")
-    if not _is_str_list(class_names):
-        raise CheckpointError("malformed checkpoint: class_names is not a list of names")
-    try:
-        index_of(class_names, "class name")
-        vocab = Vocabulary.of(tokens, min_count)
-    except ValueError as exc:
-        raise CheckpointError(f"malformed checkpoint: {exc}") from None
-    return Checkpoint(kind, header, vocab, class_names, arrays)
-
-
-# For each config field that sizes a tensor, one stored array and axis that
-# must equal it. ``rebuild_model`` checks them before it allocates anything,
-# so a corrupt dimension is refused instead of sizing the model skeleton
-# (the stored shapes themselves are bounded by the file's length).
-_SIZING_FIELDS = {
-    "mcm": {
-        "vocab_size": ("embedding.vectors", 0), "embed_dim": ("embedding.vectors", 1),
-        "kernel1": ("cnn1.weights", 0), "kernel2": ("cnn2.weights", 0),
-        "num_filters": ("cnn1.bias", 0), "hidden_dim": ("lstm_s1.b_i", 0),
-        "dense1_dim": ("disc.dense1.bias", 0), "dense2_dim": ("disc.dense2.bias", 0),
-        "num_classes": ("disc.out.bias", 0),
-    },
-    "baseline": {
-        "vocab_size": ("embedding.vectors", 0), "embed_dim": ("embedding.vectors", 1),
-        "kernel": ("conv.weights", 0), "num_filters": ("conv.bias", 0),
-        "hidden_dim": ("hidden.bias", 0), "num_classes": ("out.bias", 0),
-    },
-}
-
-
-def _check_sizing_fields(ckpt: Checkpoint) -> None:
-    for field, (name, axis) in _SIZING_FIELDS[ckpt.kind].items():
-        shape = ckpt.arrays[name].shape if name in ckpt.arrays else ()
-        stored = shape[axis] if axis < len(shape) else None
-        if stored is None or ckpt.config.get(field) != stored:
-            raise CheckpointError(f"config {field} {ckpt.config.get(field)!r} disagrees "
-                                  f"with {name} of shape {shape}")
-    if ckpt.vocab.size != ckpt.config["vocab_size"]:
-        raise CheckpointError(f"vocabulary holds {ckpt.vocab.size} tokens, "
-                              f"config says vocab_size {ckpt.config['vocab_size']}")
-    if len(ckpt.class_names) != ckpt.config["num_classes"]:
-        raise CheckpointError(f"{len(ckpt.class_names)} class names, "
-                              f"config says num_classes {ckpt.config['num_classes']}")
-
-
-def rebuild_model(ckpt: Checkpoint):
-    """``(model, ckpt.vocab)``: the checkpointed model, every stored tensor
-    verified against the rebuilt skeleton before any assignment, and the
-    checkpoint's own vocabulary.
-
-    The model's embedding table is ``ckpt.arrays["embedding.vectors"]``
-    itself, not a copy: the model and the checkpoint share that array, so
-    a write through either shows in both; a model rebuilt from
-    ``make_checkpoint(model, ...)`` shares its table with ``model``. Take
-    ``model_arrays(model)`` or ``copy.deepcopy(model)`` to keep them apart.
-    Every other array is copied into the skeleton's own (an LSTM's gate
-    arrays into the row blocks of its stacks).
-    """
-    cfg = ckpt.config
-    _, config_cls, build = _KINDS[ckpt.kind]
-    try:
-        check_fields(config_cls, cfg, embedding_trainable=bool, variant=str, best_epoch=int,
-                     seed=int)
-        if set(cfg.get("variant", "")) & set(",\r\n"):  # reports write it as a CSV field
-            raise ValueError(f"variant {cfg['variant']!r} holds a comma or a line break")
-    except ValueError as exc:
-        raise CheckpointError(f"config {exc}") from None
-    _check_sizing_fields(ckpt)
-    try:
-        table = EmbeddingTable(Tensor(ckpt.arrays["embedding.vectors"],
-                                      requires_grad=cfg["embedding_trainable"]))
-        model = build(config_cls(**{f.name: cfg[f.name] for f in fields(config_cls)}), table, 0)
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
-
-    targets = model.arrays()
-    expected = set(targets)
-    stored = set(ckpt.arrays)
-    if expected != stored:
-        missing = sorted(expected - stored)
-        extra = sorted(stored - expected)
-        raise CheckpointError(f"tensor set mismatch: missing {missing}, unexpected {extra}")
-    for name in sorted(expected):  # the same error names the same tensor every run
-        if targets[name].shape != ckpt.arrays[name].shape:
-            raise CheckpointError(
-                f"shape of {name} disagrees: checkpoint {ckpt.arrays[name].shape}, "
-                f"model {targets[name].shape}")
-        if not np.isfinite(ckpt.arrays[name]).all():
-            raise CheckpointError(f"{name} holds non-finite values")
-    for name, a in targets.items():
-        if a is not ckpt.arrays[name]:
-            a[...] = ckpt.arrays[name]
-    return model, ckpt.vocab
-
-
-# ---------------------------------------------------------------------------
 # training loops
 
 
@@ -763,7 +519,7 @@ def build_embedding_table(cfg: TrainConfig, vocab: Vocabulary, train_records,
 
 def run_training(train_records, test_records, cfg: TrainConfig, class_names, kind="mcm"):
     """Vocab -> embedding -> model -> fit, all from one seed, for a model
-    kind of ``_KINDS``: ``(model, checkpoint, per-epoch records)``. The
+    kind of ``KINDS``: ``(model, checkpoint, per-epoch records)``. The
     checkpoint holds the vocabulary and, besides ``fit``'s ``best_epoch``
     and ``seed``, the ``variant`` the run's outputs are named by.
 
@@ -774,8 +530,8 @@ def run_training(train_records, test_records, cfg: TrainConfig, class_names, kin
     that mode and records its name as the variant: the baseline always
     trains on a random table.
     """
-    check_fields(TrainConfig, {"kind": kind}, {"kind": _KINDS})
-    model_cls, config_cls, build = _KINDS[kind]
+    check_fields(TrainConfig, {"kind": kind}, {"kind": KINDS})
+    model_cls, config_cls, build = KINDS[kind]
     cfg = replace(cfg, embedding_mode=model_cls.embedding_mode or cfg.embedding_mode)
     streams = seed_streams(cfg.seed)
     vocab = build_vocab(train_records, cfg.min_count)
@@ -847,7 +603,7 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for kind, variant, cfg in cells:
-        heads = _KINDS[kind][0].heads
+        heads = KINDS[kind][0].heads
         try:
             _, ckpt, records = run_training(train_records, test_records, cfg, class_names, kind)
             write_curve_csv(records, os.path.join(out_dir, f"curve_{variant}.csv"))

@@ -1,15 +1,22 @@
 """Shared test oracles: central finite differences for gradient checks,
-the memory a call allocates, and the values a config field must refuse.
+the memory a call allocates, the values a config field must refuse, the
+small models that checkpoints are made of, and the blocks of a checkpoint
+file's bytes.
 
 The numeric side only ever calls the forward pass (outside any tape), so
 it stays independent of the backward rules it verifies.
 """
+import dataclasses
+import struct
 import tracemalloc
 import typing
 from typing import Optional
 
 import numpy as np
 
+from mcm.data import Vocabulary
+from mcm.embeddings import init_random
+from mcm.model import BaselineConfig, McmConfig, build_baseline, build_mcm
 from mcm.tensor import Tape, apply_op, backward
 
 
@@ -94,3 +101,44 @@ def wrong_typed(cls, choices=()):
     each value it must refuse; a field named in ``choices`` refuses 'foo'."""
     return [(name, value) for name, kind in typing.get_type_hints(cls).items()
             for value in (["foo"] if name in choices else WRONG_TYPED[kind])]
+
+
+# ---------------------------------------------------------------------------
+# small models and their checkpoints
+
+CLASSES = ["a", "b", "c"]
+SMALL_MCM = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_filters=2,
+                      hidden_dim=2, dense1_dim=2, dense2_dim=2)
+SMALL_TOKENS = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
+SMALL_VOCAB = Vocabulary({t: i for i, t in enumerate(SMALL_TOKENS)}, SMALL_TOKENS, 1)
+
+
+def small_model(kind):
+    table = init_random(10, 4, np.random.default_rng(0))
+    if kind == "mcm":
+        return build_mcm(dataclasses.replace(SMALL_MCM, attention=True), table, 0)
+    return build_baseline(BaselineConfig(vocab_size=10, embed_dim=4, num_classes=3,
+                                         max_len=6, kernel=2), table, 0)
+
+
+def shares_every_array(ckpt, model):
+    """Each array of ``ckpt`` is the model's own, not a copy."""
+    arrays = model.arrays()
+    assert list(ckpt.arrays) == list(arrays)
+    for name, a in arrays.items():
+        assert np.shares_memory(ckpt.arrays[name], a), name
+
+
+def checkpoint_blocks(raw: bytes) -> tuple:
+    """(config block, vocabulary block, the tensor entries after them) of
+    a checkpoint file's bytes."""
+    (n_header,) = struct.unpack_from("<I", raw, 4)
+    (n_vocab,) = struct.unpack_from("<I", raw, 8 + n_header)
+    vocab_at = 12 + n_header
+    return raw[8:8 + n_header], raw[vocab_at:vocab_at + n_vocab], raw[vocab_at + n_vocab:]
+
+
+def assemble_checkpoint(header: bytes, vocab: bytes, rest: bytes) -> bytes:
+    """The checkpoint bytes ``checkpoint_blocks`` cuts into these three."""
+    return (b"MCM1" + struct.pack("<I", len(header)) + header
+            + struct.pack("<I", len(vocab)) + vocab + rest)

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from mcm import cli
-from mcm.trainer import CheckpointError, load_checkpoint, rebuild_model
+from mcm.checkpoint import CheckpointError, load_checkpoint, rebuild_model
+
+from .helpers import assemble_checkpoint, checkpoint_blocks
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 NAMES = ["small_mcm.mcm", "small_mcm_attention.mcm", "baseline.mcm"]
@@ -29,24 +31,11 @@ def read_fixture(name):
         return fh.read()
 
 
-def blocks(raw):
-    """(config block, vocabulary block, the tensor entries after them)."""
-    (n_header,) = struct.unpack_from("<I", raw, 4)
-    (n_vocab,) = struct.unpack_from("<I", raw, 8 + n_header)
-    vocab_at = 12 + n_header
-    return raw[8:8 + n_header], raw[vocab_at:vocab_at + n_vocab], raw[vocab_at + n_vocab:]
-
-
-def assemble(header: bytes, vocab: bytes, rest: bytes) -> bytes:
-    return (b"MCM1" + struct.pack("<I", len(header)) + header
-            + struct.pack("<I", len(vocab)) + vocab + rest)
-
-
 def cut_points(raw):
     """Where each field of the file header and of the first tensor entry
     starts (later entries repeat those reads), and where each payload
     starts and one byte into it."""
-    header, vocab, _ = blocks(raw)
+    header, vocab, _ = checkpoint_blocks(raw)
     pos = 12 + len(header) + len(vocab)
     cuts = [0, 4, 8, 8 + len(header), 12 + len(header), pos]
     (count,) = struct.unpack_from("<I", raw, pos)
@@ -71,27 +60,29 @@ def truncations(raw, rng):
 
 
 def flips(raw, rng):
-    header, vocab, rest = blocks(raw)
+    header, vocab, rest = checkpoint_blocks(raw)
     out = []
     for _ in range(FLIPS):
         at, mask = int(rng.integers(len(header))), int(rng.integers(1, 256))
         flipped = bytearray(header)
         flipped[at] ^= mask
-        out.append((f"config byte {at} ^ {mask:#04x}", assemble(bytes(flipped), vocab, rest)))
+        out.append((f"config byte {at} ^ {mask:#04x}",
+                    assemble_checkpoint(bytes(flipped), vocab, rest)))
     return out
 
 
 def replacements(raw, rng):
-    header, vocab, rest = blocks(raw)
+    header, vocab, rest = checkpoint_blocks(raw)
     config, vocab_block = json.loads(header), json.loads(vocab)
     out = []
     for value in JSON_VALUES:
         for key in config:  # every config key, kind and class_names
             changed = json.dumps({**config, key: value}, sort_keys=True).encode()
-            out.append((f"config {key} = {value!r}", assemble(changed, vocab, rest)))
+            out.append((f"config {key} = {value!r}", assemble_checkpoint(changed, vocab, rest)))
         for key in vocab_block:  # tokens and min_count
             changed = json.dumps({**vocab_block, key: value}).encode()
-            out.append((f"vocabulary {key} = {value!r}", assemble(header, changed, rest)))
+            out.append((f"vocabulary {key} = {value!r}",
+                        assemble_checkpoint(header, changed, rest)))
     return out
 
 
@@ -99,7 +90,8 @@ def replacements(raw, rng):
 @pytest.mark.parametrize("name", NAMES)
 def test_a_mutated_checkpoint_loads_or_is_refused(tmp_path, capsys, name, mutate):
     raw = read_fixture(name)
-    assert assemble(*blocks(raw)) == raw  # the mutations change only what they say
+    # the mutations change only what they say
+    assert assemble_checkpoint(*checkpoint_blocks(raw)) == raw
     rng = np.random.default_rng(2021)
     path = tmp_path / "mutated.mcm"
     refused, escaped = [], []

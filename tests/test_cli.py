@@ -2,6 +2,7 @@
 each in its own process. Training with domain embeddings runs skip-gram
 pretraining at its defaults (window 5, 5 epochs) through its real caller."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -9,8 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from mcm.data import DEFAULT_CLASSES, Vocabulary, encode_tokens, tokenize
-from mcm.trainer import INFER_BATCH, load_checkpoint, rebuild_model, save_checkpoint
+from mcm.checkpoint import load_checkpoint, rebuild_model
+from mcm.data import DEFAULT_CLASSES, encode_tokens, tokenize
+from mcm.trainer import INFER_BATCH
+
+from .helpers import assemble_checkpoint, checkpoint_blocks
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -195,12 +199,13 @@ BAD_LISTS = {
 @pytest.mark.parametrize("case", sorted(BAD_LISTS))
 def test_a_malformed_vocabulary_or_class_list_prints_one_error(tmp_path, command, case):
     field, value, message = BAD_LISTS[case]
-    ckpt = load_checkpoint(os.path.join(TESTS, "fixtures", "small_mcm.mcm"))
+    with open(os.path.join(TESTS, "fixtures", "small_mcm.mcm"), "rb") as fh:
+        header, vocab, rest = checkpoint_blocks(fh.read())
     if field == "tokens":
-        ckpt.vocab = Vocabulary({}, value, ckpt.vocab.min_count)  # unchecked, as a file may be
+        vocab = json.dumps({**json.loads(vocab), "tokens": value}).encode()
     else:
-        ckpt.class_names = value
-    save_checkpoint(ckpt, tmp_path / "bad.mcm")
+        header = json.dumps({**json.loads(header), "class_names": value}).encode()
+    (tmp_path / "bad.mcm").write_bytes(assemble_checkpoint(header, vocab, rest))
     (tmp_path / "test.tsv").write_text("w1 w2 w3\ta\nw4 w5\tb\n")
     if command == "predict":
         run = mcm(tmp_path, "predict", "--checkpoint", "bad.mcm", stdin="w1 w2\n")

@@ -75,6 +75,15 @@ class TestVocabularyOf:
             Vocabulary.of(tokens, 1)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("token_to_id", [
+        {}, {"<pad>": 0, "<unk>": 1}, {"<pad>": 0, "<unk>": 1, "a": 2, "b": 2},
+        {"<pad>": 0, "<unk>": 1, "a": 3, "b": 2}, {"<pad>": 0, "<unk>": 1, "a": 2, "b": 3, "c": 4},
+    ])
+    def test_the_constructor_refuses_an_index_that_disagrees_with_the_tokens(self, token_to_id):
+        with pytest.raises(ValueError) as info:
+            Vocabulary(token_to_id, ["<pad>", "<unk>", "a", "b"], 1)
+        assert str(info.value) == "token_to_id is not the index of id_to_token"
+
 
 class TestTokenIdSequences:
     def test_unknown_words_map_to_unk_and_nothing_is_padded(self):
