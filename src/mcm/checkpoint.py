@@ -3,13 +3,13 @@ checkpoint meets.
 
 A checkpoint holds a model kind, its config, its vocabulary, its class
 names and its arrays. ``check_checkpoint`` runs every check that needs no
-model: the kind, the vocabulary, the class names, the config's values and
-the sizes it gives the stored arrays. ``make_checkpoint``,
-``save_checkpoint`` and ``load_checkpoint`` each call it, so the writer
-refuses what the reader refuses. ``rebuild_model`` calls it too, since a
-``Checkpoint`` can be edited after it was made or read, and then adds the
-checks that need the model skeleton: the tensor set, their shapes and
-their values being finite. Every refusal is one ``CheckpointError``.
+model: the kind, the vocabulary, the class names, the config's values, the
+sizes it gives the stored arrays, and the arrays' values being finite.
+``make_checkpoint``, ``save_checkpoint`` and ``load_checkpoint`` each call
+it, so the writer refuses what the reader refuses. ``rebuild_model`` calls
+it too, since a ``Checkpoint`` can be edited after it was made or read, and
+then adds the checks that need the model skeleton: the tensor set and
+their shapes. Every refusal is one ``CheckpointError``.
 
 Format changes. Today's layout has no ``format`` key in its config block,
 and a file without one is read as today's layout; so every file re-saves
@@ -110,8 +110,9 @@ def check_checkpoint(ckpt: Checkpoint) -> None:
     a vocabulary block or breaks ``Vocabulary.check``; class names that are
     not distinct strings; a config value of the wrong type, a variant that
     would split a CSV row, or a config the model's config class refuses; a
-    sizing field that disagrees with its stored array; or a vocabulary or
-    class count that disagrees with the config."""
+    sizing field that disagrees with its stored array; a vocabulary or
+    class count that disagrees with the config; or an array that holds a
+    NaN or an infinity, the first such in name order."""
     if not isinstance(ckpt.kind, str) or ckpt.kind not in KINDS:
         raise CheckpointError(f"unknown checkpoint kind {ckpt.kind!r}")
     vocab, cfg = ckpt.vocab, ckpt.config
@@ -150,6 +151,12 @@ def check_checkpoint(ckpt: Checkpoint) -> None:
             raise KeyError("embedding_trainable")
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
+    for name in sorted(ckpt.arrays):  # the same error names the same tensor every run
+        a = ckpt.arrays[name]
+        # only a float array can hold NaN or inf (the writer's float64
+        # conversion refuses an array of strings)
+        if np.issubdtype(a.dtype, np.inexact) and not np.isfinite(a).all():
+            raise CheckpointError(f"{name} holds non-finite values")
 
 
 def make_checkpoint(model, vocab: Vocabulary, class_names) -> Checkpoint:
@@ -315,8 +322,6 @@ def rebuild_model(ckpt: Checkpoint):
             raise CheckpointError(
                 f"shape of {name} disagrees: checkpoint {ckpt.arrays[name].shape}, "
                 f"model {targets[name].shape}")
-        if not np.isfinite(ckpt.arrays[name]).all():
-            raise CheckpointError(f"{name} holds non-finite values")
     for name, a in targets.items():
         if a is not ckpt.arrays[name]:
             a[...] = ckpt.arrays[name]

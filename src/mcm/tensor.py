@@ -21,8 +21,8 @@ order (for ``dense()``, bitwise a dense scatter-add into zeros).
 Design constraints, deliberately strict:
 
 * everything is float64,
-* no implicit broadcasting -- shape alignment is always explicit
-  (``expand_rows`` / ``expand_cols`` / ``expand_scalar``),
+* no implicit broadcasting -- an elementwise op refuses operands whose
+  shapes differ,
 * max reductions route their gradient to the first maximal element of each
   slice, so gradients are deterministic under ties,
 * identical inputs give bitwise-identical outputs and gradients.
@@ -79,19 +79,12 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph."""
         return Tensor(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, grad_enabled={self.requires_grad})"
 
 
 class TapeNode:
@@ -336,16 +329,6 @@ def elementwise(op_kind: str, a: Tensor, b: Optional[Tensor] = None) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    ad, bd = a.data, b.data
-    return apply_op(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-
-
 def matvec(m: Tensor, v: Tensor) -> Tensor:
     """Matrix-vector product: (r, c) x (c,) -> (r,)."""
     if m.data.ndim != 2 or v.data.ndim != 1:
@@ -354,12 +337,6 @@ def matvec(m: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"matvec dimensions disagree: {m.data.shape} and {v.data.shape}")
     md, vd = m.data, v.data
     return apply_op(md @ vd, (m, v), lambda g: (np.outer(g, vd), md.T @ g))
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects rank-2, got {a.data.shape}")
-    return apply_op(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -558,48 +535,3 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         return (Fresh(z),)
 
     return apply_op(a.data[start:stop], (a,), grad_fn)
-
-
-def expand_rows(v: Tensor, n: int) -> Tensor:
-    """Tile a vector (d,) into (n, d); gradient sums over rows."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"expand_rows expects rank-1, got {v.data.shape}")
-    return apply_op(np.broadcast_to(v.data, (n, v.data.shape[0])).copy(), (v,),
-                    lambda g: (g.sum(axis=0),))
-
-
-def expand_cols(v: Tensor, d: int) -> Tensor:
-    """Tile a vector (n,) into (n, d) columns; gradient sums over columns."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"expand_cols expects rank-1, got {v.data.shape}")
-    return apply_op(np.broadcast_to(v.data[:, None], (v.data.shape[0], d)).copy(), (v,),
-                    lambda g: (g.sum(axis=1),))
-
-
-def expand_scalar(s: Tensor, n: int) -> Tensor:
-    """Tile a scalar () into (n,); gradient sums."""
-    if s.data.ndim != 0:
-        raise ShapeError(f"expand_scalar expects rank-0, got {s.data.shape}")
-    return apply_op(np.full(n, float(s.data)), (s,), lambda g: (g.sum(),))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a Python float constant."""
-    c = float(c)
-    return apply_op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Numerically stabilized softmax along the last axis (rank 1 or 2)."""
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"softmax expects rank 1 or 2, got {a.data.shape}")
-    x = a.data
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return apply_op(p, (a,), grad_fn)

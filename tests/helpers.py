@@ -1,12 +1,14 @@
 """Shared test oracles: central finite differences for gradient checks,
 the memory a call allocates, the values a config field must refuse, the
-small models that checkpoints are made of, and the blocks of a checkpoint
-file's bytes.
+small models that checkpoints are made of, the blocks and payloads of a
+checkpoint file's bytes, and the tape ops that only tests use, as the
+references for the fused layers.
 
 The numeric side only ever calls the forward pass (outside any tape), so
 it stays independent of the backward rules it verifies.
 """
 import dataclasses
+import math
 import struct
 import tracemalloc
 import typing
@@ -17,7 +19,7 @@ import numpy as np
 from mcm.data import Vocabulary
 from mcm.embeddings import init_random
 from mcm.model import BaselineConfig, McmConfig, build_baseline, build_mcm
-from mcm.tensor import Tape, apply_op, backward
+from mcm.tensor import ShapeError, Tape, Tensor, apply_op, backward
 
 
 def numerical_grad(value_fn, tensor, h=1e-5):
@@ -142,3 +144,91 @@ def assemble_checkpoint(header: bytes, vocab: bytes, rest: bytes) -> bytes:
     """The checkpoint bytes ``checkpoint_blocks`` cuts into these three."""
     return (b"MCM1" + struct.pack("<I", len(header)) + header
             + struct.pack("<I", len(vocab)) + vocab + rest)
+
+
+def fill_payloads(raw: bytes, names, value: float, count: Optional[int] = None) -> bytes:
+    """Checkpoint bytes ``raw`` with the first ``count`` values (all of them
+    when None) of each payload of a tensor in ``names`` set to ``value``:
+    bytes that no writer that checks its arrays would write."""
+    header, vocab, rest = checkpoint_blocks(raw)
+    out = bytearray(raw)
+    pos = 12 + len(header) + len(vocab)
+    (entries,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    for _ in range(entries):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        name = raw[pos + 2:pos + 2 + name_len].decode("utf-8")
+        rank = raw[pos + 2 + name_len]
+        shape = struct.unpack_from(f"<{rank}I", raw, pos + 3 + name_len)
+        pos += 3 + name_len + 4 * rank
+        size = math.prod(shape)
+        if name in names:
+            np.frombuffer(out, "<f8", size if count is None else count, pos)[...] = value
+        pos += 8 * size
+    return bytes(out)
+
+
+# ---------------------------------------------------------------------------
+# tape ops that no program runs: the reference compositions of the fused
+# layers (dense, conv, attention) are written in them
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Standard matrix product of two rank-2 tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul expects rank-2 operands, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+    ad, bd = a.data, b.data
+    return apply_op(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose expects rank-2, got {a.data.shape}")
+    return apply_op(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def expand_rows(v: Tensor, n: int) -> Tensor:
+    """Tile a vector (d,) into (n, d); gradient sums over rows."""
+    if v.data.ndim != 1:
+        raise ShapeError(f"expand_rows expects rank-1, got {v.data.shape}")
+    return apply_op(np.broadcast_to(v.data, (n, v.data.shape[0])).copy(), (v,),
+                    lambda g: (g.sum(axis=0),))
+
+
+def expand_cols(v: Tensor, d: int) -> Tensor:
+    """Tile a vector (n,) into (n, d) columns; gradient sums over columns."""
+    if v.data.ndim != 1:
+        raise ShapeError(f"expand_cols expects rank-1, got {v.data.shape}")
+    return apply_op(np.broadcast_to(v.data[:, None], (v.data.shape[0], d)).copy(), (v,),
+                    lambda g: (g.sum(axis=1),))
+
+
+def expand_scalar(s: Tensor, n: int) -> Tensor:
+    """Tile a scalar () into (n,); gradient sums."""
+    if s.data.ndim != 0:
+        raise ShapeError(f"expand_scalar expects rank-0, got {s.data.shape}")
+    return apply_op(np.full(n, float(s.data)), (s,), lambda g: (g.sum(),))
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    """Multiply by a Python float constant."""
+    c = float(c)
+    return apply_op(a.data * c, (a,), lambda g: (g * c,))
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Numerically stabilized softmax along the last axis (rank 1 or 2)."""
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax expects rank 1 or 2, got {a.data.shape}")
+    x = a.data
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def grad_fn(g):
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        return (p * (g - dot),)
+
+    return apply_op(p, (a,), grad_fn)

@@ -35,6 +35,7 @@ from .helpers import (
     SMALL_VOCAB,
     assemble_checkpoint,
     checkpoint_blocks,
+    fill_payloads,
     shares_every_array,
     small_model,
     traced_memory,
@@ -91,6 +92,29 @@ def test_save_checkpoint_refuses_a_checkpoint_edited_into_what_the_reader_refuse
     with pytest.raises(CheckpointError) as info:
         save_checkpoint(ckpt, tmp_path / "refused.mcm")
     assert str(info.value) == message
+    assert os.listdir(tmp_path) == []  # neither the file nor its temporary
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_make_checkpoint_refuses_a_model_holding_a_non_finite_value(tmp_path, value):
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
+    model.disc.out.bias.data[1] = value
+    with pytest.raises(CheckpointError) as info:
+        save_checkpoint(make_checkpoint(model, SMALL_VOCAB, CLASSES), tmp_path / "refused.mcm")
+    assert str(info.value) == "disc.out.bias holds non-finite values"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_refuses_a_checkpoint_edited_to_hold_a_non_finite_value(tmp_path,
+                                                                                value):
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
+    ckpt = make_checkpoint(model, SMALL_VOCAB, CLASSES)
+    ckpt.arrays["lstm_s1.b_i"][0] = value
+    ckpt.arrays["embedding.vectors"][3, 2] = value  # the first in name order is named
+    with pytest.raises(CheckpointError) as info:
+        save_checkpoint(ckpt, tmp_path / "refused.mcm")
+    assert str(info.value) == "embedding.vectors holds non-finite values"
     assert os.listdir(tmp_path) == []  # neither the file nor its temporary
 
 
@@ -465,9 +489,7 @@ def test_baseline_checkpoint_round_trips(baseline_path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_arrays_are_rejected(ckpt_path, value):
-    ckpt = load_checkpoint(ckpt_path)
-    ckpt.arrays["cnn1.bias"][0] = value
-    save_checkpoint(ckpt, ckpt_path)
+    ckpt_path.write_bytes(fill_payloads(ckpt_path.read_bytes(), ["cnn1.bias"], value, count=1))
     with pytest.raises(CheckpointError, match="non-finite"):
         rebuild_model(load_checkpoint(ckpt_path))
 
@@ -498,9 +520,7 @@ def test_truncations_and_bit_flips_load_or_raise_checkpoint_error(ckpt_path, dat
 
 
 def _nan_checkpoint(path):
-    ckpt = load_checkpoint(path)
-    ckpt.arrays["cnn1.bias"][...] = np.nan
-    save_checkpoint(ckpt, path)
+    path.write_bytes(fill_payloads(path.read_bytes(), ["cnn1.bias"], np.nan))
     return path
 
 
@@ -523,9 +543,7 @@ def test_predict_on_bad_checkpoint_prints_one_error_line(ckpt_path, corrupt):
 
 def test_predict_names_the_same_non_finite_tensor_every_run(ckpt_path):
     ckpt = load_checkpoint(ckpt_path)
-    for a in ckpt.arrays.values():
-        a[...] = np.nan
-    save_checkpoint(ckpt, ckpt_path)
+    ckpt_path.write_bytes(fill_payloads(ckpt_path.read_bytes(), list(ckpt.arrays), np.nan))
     errors = []
     for hash_seed in ("1", "2"):  # string hashing, and so set order, differs between these
         env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)

@@ -31,7 +31,19 @@ from mcm.layers import (
 from mcm.tensor import Tape, Tensor, backward
 
 from . import helpers
-from .helpers import away_from_zero, gradcheck, max_rel_err, traced_memory
+from .helpers import (
+    away_from_zero,
+    expand_cols,
+    expand_rows,
+    expand_scalar,
+    gradcheck,
+    matmul,
+    max_rel_err,
+    scale,
+    softmax,
+    traced_memory,
+    transpose,
+)
 
 
 def conv_oracle(x, weights, bias):
@@ -82,7 +94,7 @@ def conv_gather_reference(x, n, l, p):
     i = np.arange(k)[None, None, :]
     windows = T.reshape(T.GatheredRows(x, ((j + i) * n + e).reshape(-1)).dense(),
                         (w * n, k * d))
-    pre = T.add(T.matmul(windows, T.reshape(p.weights, (k * d, f))), T.expand_rows(p.bias, w * n))
+    pre = T.add(matmul(windows, T.reshape(p.weights, (k * d, f))), expand_rows(p.bias, w * n))
     return T.relu(pre)
 
 
@@ -579,7 +591,7 @@ class TestGatheredInput:
 def dense_composition(x, p):
     """dense as the tape ops it once was: matmul by a transposed copy of W
     plus the bias expanded over the rows."""
-    return T.add(T.matmul(x, T.transpose(p.weights)), T.expand_rows(p.bias, x.data.shape[0]))
+    return T.add(matmul(x, transpose(p.weights)), expand_rows(p.bias, x.data.shape[0]))
 
 
 class TestDense:
@@ -706,7 +718,7 @@ class TestDropout:
         rng = np.random.default_rng(19)
         x = Tensor(np.ones(100_000))
         out = dropout(x, 0.2, "train", rng)
-        survivors = np.count_nonzero(out.data) / x.size
+        survivors = np.count_nonzero(out.data) / x.data.size
         assert abs(survivors - 0.8) < 0.01
         assert abs(out.data.mean() - 1.0) < 0.02
 
@@ -771,10 +783,10 @@ class TestSoftAttention:
 
 def soft_attention_composition(h, n, l, p):
     """soft_attention_batch as the 12 tape ops it once was."""
-    scores = T.tanh(T.add(T.matvec(h, p.score_w), T.expand_scalar(p.score_b, l * n)))
-    alpha = T.softmax(T.transpose(T.reshape(scores, (l, n))))        # (n, l), rows sum to 1
-    weights = T.reshape(T.transpose(T.scale(alpha, float(l))), (l * n,))
-    return T.mul(h, T.expand_cols(weights, h.data.shape[1]))
+    scores = T.tanh(T.add(T.matvec(h, p.score_w), expand_scalar(p.score_b, l * n)))
+    alpha = softmax(transpose(T.reshape(scores, (l, n))))        # (n, l), rows sum to 1
+    weights = T.reshape(transpose(scale(alpha, float(l))), (l * n,))
+    return T.mul(h, expand_cols(weights, h.data.shape[1]))
 
 
 class TestFusedAttention:

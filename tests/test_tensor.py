@@ -6,7 +6,20 @@ from mcm import tensor as T
 from mcm.embeddings import PAD_ID, EmbeddingTable, lookup
 from mcm.tensor import ShapeError, Tape, Tensor, backward
 
-from .helpers import away_from_zero, gradcheck, max_rel_err, traced_memory, weighted_sum
+from .helpers import (
+    away_from_zero,
+    expand_cols,
+    expand_rows,
+    expand_scalar,
+    gradcheck,
+    matmul,
+    max_rel_err,
+    scale,
+    softmax,
+    traced_memory,
+    transpose,
+    weighted_sum,
+)
 
 
 class TestElementwise:
@@ -61,11 +74,11 @@ class TestElementwise:
 class TestMatmul:
     def test_identity(self):
         m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(Tensor(np.eye(2)), m)
+        out = matmul(Tensor(np.eye(2)), m)
         assert np.array_equal(out.data, m.data)
 
     def test_dot_product(self):
-        out = T.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert np.array_equal(out.data, [[11.0]])
 
     def test_matches_triple_loop_oracle(self):
@@ -77,12 +90,12 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     expected[i, j] += a[i, k] * b[k, j]
-        out = T.matmul(Tensor(a), Tensor(b))
+        out = matmul(Tensor(a), Tensor(b))
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_matvec(self):
         out = T.matvec(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([1.0, 1.0]))
@@ -152,7 +165,7 @@ class TestConcat:
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            s = T.reduce_sum(T.scale(T.concat([a, b], 0), 2.0), 0)
+            s = T.reduce_sum(scale(T.concat([a, b], 0), 2.0), 0)
         backward(s, tape)
         assert np.array_equal(a.grad, [2.0, 2.0])
         assert np.array_equal(b.grad, [2.0])
@@ -174,7 +187,7 @@ class TestStructureOps:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         with Tape() as tape:
-            y = T.reshape(T.transpose(x), (2, 6))
+            y = T.reshape(transpose(x), (2, 6))
             s = T.reduce_sum(T.reduce_sum(T.mul(y, y), 1), 0)
         backward(s, tape)
         assert max_rel_err(x.grad, 2 * x.data) < 1e-12
@@ -206,14 +219,14 @@ class TestStructureOps:
 
     def test_expand_ops(self):
         v = Tensor([1.0, 2.0], requires_grad=True)
-        assert np.array_equal(T.expand_rows(v, 3).data, [[1, 2]] * 3)
-        assert np.array_equal(T.expand_cols(v, 3).data, [[1, 1, 1], [2, 2, 2]])
+        assert np.array_equal(expand_rows(v, 3).data, [[1, 2]] * 3)
+        assert np.array_equal(expand_cols(v, 3).data, [[1, 1, 1], [2, 2, 2]])
         s = Tensor(np.asarray(2.5), requires_grad=True)
-        assert np.array_equal(T.expand_scalar(s, 4).data, [2.5] * 4)
+        assert np.array_equal(expand_scalar(s, 4).data, [2.5] * 4)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        p = T.softmax(Tensor(rng.normal(size=(5, 7))))
+        p = softmax(Tensor(rng.normal(size=(5, 7))))
         assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p.data >= 0)
 
@@ -587,7 +600,7 @@ class TestBackward:
             with Tape() as tape:
                 h = x
                 for k in range(20):
-                    h = T.tanh(h) if k % 2 else T.scale(h, 0.5)
+                    h = T.tanh(h) if k % 2 else scale(h, 0.5)
                 total = T.reduce_sum(T.reduce_sum(h, 1), 0)
             del h
             nodes = len(tape)
@@ -606,7 +619,7 @@ class TestBackward:
         v = Tensor(rng.normal(size=(5,)), requires_grad=True)
 
         def build():
-            h = T.tanh(T.matmul(x, w))
+            h = T.tanh(matmul(x, w))
             h = T.mul(T.relu(h), T.sigmoid(h))
             pooled = T.concat([T.reduce_max(h, 0), T.reduce_mean(h, 0)], axis=0)
             return T.reduce_sum(T.mul(T.concat([v, v], 0), pooled), 0)
@@ -627,7 +640,7 @@ class TestDeterminism:
             x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             with Tape() as tape:
-                out = T.sigmoid(T.matmul(x, w))
+                out = T.sigmoid(matmul(x, w))
                 s = T.reduce_sum(T.reduce_sum(out, 1), 0)
             backward(s, tape)
             return out.data.copy(), x.grad.copy(), w.grad.copy()
