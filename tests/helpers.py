@@ -1,14 +1,17 @@
 """Shared test oracles: central finite differences for gradient checks,
 the memory a call allocates, the values a config field must refuse, the
 small models that checkpoints are made of, the blocks and payloads of a
-checkpoint file's bytes, and the tape ops that only tests use, as the
-references for the fused layers.
+checkpoint file's bytes, the tape ops that only tests use, as the
+references for the fused layers, and a loader for the scripts in
+``tools/``.
 
 The numeric side only ever calls the forward pass (outside any tape), so
 it stays independent of the backward rules it verifies.
 """
 import dataclasses
+import importlib.util
 import math
+import os
 import struct
 import tracemalloc
 import typing
@@ -113,6 +116,16 @@ SMALL_MCM = McmConfig(vocab_size=10, embed_dim=4, num_classes=3, max_len=6, num_
                       hidden_dim=2, dense1_dim=2, dense2_dim=2)
 SMALL_TOKENS = ["<pad>", "<unk>"] + [f"w{i}" for i in range(8)]
 SMALL_VOCAB = Vocabulary({t: i for i, t in enumerate(SMALL_TOKENS)}, SMALL_TOKENS, 1)
+
+
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module; ``tools`` is not a package."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_model(kind):

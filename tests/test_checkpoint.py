@@ -95,6 +95,17 @@ def test_save_checkpoint_refuses_a_checkpoint_edited_into_what_the_reader_refuse
     assert os.listdir(tmp_path) == []  # neither the file nor its temporary
 
 
+def test_save_checkpoint_refuses_a_checkpoint_edited_to_a_variant_holding_a_comma(tmp_path):
+    # WRITER_CASES edit the vocabulary and class names; this edits the config
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
+    ckpt = make_checkpoint(model, SMALL_VOCAB, CLASSES)
+    ckpt.config["variant"] = "a,b"
+    with pytest.raises(CheckpointError) as info:
+        save_checkpoint(ckpt, tmp_path / "refused.mcm")
+    assert str(info.value) == "config variant 'a,b' holds a comma or a line break"
+    assert os.listdir(tmp_path) == []  # neither the file nor its temporary
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_make_checkpoint_refuses_a_model_holding_a_non_finite_value(tmp_path, value):
     model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)

@@ -1,16 +1,14 @@
 """tools/paired_bench.py: seed lists, the per-metric verdict rule and the
 failed-operation share."""
-import importlib.util
 import json
 import os
 import textwrap
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "paired_bench.py")
-_SPEC = importlib.util.spec_from_file_location("paired_bench", _PATH)
-paired_bench = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(paired_bench)
+from .helpers import load_tool
+
+paired_bench = load_tool("paired_bench")
 
 
 def test_parse_seeds():

@@ -1,9 +1,10 @@
 """Every function in ``src/mcm`` runs in a program, or ``KEEP`` says why not.
 
 ``test_every_function_runs_or_is_kept`` runs each ``mcm`` command of
-``SCENARIOS`` through ``cli.main``, in this process and under
-``sys.setprofile``, on a tiny corpus (d = 8, one epoch), then one forward of
-a McM built with ``stop_disc_gradients=True``. Each code object called is
+``tools/output_manifest.py``'s ``SCENARIOS`` through ``cli.main``, in this
+process and under ``sys.setprofile``, on a tiny corpus (d = 8, one epoch),
+checks each command's expected exit code, then runs one forward of a McM
+built with ``stop_disc_gradients=True``. Each code object called is
 matched to its ``def`` by file, first line and name (``co_qualname`` needs
 Python 3.11). The test fails on a function that nothing reached and that
 ``KEEP`` does not name, and on a ``KEEP`` entry that no longer exists or
@@ -15,10 +16,8 @@ with its reason.
 import ast
 import dataclasses
 import glob
-import io
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +25,9 @@ from mcm import cli
 from mcm.embeddings import init_random
 from mcm.model import build_mcm
 
-from .helpers import SMALL_MCM
+from .helpers import SMALL_MCM, load_tool
+
+output_manifest = load_tool("output_manifest")
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mcm")
 
@@ -57,39 +58,6 @@ KEEP = {
     "model.McmOutput.probs_disc": "perfbench's serving answers",
     "tensor.Tape.__len__": "perfbench's tensor.tape_nodes and infer_tape_nodes",
 }
-
-ARGS = ["--epochs", "1", "--embedding-dim", "8"]
-DATA = ["--train", "data/train.tsv", "--test", "data/test.tsv"]
-GEN_SYNTH = ["gen-synth", "--n", "120", "--seed", "5", "--out", "data"]
-# The files the scenarios read besides gen-synth's: a config file with a
-# bool key, and (see ``write_inputs``) the train file with one malformed line.
-CONFIG = ("train = data/malformed.tsv\ntest = data/test.tsv\nout = elmo\nepochs = 1\n"
-          "embedding = elmo_like\nembedding_dim = 8\nselect_on = validation\n"
-          "optimizer = adadelta\nattention = yes\n")
-MESSAGES = "shukria bahut acha kaam\n\nrishwat mangta hai\n"
-# (argv, stdin) of each command after gen-synth and write_inputs, in order,
-# in gen-synth's working directory
-SCENARIOS = [
-    (["train", *DATA, "--out", "random", *ARGS, "--attention"], None),
-    # singleton batches take _head_forward's infer-mode batchnorm fallback
-    (["train", *DATA, "--out", "domain", *ARGS, "--embedding", "domain", "--optimizer", "sgd",
-      "--batch-size", "1"], None),
-    (["train", "--config", "run.cfg"], None),
-    *[step for run in ("random", "domain", "elmo") for step in (
-        (["eval", "--checkpoint", f"{run}/checkpoint.mcm", "--test", "data/test.tsv",
-          "--out", f"{run}/eval"], None),
-        (["predict", "--checkpoint", f"{run}/checkpoint.mcm"], MESSAGES))],
-    (["matrix", *DATA, "--out", "matrix", *ARGS], None),
-]
-
-
-def write_inputs() -> None:
-    """Write ``CONFIG`` to run.cfg, and data/train.tsv with one line that
-    has no tab to data/malformed.tsv."""
-    Path("run.cfg").write_text(CONFIG, encoding="utf-8")
-    train = Path("data/train.tsv").read_text(encoding="utf-8")
-    Path("data/malformed.tsv").write_text(train + "no tab here\n", encoding="utf-8")
-
 
 def defined_functions() -> dict:
     """{qualified name: its (file, first line, name) keys} for each ``def`` in
@@ -140,12 +108,9 @@ def unkept(defined: dict, called: set, keep) -> list:
                if name not in unreached])
 
 
-def run_scenarios(monkeypatch):
-    assert cli.main(GEN_SYNTH) == 0
-    write_inputs()
-    for argv, stdin in SCENARIOS:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
-        assert cli.main(argv) == 0, argv
+def run_scenarios():
+    codes = [code for *_, code in output_manifest.run_all(cli.main)]
+    assert codes == [0] + [code for *_, code in output_manifest.SCENARIOS]
     model = build_mcm(dataclasses.replace(SMALL_MCM, stop_disc_gradients=True),
                       init_random(10, 4, np.random.default_rng(0)), 0)
     model.head_logits(np.ones((2, SMALL_MCM.max_len), dtype=np.int64), "infer")
@@ -153,7 +118,7 @@ def run_scenarios(monkeypatch):
 
 def test_every_function_runs_or_is_kept(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    called = called_keys(lambda: run_scenarios(monkeypatch))
+    called = called_keys(run_scenarios)
     faults = unkept(defined_functions(), called, KEEP)
     assert not faults, "\n".join(faults)
 
