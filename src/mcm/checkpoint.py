@@ -1,15 +1,16 @@
 """Binary checkpoints of McM and the baseline, and the one contract every
 checkpoint meets.
 
-A checkpoint holds a model kind, its config, its vocabulary, its class
-names and its arrays. ``check_checkpoint`` runs every check that needs no
-model: the kind, the vocabulary, the class names, the config's values, the
-sizes it gives the stored arrays, and the arrays' values being finite.
-``make_checkpoint``, ``save_checkpoint`` and ``load_checkpoint`` each call
-it, so the writer refuses what the reader refuses. ``rebuild_model`` calls
-it too, since a ``Checkpoint`` can be edited after it was made or read, and
-then adds the checks that need the model skeleton: the tensor set and
-their shapes. Every refusal is one ``CheckpointError``.
+A ``Checkpoint`` holds a model kind, its config, its ``Vocabulary``, its
+class names and its arrays. It is a value: ``check_checkpoint``, every
+check that needs no model, runs once when it is made (``make_checkpoint``,
+``load_checkpoint`` or ``dataclasses.replace``), and its config and arrays
+are read-only mappings and its class names a tuple. Only the arrays' values
+stay writable, as a made checkpoint holds the model's own arrays; so
+``save_checkpoint`` runs the finiteness pass again, and the writer refuses
+what the reader refuses. ``rebuild_model`` adds the checks that need the
+model skeleton: the tensor set and shapes. Each refusal is one
+``CheckpointError``.
 
 Format changes. Today's layout has no ``format`` key in its config block,
 and a file without one is read as today's layout; so every file re-saves
@@ -24,10 +25,11 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
-from .data import Vocabulary, index_of
+from .data import Vocabulary, all_strings, index_of
 from .embeddings import EmbeddingTable
 from .layers import admits, check_fields
 from .model import (
@@ -72,30 +74,24 @@ class CheckpointError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
     kind: str           # "mcm" or "baseline"
-    config: dict
+    config: MappingProxyType
     vocab: Vocabulary
-    class_names: list
-    arrays: dict        # name -> float64 ndarray
+    class_names: tuple
+    arrays: MappingProxyType  # name -> float64 ndarray, not copied
+
+    def __post_init__(self):
+        check_checkpoint(self)
+        object.__setattr__(self, "config", MappingProxyType(dict(self.config)))
+        object.__setattr__(self, "class_names", tuple(self.class_names))
+        object.__setattr__(self, "arrays", MappingProxyType(dict(self.arrays)))
 
 
 def model_arrays(model) -> dict:
     """A snapshot of ``model.arrays()``: a copy of each array."""
     return {name: a.copy() for name, a in model.arrays().items()}
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-def _check_vocabulary_block(tokens, min_count) -> None:
-    """The JSON types a vocabulary block holds: a list of token strings and
-    an integer ``min_count`` of at least 1."""
-    if not _is_str_list(tokens) or not admits(int, min_count) or min_count < 1:
-        raise CheckpointError("malformed checkpoint: vocabulary block needs a token list "
-                              "and an integer min_count of at least 1")
 
 
 def _model_config(ckpt: Checkpoint):
@@ -106,23 +102,20 @@ def _model_config(ckpt: Checkpoint):
 
 def check_checkpoint(ckpt: Checkpoint) -> None:
     """Refuse, as one ``CheckpointError``, a checkpoint that fails any check
-    that needs no model: an unknown kind; a vocabulary that would not make
-    a vocabulary block or breaks ``Vocabulary.check``; class names that are
-    not distinct strings; a config value of the wrong type, a variant that
-    would split a CSV row, or a config the model's config class refuses; a
-    sizing field that disagrees with its stored array; a vocabulary or
-    class count that disagrees with the config; or an array that holds a
-    NaN or an infinity, the first such in name order."""
+    that needs no model: an unknown kind; a vocabulary that is not a
+    ``Vocabulary``; class names that are not distinct strings; a config
+    value of the wrong type, a variant that would split a CSV row, or a
+    config the model's config class refuses; a sizing field that disagrees
+    with its stored array; a vocabulary or class count that disagrees with
+    the config; or a non-finite array (``_check_finite``)."""
     if not isinstance(ckpt.kind, str) or ckpt.kind not in KINDS:
         raise CheckpointError(f"unknown checkpoint kind {ckpt.kind!r}")
     vocab, cfg = ckpt.vocab, ckpt.config
     if not isinstance(vocab, Vocabulary):
         raise CheckpointError(f"the vocabulary is a {type(vocab).__name__}, not a Vocabulary")
-    _check_vocabulary_block(vocab.id_to_token, vocab.min_count)
-    if not _is_str_list(ckpt.class_names):
+    if not all_strings(ckpt.class_names):
         raise CheckpointError("malformed checkpoint: class_names is not a list of names")
     try:
-        vocab.check()
         index_of(ckpt.class_names, "class name")
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
@@ -151,38 +144,39 @@ def check_checkpoint(ckpt: Checkpoint) -> None:
             raise KeyError("embedding_trainable")
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
-    for name in sorted(ckpt.arrays):  # the same error names the same tensor every run
-        a = ckpt.arrays[name]
-        # only a float array can hold NaN or inf (the writer's float64
-        # conversion refuses an array of strings)
+    _check_finite(ckpt.arrays)
+
+
+def _check_finite(arrays) -> None:
+    """Refuse a NaN or an infinity, naming the first such array in name order."""
+    for name in sorted(arrays):
+        a = arrays[name]  # only a float array can hold NaN or inf
         if np.issubdtype(a.dtype, np.inexact) and not np.isfinite(a).all():
             raise CheckpointError(f"{name} holds non-finite values")
 
 
-def make_checkpoint(model, vocab: Vocabulary, class_names) -> Checkpoint:
-    """A checkpoint of ``model`` with its config, vocabulary and class names;
-    one that ``check_checkpoint`` refuses raises ``CheckpointError``.
+def make_checkpoint(model, vocab: Vocabulary, class_names, **record) -> Checkpoint:
+    """A checkpoint of ``model`` with its config and the training ``record``
+    (``best_epoch``, ``seed``, ``variant``), vocabulary and class names; one
+    that ``check_checkpoint`` refuses raises ``CheckpointError``.
 
     It holds ``model.arrays()``, the model's own arrays, not copies: a later
-    update of the model shows in the checkpoint. Save it before training or
-    editing the model further, or replace its ``arrays`` with
-    ``model_arrays(model)`` (``dataclasses.replace``) for a snapshot that
-    stays as it is.
+    update of the model shows in it. Save it before training or editing the
+    model further, or ``dataclasses.replace`` its ``arrays`` with
+    ``model_arrays(model)`` for a snapshot that stays as it is.
     """
     kind = next((k for k, (cls, _, _) in KINDS.items() if type(model) is cls), None)
     if kind is None:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
     config = {**asdict(model.config), "embedding_trainable": model.embedding.vectors.requires_grad}
-    ckpt = Checkpoint(kind, config, vocab, list(class_names), model.arrays())
-    check_checkpoint(ckpt)
-    return ckpt
+    return Checkpoint(kind, {**config, **record}, vocab, class_names, model.arrays())
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Self-describing binary layout: magic, config block, vocabulary
     block, then (name, shape, little-endian float64 payload) entries. A
-    checkpoint that ``check_checkpoint`` refuses raises ``CheckpointError``
-    before any file is opened.
+    checkpoint whose arrays have come to hold a NaN or an infinity since it
+    was made raises ``CheckpointError`` before any file is opened.
 
     Each payload is written from the array's own buffer, with no copy of a
     little-endian float64 C-contiguous array. The file is written under a
@@ -190,7 +184,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     a save that fails midway leaves any earlier file at ``path`` as it was.
     A symbolic link at ``path`` stays, and its target is replaced.
     """
-    check_checkpoint(ckpt)
+    _check_finite(ckpt.arrays)
     path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -250,7 +244,8 @@ def _read_array(fh, shape: tuple, what: str) -> np.ndarray:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; a malformed file, or a checkpoint that
-    ``check_checkpoint`` refuses, raises ``CheckpointError``."""
+    ``check_checkpoint`` refuses when it is made, raises
+    ``CheckpointError``."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic bytes") != _MAGIC:
             raise CheckpointError("not a model checkpoint (bad magic bytes)")
@@ -277,21 +272,20 @@ def load_checkpoint(path) -> Checkpoint:
     if "class_names" not in header:
         raise CheckpointError("malformed checkpoint: config block has no class_names")
     tokens, min_count = vocab_block.get("tokens"), vocab_block.get("min_count")
-    _check_vocabulary_block(tokens, min_count)
+    if not all_strings(tokens) or not admits(int, min_count) or min_count < 1:
+        raise CheckpointError("malformed checkpoint: vocabulary block needs a token list "
+                              "and an integer min_count of at least 1")
     try:
         vocab = Vocabulary.of(tokens, min_count)
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
-    ckpt = Checkpoint(header.pop("kind", None), header, vocab, header.pop("class_names"), arrays)
-    check_checkpoint(ckpt)
-    return ckpt
+    return Checkpoint(header.pop("kind", None), header, vocab, header.pop("class_names"), arrays)
 
 
 def rebuild_model(ckpt: Checkpoint):
     """``(model, ckpt.vocab)``: the checkpointed model, every stored tensor
     verified against the rebuilt skeleton before any assignment, and the
-    checkpoint's own vocabulary. The checkpoint is checked
-    (``check_checkpoint``) before anything is allocated.
+    checkpoint's own vocabulary; the rest of the contract held when it was made.
 
     The model's embedding table is ``ckpt.arrays["embedding.vectors"]``
     itself, not a copy: the model and the checkpoint share that array, so
@@ -301,12 +295,10 @@ def rebuild_model(ckpt: Checkpoint):
     Every other array is copied into the skeleton's own (an LSTM's gate
     arrays into the row blocks of its stacks).
     """
-    check_checkpoint(ckpt)
-    build = KINDS[ckpt.kind][2]
     table = EmbeddingTable(Tensor(ckpt.arrays["embedding.vectors"],
                                   requires_grad=ckpt.config["embedding_trainable"]))
     try:
-        model = build(_model_config(ckpt), table, 0)
+        model = KINDS[ckpt.kind][2](_model_config(ckpt), table, 0)
     except ValueError as exc:  # a stored table of another rank than 2
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
 

@@ -13,8 +13,11 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
+
+from .layers import admits
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -200,24 +203,32 @@ def write_tsv(records, path, class_names) -> None:
 # vocabulary and encoding
 
 
-@dataclass
+def all_strings(value) -> bool:
+    """Whether ``value`` is a list or tuple of strings."""
+    return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
+
+
+@dataclass(frozen=True)
 class Vocabulary:
-    """Token ``i`` is ``id_to_token[i]``, and ``token_to_id`` is the index
-    of that list. A vocabulary is made only in a form that ``check``
-    accepts."""
-    token_to_id: dict
-    id_to_token: list
+    """Token ``i`` is ``id_to_token[i]``, and ``token_to_id`` is their index.
+    A value: ``check`` runs when it is made, and then the tokens are a tuple
+    and ``token_to_id`` a read-only view (not a copy) of the dict given."""
+    token_to_id: MappingProxyType
+    id_to_token: tuple
     min_count: int
 
     def __post_init__(self):
         self.check()
+        object.__setattr__(self, "token_to_id", MappingProxyType(self.token_to_id))
+        object.__setattr__(self, "id_to_token", tuple(self.id_to_token))
 
     def check(self) -> None:
-        """Raises ``ValueError`` unless id ``PAD_ID`` is ``PAD_TOKEN``, id
-        ``UNK_ID`` is ``UNK_TOKEN``, no token appears twice and
-        ``token_to_id`` maps each token to its id and holds no other key.
-        The fields stay mutable, so a checkpoint checks again."""
+        """Raises ``ValueError`` unless the tokens are distinct strings, the
+        first two ``PAD_TOKEN`` and ``UNK_TOKEN``, ``token_to_id`` maps each to
+        its id and holds no other key, and ``min_count`` is an integer >= 1."""
         tokens = self.id_to_token
+        if not all_strings(tokens) or not admits(int, self.min_count) or self.min_count < 1:
+            raise ValueError("vocabulary needs str tokens and an integer min_count of at least 1")
         if list(tokens[:2]) != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError(f"vocabulary must start with {PAD_TOKEN!r} and {UNK_TOKEN!r}, "
                              f"got {list(tokens[:2])}")
@@ -228,7 +239,7 @@ class Vocabulary:
             raise ValueError("token_to_id is not the index of id_to_token")
 
     @classmethod
-    def of(cls, id_to_token: list, min_count: int) -> Vocabulary:
+    def of(cls, id_to_token, min_count: int) -> Vocabulary:
         """The vocabulary whose token ``i`` is ``id_to_token[i]``."""
         return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token, min_count)
 

@@ -432,7 +432,8 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
     evaluate every head each epoch, and return the best checkpoint (by the
     macro-F1 of the last head, the prediction, on the split ``cfg.select_on``
     names; earlier epoch on ties) together with the full per-epoch curve
-    data.
+    data. The checkpoint records the best epoch, ``cfg.seed`` and the variant
+    (a model class that fixes ``embedding_mode`` goes by its name).
 
     The model is left holding the best epoch's parameters, and the
     checkpoint holds the model's arrays themselves, not copies
@@ -495,9 +496,9 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
 
     for name, a in model.arrays().items():
         a[...] = best_arrays.pop(name)  # the snapshot goes as the model takes it back
-    ckpt = make_checkpoint(model, vocab, class_names)
-    ckpt.config.update(best_epoch=best_epoch, seed=cfg.seed)
-    return ckpt, records
+    variant = model.name if model.embedding_mode else cfg.variant_name
+    return make_checkpoint(model, vocab, class_names, best_epoch=best_epoch, seed=cfg.seed,
+                           variant=variant), records
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +521,13 @@ def build_embedding_table(cfg: TrainConfig, vocab: Vocabulary, train_records,
 def run_training(train_records, test_records, cfg: TrainConfig, class_names, kind="mcm"):
     """Vocab -> embedding -> model -> fit, all from one seed, for a model
     kind of ``KINDS``: ``(model, checkpoint, per-epoch records)``. The
-    checkpoint holds the vocabulary and, besides ``fit``'s ``best_epoch``
-    and ``seed``, the ``variant`` the run's outputs are named by.
+    checkpoint holds the vocabulary and ``fit``'s training record.
 
     Both splits are encoded to ``cfg.max_len`` ids (by default the
     95th-percentile rule's), but at least the model class's ``shortest``.
     The model config takes ``cfg``'s fields of the same name and the four
     sizes. A model class that fixes ``embedding_mode`` trains on a table of
-    that mode and records its name as the variant: the baseline always
-    trains on a random table.
+    that mode: the baseline always trains on a random table.
     """
     check_fields(TrainConfig, {"kind": kind}, {"kind": KINDS})
     model_cls, config_cls, build = KINDS[kind]
@@ -544,9 +543,7 @@ def run_training(train_records, test_records, cfg: TrainConfig, class_names, kin
              "num_classes": len(class_names), "max_len": max_len}
     model = build(config_cls(**{**{name: getattr(cfg, name) for name in shared}, **sizes}),
                   table, streams["model"])
-    ckpt, records = fit(model, enc_train, enc_test, cfg, vocab, class_names)
-    ckpt.config["variant"] = model.name if model.embedding_mode else cfg.variant_name
-    return model, ckpt, records
+    return model, *fit(model, enc_train, enc_test, cfg, vocab, class_names)
 
 
 def report_rows(variant, heads, reports=None, status="ok") -> list:

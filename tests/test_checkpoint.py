@@ -1,14 +1,18 @@
 """Checkpoints: the contract ``check_checkpoint`` holds the writer and the
-reader to, the reader's refusals down to the CLI, and the memory a save,
-a load and a rebuild take."""
-import copy
+reader to, run once when a checkpoint is made; a checkpoint and its
+vocabulary that cannot be edited afterwards; the reader's refusals down to
+the CLI; and the memory a save, a load and a rebuild take."""
 import dataclasses
+import errno
+import io
 import json
+import operator
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -49,48 +53,49 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def without_specials(vocab, names):
-    tokens = [f"w{i}" for i in range(10)]
-    vocab.id_to_token, vocab.token_to_id = tokens, {t: i for i, t in enumerate(tokens)}
-    return vocab, names
+    return Vocabulary.of([f"w{i}" for i in range(10)], vocab.min_count), names
 
 
 def swapped_ids(vocab, names):
-    vocab.token_to_id.update(w0=3, w1=2)
-    return vocab, names
+    return Vocabulary({**vocab.token_to_id, "w0": 3, "w1": 2}, vocab.id_to_token,
+                      vocab.min_count), names
 
 
 # An edit of a good (vocabulary, class names) pair for SMALL_MCM's model,
-# and the refusal it meets
+# the error it meets and its message. A vocabulary refuses itself when it
+# is made, with the message the reader gives after "malformed checkpoint: ".
 WRITER_CASES = {
-    "no-pad-or-unk": (without_specials, "malformed checkpoint: vocabulary must start with "
-                                        "'<pad>' and '<unk>', got ['w0', 'w1']"),
+    "no-pad-or-unk": (without_specials, ValueError, "vocabulary must start with "
+                                                    "'<pad>' and '<unk>', got ['w0', 'w1']"),
     "3-tokens": (lambda vocab, names: (Vocabulary.of(["<pad>", "<unk>", "w0"], 1), names),
-                 "vocabulary holds 3 tokens, config says vocab_size 10"),
+                 CheckpointError, "vocabulary holds 3 tokens, config says vocab_size 10"),
     "2-class-names": (lambda vocab, names: (vocab, names[:2]),
-                      "2 class names, config says num_classes 3"),
-    "token-to-id-disagrees": (swapped_ids, "malformed checkpoint: token_to_id is not the index "
-                                           "of id_to_token"),
+                      CheckpointError, "2 class names, config says num_classes 3"),
+    "token-to-id-disagrees": (swapped_ids, ValueError, "token_to_id is not the index "
+                                                       "of id_to_token"),
 }
 
 
 @pytest.mark.parametrize("case", WRITER_CASES)
 def test_make_checkpoint_refuses_what_the_reader_refuses(case):
-    edit, message = WRITER_CASES[case]
+    edit, error, message = WRITER_CASES[case]
     model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
-    with pytest.raises(CheckpointError) as info:
-        make_checkpoint(model, *edit(copy.deepcopy(SMALL_VOCAB), list(CLASSES)))
+    with pytest.raises(error) as info:
+        make_checkpoint(model, *edit(SMALL_VOCAB, CLASSES))
     assert str(info.value) == message
 
 
 @pytest.mark.parametrize("case", WRITER_CASES)
 def test_save_checkpoint_refuses_a_checkpoint_edited_into_what_the_reader_refuses(tmp_path,
                                                                                  case):
-    edit, message = WRITER_CASES[case]
+    # the edited checkpoint is refused when it is made, so nothing is written
+    edit, error, message = WRITER_CASES[case]
     model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
-    ckpt = make_checkpoint(model, copy.deepcopy(SMALL_VOCAB), list(CLASSES))
-    ckpt.vocab, ckpt.class_names = edit(ckpt.vocab, ckpt.class_names)
-    with pytest.raises(CheckpointError) as info:
-        save_checkpoint(ckpt, tmp_path / "refused.mcm")
+    ckpt = make_checkpoint(model, SMALL_VOCAB, CLASSES)
+    with pytest.raises(error) as info:
+        vocab, names = edit(ckpt.vocab, ckpt.class_names)
+        save_checkpoint(dataclasses.replace(ckpt, vocab=vocab, class_names=names),
+                        tmp_path / "refused.mcm")
     assert str(info.value) == message
     assert os.listdir(tmp_path) == []  # neither the file nor its temporary
 
@@ -99,9 +104,9 @@ def test_save_checkpoint_refuses_a_checkpoint_edited_to_a_variant_holding_a_comm
     # WRITER_CASES edit the vocabulary and class names; this edits the config
     model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
     ckpt = make_checkpoint(model, SMALL_VOCAB, CLASSES)
-    ckpt.config["variant"] = "a,b"
     with pytest.raises(CheckpointError) as info:
-        save_checkpoint(ckpt, tmp_path / "refused.mcm")
+        save_checkpoint(dataclasses.replace(ckpt, config={**ckpt.config, "variant": "a,b"}),
+                        tmp_path / "refused.mcm")
     assert str(info.value) == "config variant 'a,b' holds a comma or a line break"
     assert os.listdir(tmp_path) == []  # neither the file nor its temporary
 
@@ -121,12 +126,84 @@ def test_save_checkpoint_refuses_a_checkpoint_edited_to_hold_a_non_finite_value(
                                                                                 value):
     model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
     ckpt = make_checkpoint(model, SMALL_VOCAB, CLASSES)
-    ckpt.arrays["lstm_s1.b_i"][0] = value
-    ckpt.arrays["embedding.vectors"][3, 2] = value  # the first in name order is named
+    arrays = model.arrays()  # the checkpoint's own arrays
+    arrays["lstm_s1.b_i"][0] = value
+    arrays["embedding.vectors"][3, 2] = value  # the first in name order is named
     with pytest.raises(CheckpointError) as info:
         save_checkpoint(ckpt, tmp_path / "refused.mcm")
     assert str(info.value) == "embedding.vectors holds non-finite values"
     assert os.listdir(tmp_path) == []  # neither the file nor its temporary
+
+
+# ---------------------------------------------------------------------------
+# a checkpoint and its vocabulary are values: checked once, never edited
+
+
+@pytest.fixture
+def check_counts(monkeypatch):
+    """How often the vocabulary check, the checkpoint contract and the
+    finiteness pass run from here on."""
+    counts = {"vocabulary": 0, "contract": 0, "finite": 0}
+    for key, owner, name in (("vocabulary", Vocabulary, "check"),
+                             ("contract", checkpoint, "check_checkpoint"),
+                             ("finite", checkpoint, "_check_finite")):
+        def counted(*args, key=key, real=getattr(owner, name)):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_served_checkpoint_is_checked_once(ckpt_path, tmp_path, monkeypatch, capsys,
+                                             check_counts, command):
+    (tmp_path / "test.tsv").write_text("w1 w2\ta\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("w1 w2\n"))
+    argv = {"eval": ["--test", str(tmp_path / "test.tsv"), "--out", str(tmp_path / "eval")],
+            "predict": []}[command]
+    assert cli.main([command, "--checkpoint", str(ckpt_path), *argv]) == 0, capsys.readouterr()
+    assert check_counts == {"vocabulary": 1, "contract": 1, "finite": 1}
+
+
+def test_training_checks_its_checkpoint_once_and_its_arrays_again_on_save(tmp_path, capsys,
+                                                                          check_counts):
+    assert cli.main(["gen-synth", "--n", "120", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert cli.main(["train", "--train", str(tmp_path / "train.tsv"),
+                     "--test", str(tmp_path / "test.tsv"), "--out", str(tmp_path / "run"),
+                     "--epochs", "1", "--embedding-dim", "4"]) == 0, capsys.readouterr()
+    # the arrays are the model's own and stay writable, so the writer looks again
+    assert check_counts == {"vocabulary": 1, "contract": 1, "finite": 2}
+
+
+# Each in-place edit of a checkpoint or its vocabulary, and what it edits
+EDITS = {
+    "kind": lambda c: setattr(c, "kind", "baseline"),
+    "config-field": lambda c: setattr(c, "config", {}),
+    "config-item": lambda c: operator.setitem(c.config, "variant", "x"),
+    "config-update": lambda c: c.config.update(seed=3),
+    "arrays-item": lambda c: operator.setitem(c.arrays, "cnn1.bias", np.zeros(2)),
+    "arrays-del": lambda c: operator.delitem(c.arrays, "cnn1.bias"),
+    "class-name": lambda c: operator.setitem(c.class_names, 0, "x"),
+    "vocab-field": lambda c: setattr(c, "vocab", SMALL_VOCAB),
+    "min-count": lambda c: setattr(c.vocab, "min_count", 2),
+    "token-to-id-item": lambda c: operator.setitem(c.vocab.token_to_id, "w0", 3),
+    "token-to-id-field": lambda c: setattr(c.vocab, "token_to_id", {}),
+    "token": lambda c: operator.setitem(c.vocab.id_to_token, 2, "x"),
+    "tokens-append": lambda c: c.vocab.id_to_token.append("x"),
+    "tokens-field": lambda c: setattr(c.vocab, "id_to_token", []),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS)
+@pytest.mark.parametrize("source", ["made", "loaded"])
+def test_a_checkpoint_and_its_vocabulary_cannot_be_edited(ckpt_path, tmp_path, source, edit):
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
+    ckpt = (make_checkpoint(model, SMALL_VOCAB, CLASSES) if source == "made"
+            else load_checkpoint(ckpt_path))
+    with pytest.raises((AttributeError, TypeError)):  # FrozenInstanceError is an AttributeError
+        EDITS[edit](ckpt)
+    save_checkpoint(ckpt, tmp_path / "after.mcm")
+    assert (tmp_path / "after.mcm").read_bytes() == ckpt_path.read_bytes()
 
 
 def test_a_checkpoint_without_class_names_is_refused_as_missing(tmp_path):
@@ -210,15 +287,23 @@ def test_a_short_read_is_truncation(ckpt_path, monkeypatch):
         load_checkpoint(ckpt_path)
 
 
-def test_a_failed_save_leaves_the_earlier_file_as_it_was(ckpt_path):
+def test_a_failed_save_leaves_the_earlier_file_as_it_was(ckpt_path, monkeypatch):
     before = ckpt_path.read_bytes()
     ckpt = load_checkpoint(ckpt_path)
-    ckpt.arrays["unwritable"] = np.array(["not a number"])  # fails after the other arrays
-    with pytest.raises(ValueError):
+    write = checkpoint._write_checkpoint
+
+    def fails_midway(ckpt, fh):  # writes half the file, then the disk is full
+        whole = io.BytesIO()
+        write(ckpt, whole)
+        fh.write(whole.getvalue()[:len(before) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "_write_checkpoint", fails_midway)
+    with pytest.raises(OSError):
         save_checkpoint(ckpt, ckpt_path)
     assert ckpt_path.read_bytes() == before
     assert os.listdir(ckpt_path.parent) == [ckpt_path.name]
-    del ckpt.arrays["unwritable"]
+    monkeypatch.setattr(checkpoint, "_write_checkpoint", write)
     save_checkpoint(ckpt, ckpt_path)
     assert ckpt_path.read_bytes() == before
     assert os.listdir(ckpt_path.parent) == [ckpt_path.name]
@@ -226,7 +311,7 @@ def test_a_failed_save_leaves_the_earlier_file_as_it_was(ckpt_path):
 
 def test_a_save_through_a_link_replaces_its_target(ckpt_path):
     ckpt = load_checkpoint(ckpt_path)
-    ckpt.arrays["cnn1.bias"] += 1.0
+    ckpt.arrays["cnn1.bias"][...] += 1.0
     link = ckpt_path.with_name("link.mcm")
     link.symlink_to(ckpt_path.name)
     save_checkpoint(ckpt, link)
@@ -320,16 +405,15 @@ def test_fit_returns_holding_no_copy_of_the_table():
 
 def test_vocab_size_must_match_token_count(ckpt_path):
     ckpt = load_checkpoint(ckpt_path)
-    ckpt.vocab = Vocabulary.of(ckpt.vocab.id_to_token[:-1], ckpt.vocab.min_count)
+    vocab = Vocabulary.of(ckpt.vocab.id_to_token[:-1], ckpt.vocab.min_count)
     with pytest.raises(CheckpointError, match="vocab_size"):
-        rebuild_model(ckpt)
+        dataclasses.replace(ckpt, vocab=vocab)
 
 
 def test_class_count_must_match_num_classes(ckpt_path):
     ckpt = load_checkpoint(ckpt_path)
-    ckpt.class_names = ckpt.class_names[:-1]
     with pytest.raises(CheckpointError, match="num_classes"):
-        rebuild_model(ckpt)
+        dataclasses.replace(ckpt, class_names=ckpt.class_names[:-1])
 
 
 def with_config(path, **fields):
@@ -454,14 +538,15 @@ def test_a_frozen_table_stays_frozen_through_a_checkpoint(tmp_path):
 
 def test_a_baseline_checkpoint_with_a_zero_dimension_is_refused(baseline_path, capsys):
     ckpt = load_checkpoint(baseline_path)
-    ckpt.config["num_filters"] = 0
-    for name in ("conv.weights", "conv.bias", "hidden.weights"):  # the filter axis is last
-        ckpt.arrays[name] = ckpt.arrays[name][..., :0]
+    edit = {"config": {**ckpt.config, "num_filters": 0},
+            "arrays": {name: a[..., :0] if name in ("conv.weights", "conv.bias", "hidden.weights")
+                       else a for name, a in ckpt.arrays.items()}}  # the filter axis is last
     message = "invalid checkpoint configuration: all dimensions must be positive"
     with pytest.raises(CheckpointError, match=f"^{message}$"):
-        save_checkpoint(ckpt, baseline_path)
-    with open(baseline_path, "wb") as fh:  # the bytes the writer refuses to write
-        checkpoint._write_checkpoint(ckpt, fh)
+        dataclasses.replace(ckpt, **edit)
+    with open(baseline_path, "wb") as fh:  # the bytes a checkpoint cannot be made of
+        unchecked = types.SimpleNamespace(**{**vars(ckpt), **edit})
+        checkpoint._write_checkpoint(unchecked, fh)
     assert cli.main(["predict", "--checkpoint", str(baseline_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 

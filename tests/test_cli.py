@@ -74,7 +74,7 @@ def test_class_names_come_from_the_training_file(tmp_path):
     assert "rejected" not in train.stderr
     assert "training on 3 classes: complaint, praise, question" in train.stderr
     ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.mcm")
-    assert ckpt.class_names == ["complaint", "praise", "question"]
+    assert ckpt.class_names == ("complaint", "praise", "question")
     assert ckpt.config["num_classes"] == 3
 
     ev = mcm(tmp_path, "eval", "--checkpoint", "run/checkpoint.mcm", "--test", "test.tsv",

@@ -46,12 +46,12 @@ class TestBuildVocab:
     def test_specials_then_frequency_then_lexicographic(self):
         vocab = build_vocab(records("b a c b", "c b d a", "e"), min_count=1)
         # b: 3; a, c: 2 each (a before c); d, e: 1 each (d before e)
-        assert vocab.id_to_token == ["<pad>", "<unk>", "b", "a", "c", "d", "e"]
+        assert vocab.id_to_token == ("<pad>", "<unk>", "b", "a", "c", "d", "e")
         assert all(vocab.token_to_id[t] == i for i, t in enumerate(vocab.id_to_token))
 
     def test_min_count_drops_rare_words(self):
         vocab = build_vocab(records("b a c b", "c b d a", "e"), min_count=2)
-        assert vocab.id_to_token == ["<pad>", "<unk>", "b", "a", "c"]
+        assert vocab.id_to_token == ("<pad>", "<unk>", "b", "a", "c")
         assert vocab.id("d") == UNK_ID and vocab.min_count == 2
 
     def test_empty_corpus_rejected(self):
@@ -74,6 +74,18 @@ class TestVocabularyOf:
         with pytest.raises(ValueError) as info:
             Vocabulary.of(tokens, 1)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("tokens,min_count", [
+        (["<pad>", "<unk>", 3], 1), (("<pad>", "<unk>", b"a"), 1), ("<pad><unk>", 1),
+        (["<pad>", "<unk>"], 0), (["<pad>", "<unk>"], True), (["<pad>", "<unk>"], 2.0),
+        (["<pad>", "<unk>"], None),
+    ])
+    def test_refuses_tokens_that_are_not_strings_and_a_min_count_below_1(self, tokens,
+                                                                          min_count):
+        with pytest.raises(ValueError) as info:
+            Vocabulary.of(tokens, min_count)
+        assert str(info.value) == ("vocabulary needs str tokens and an integer min_count "
+                                   "of at least 1")
 
     @pytest.mark.parametrize("token_to_id", [
         {}, {"<pad>": 0, "<unk>": 1}, {"<pad>": 0, "<unk>": 1, "a": 2, "b": 2},

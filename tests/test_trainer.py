@@ -213,7 +213,7 @@ def test_build_and_rebuild_fill_the_lstm_stacks(ckpt_path):
     ckpt = load_checkpoint(ckpt_path)
     built = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
     stacks_hold(built, ckpt.arrays)  # the fixture saved this same model
-    ckpt.arrays = {name: a + 0.5 for name, a in ckpt.arrays.items()}
+    ckpt = dataclasses.replace(ckpt, arrays={name: a + 0.5 for name, a in ckpt.arrays.items()})
     model, _ = rebuild_model(ckpt)
     stacks_hold(model, ckpt.arrays)
 
