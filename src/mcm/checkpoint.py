@@ -12,11 +12,17 @@ what the reader refuses. ``rebuild_model`` adds the checks that need the
 model skeleton: the tensor set and shapes. Each refusal is one
 ``CheckpointError``.
 
+A checkpoint's config holds exactly its kind's config-class fields,
+``embedding_trainable``, and any of the training record's keys (``RECORD``:
+``best_epoch``, ``seed``, ``variant``); any other key is refused, by the
+writer and the reader alike.
+
 Format changes. Today's layout has no ``format`` key in its config block,
-and a file without one is read as today's layout; so every file re-saves
-to its own bytes. The first change that needs another layout adds the key,
-and one function in this module that maps a header of today's layout to
-the new one.
+and today's reader refuses a config block that holds one, as it refuses
+any unknown key, rather than misread a later layout; so every file it reads
+re-saves to its own bytes. The first change that needs another layout adds
+the key, and one function in this module that maps a header of today's
+layout to the new one.
 """
 from __future__ import annotations
 
@@ -70,6 +76,11 @@ _SIZING_FIELDS = {
 }
 
 
+# The training record a checkpoint's config may hold besides its model's
+# config: each key and its type. ``make_checkpoint`` takes each as a keyword.
+RECORD = {"best_epoch": int, "seed": int, "variant": str}
+
+
 class CheckpointError(Exception):
     pass
 
@@ -103,11 +114,13 @@ def _model_config(ckpt: Checkpoint):
 def check_checkpoint(ckpt: Checkpoint) -> None:
     """Refuse, as one ``CheckpointError``, a checkpoint that fails any check
     that needs no model: an unknown kind; a vocabulary that is not a
-    ``Vocabulary``; class names that are not distinct strings; a config
-    value of the wrong type, a variant that would split a CSV row, or a
-    config the model's config class refuses; a sizing field that disagrees
-    with its stored array; a vocabulary or class count that disagrees with
-    the config; or a non-finite array (``_check_finite``)."""
+    ``Vocabulary``; class names that are not distinct strings; a config key
+    that is neither a field of the kind's config class,
+    ``embedding_trainable`` nor a ``RECORD`` key; a config value of the
+    wrong type, a variant that would split a CSV row, or a config the
+    model's config class refuses; a sizing field that disagrees with its
+    stored array; a vocabulary or class count that disagrees with the
+    config; or a non-finite array (``_check_finite``)."""
     if not isinstance(ckpt.kind, str) or ckpt.kind not in KINDS:
         raise CheckpointError(f"unknown checkpoint kind {ckpt.kind!r}")
     vocab, cfg = ckpt.vocab, ckpt.config
@@ -119,9 +132,13 @@ def check_checkpoint(ckpt: Checkpoint) -> None:
         index_of(ckpt.class_names, "class name")
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
+    config_cls = KINDS[ckpt.kind][1]
+    known = {f.name for f in fields(config_cls)} | {"embedding_trainable", *RECORD}
+    unknown = sorted(set(cfg) - known, key=str)
+    if unknown:
+        raise CheckpointError(f"unknown config key {unknown[0]!r}")
     try:
-        check_fields(KINDS[ckpt.kind][1], cfg, embedding_trainable=bool, variant=str,
-                     best_epoch=int, seed=int)
+        check_fields(config_cls, cfg, embedding_trainable=bool, **RECORD)
         if set(cfg.get("variant", "")) & set(",\r\n"):  # reports write it as a CSV field
             raise ValueError(f"variant {cfg['variant']!r} holds a comma or a line break")
     except ValueError as exc:
@@ -155,10 +172,11 @@ def _check_finite(arrays) -> None:
             raise CheckpointError(f"{name} holds non-finite values")
 
 
-def make_checkpoint(model, vocab: Vocabulary, class_names, **record) -> Checkpoint:
-    """A checkpoint of ``model`` with its config and the training ``record``
-    (``best_epoch``, ``seed``, ``variant``), vocabulary and class names; one
-    that ``check_checkpoint`` refuses raises ``CheckpointError``.
+def make_checkpoint(model, vocab: Vocabulary, class_names, *, best_epoch=None, seed=None,
+                    variant=None) -> Checkpoint:
+    """A checkpoint of ``model`` with its config, vocabulary and class names,
+    and each key of the training record (``RECORD``) that is given; one that
+    ``check_checkpoint`` refuses raises ``CheckpointError``.
 
     It holds ``model.arrays()``, the model's own arrays, not copies: a later
     update of the model shows in it. Save it before training or editing the
@@ -168,8 +186,10 @@ def make_checkpoint(model, vocab: Vocabulary, class_names, **record) -> Checkpoi
     kind = next((k for k, (cls, _, _) in KINDS.items() if type(model) is cls), None)
     if kind is None:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    config = {**asdict(model.config), "embedding_trainable": model.embedding.vectors.requires_grad}
-    return Checkpoint(kind, {**config, **record}, vocab, class_names, model.arrays())
+    record = {"best_epoch": best_epoch, "seed": seed, "variant": variant}
+    config = {**asdict(model.config), "embedding_trainable": model.embedding.vectors.requires_grad,
+              **{key: value for key, value in record.items() if value is not None}}
+    return Checkpoint(kind, config, vocab, class_names, model.arrays())
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -3,8 +3,8 @@ evaluation, batch prediction, and the full experiment matrix.
 
 Each training option but the file locations comes from a ``TrainConfig``
 field, and can be set by a flag or by a key=value config file (# comments
-allowed); flags win. ``stop_disc_gradients`` has neither. All randomness
-flows from --seed.
+allowed, a key set twice refused); flags win. ``stop_disc_gradients`` has
+neither. All randomness flows from --seed.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def parse_config_file(path) -> dict:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    values = {}
+    values, first_line = {}, {}
     for line_no, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -83,6 +83,10 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in _OPTIONS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{line_no}: key {key!r} set twice "
+                             f"(first at line {first_line[key]})")
+        first_line[key] = line_no
         field, kind = _OPTIONS[key]
         try:
             value = (_parse_bool if kind is bool else kind)(raw.strip())

@@ -45,7 +45,7 @@ from .embeddings import (
 )
 from .layers import check_fields
 from .metrics import evaluate
-from .model import BaselineModel, check_max_len, heads_loss
+from .model import check_max_len, heads_loss
 from .tensor import Tape, backward
 
 # The checkpoint names this module offered before ``mcm.checkpoint`` held
@@ -103,10 +103,15 @@ class TrainConfig:
             return self.embedding_dim
         return 1024 if self.embedding_mode == "elmo_like" else 300
 
-    @property
-    def variant_name(self) -> str:
-        suffix = _MODE_SUFFIX[self.embedding_mode]
-        return f"McM_{suffix}A" if self.attention else f"McM_{suffix}"
+
+def variant_name(model_cls, cfg: TrainConfig) -> str:
+    """How checkpoints and reports name a run of ``model_cls`` under ``cfg``:
+    a class that fixes its embedding mode has one variant, its ``name``;
+    otherwise the name, ``_``, the mode's letter, and ``A`` with attention
+    (``McM_R``, ``McM_EA``)."""
+    if model_cls.embedding_mode:
+        return model_cls.name
+    return f"{model_cls.name}_{_MODE_SUFFIX[cfg.embedding_mode]}{'A' if cfg.attention else ''}"
 
 
 def seed_streams(seed: int) -> dict:
@@ -433,7 +438,7 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
     macro-F1 of the last head, the prediction, on the split ``cfg.select_on``
     names; earlier epoch on ties) together with the full per-epoch curve
     data. The checkpoint records the best epoch, ``cfg.seed`` and the variant
-    (a model class that fixes ``embedding_mode`` goes by its name).
+    (``variant_name``).
 
     The model is left holding the best epoch's parameters, and the
     checkpoint holds the model's arrays themselves, not copies
@@ -496,9 +501,8 @@ def fit(model, train: EncodedCorpus, test: EncodedCorpus, cfg: TrainConfig,
 
     for name, a in model.arrays().items():
         a[...] = best_arrays.pop(name)  # the snapshot goes as the model takes it back
-    variant = model.name if model.embedding_mode else cfg.variant_name
     return make_checkpoint(model, vocab, class_names, best_epoch=best_epoch, seed=cfg.seed,
-                           variant=variant), records
+                           variant=variant_name(type(model), cfg)), records
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +595,15 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
     cell and before ``out_dir`` is made.
     """
     _check_selection([rec.label for rec in train_records], base_cfg)
-    # (model kind, variant name, its config)
-    cells = [("baseline", BaselineModel.name, base_cfg)]
-    for mode in _MODE_SUFFIX:
-        for attention in (False, True):
-            cfg = replace(base_cfg, embedding_mode=mode, attention=attention)
-            cells.append(("mcm", cfg.variant_name, cfg))
+    # (model kind, its config) of each cell
+    cells = [("baseline", base_cfg)] + [
+        ("mcm", replace(base_cfg, embedding_mode=mode, attention=attention))
+        for mode in _MODE_SUFFIX for attention in (False, True)]
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for kind, variant, cfg in cells:
-        heads = KINDS[kind][0].heads
+    for kind, cfg in cells:
+        model_cls = KINDS[kind][0]
+        variant, heads = variant_name(model_cls, cfg), model_cls.heads
         try:
             _, ckpt, records = run_training(train_records, test_records, cfg, class_names, kind)
             write_curve_csv(records, os.path.join(out_dir, f"curve_{variant}.csv"))

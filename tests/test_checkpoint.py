@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mcm import checkpoint, cli
+from mcm import checkpoint, cli, trainer
 from mcm.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -28,10 +28,17 @@ from mcm.checkpoint import (
     rebuild_model,
     save_checkpoint,
 )
-from mcm.data import EncodedCorpus, Vocabulary
+from mcm.data import EncodedCorpus, Vocabulary, gen_synthetic, stratified_split, table1_profile
 from mcm.embeddings import init_random
-from mcm.model import MAX_LEN_CEILING, BaselineConfig, McmConfig, build_mcm
-from mcm.trainer import TrainConfig, fit
+from mcm.model import (
+    MAX_LEN_CEILING,
+    BaselineConfig,
+    BaselineModel,
+    McmConfig,
+    McmModel,
+    build_mcm,
+)
+from mcm.trainer import TrainConfig, fit, run_experiment_matrix, variant_name
 
 from .helpers import (
     CLASSES,
@@ -133,6 +140,63 @@ def test_save_checkpoint_refuses_a_checkpoint_edited_to_hold_a_non_finite_value(
         save_checkpoint(ckpt, tmp_path / "refused.mcm")
     assert str(info.value) == "embedding.vectors holds non-finite values"
     assert os.listdir(tmp_path) == []  # neither the file nor its temporary
+
+
+# ---------------------------------------------------------------------------
+# a config holds the model's config, embedding_trainable and the training
+# record, and one rule names the variant
+
+
+@pytest.mark.parametrize("record", [{"max_len": 40}, {"best_epock": 3},
+                                    {"best_epoch": 3, "format": 2}])
+def test_make_checkpoint_takes_only_the_record_keys(check_counts, record):
+    # a model field cannot be shadowed, nor a misspelt key stored
+    model = build_mcm(SMALL_MCM, init_random(10, 4, np.random.default_rng(0)), 0)
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        make_checkpoint(model, SMALL_VOCAB, CLASSES, **record)
+    assert check_counts["contract"] == 0  # no Checkpoint was made
+
+
+@pytest.mark.parametrize("key", ["format", "best_epock", "kernel"])  # kernel is the baseline's
+def test_a_config_key_the_reader_does_not_know_is_refused(ckpt_path, key):
+    message = f"unknown config key {key!r}"
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(with_config(ckpt_path, **{key: 2}))
+    assert str(info.value) == message
+    ckpt = load_checkpoint(ckpt_path)  # the writer refuses it the same way
+    with pytest.raises(CheckpointError, match=f"^{message}$"):
+        dataclasses.replace(ckpt, config={**ckpt.config, key: 2})
+
+
+@pytest.mark.parametrize("model_cls,mode,attention,name", [
+    (BaselineModel, "random", False, "Baseline"), (BaselineModel, "domain", True, "Baseline"),
+    (McmModel, "random", False, "McM_R"), (McmModel, "random", True, "McM_RA"),
+    (McmModel, "elmo_like", False, "McM_E"), (McmModel, "elmo_like", True, "McM_EA"),
+    (McmModel, "domain", False, "McM_D"), (McmModel, "domain", True, "McM_DA"),
+])
+def test_variant_name(model_cls, mode, attention, name):
+    assert variant_name(model_cls, TrainConfig(embedding_mode=mode, attention=attention)) == name
+
+
+def test_fit_and_the_matrix_name_each_cell_the_same_way(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    profile = table1_profile()
+    train, test = stratified_split(gen_synthetic(profile, 120, 0.5, 0.1, rng), 0.8, rng)
+    real, recorded = trainer.run_training, []
+
+    def run_training(*args):  # records the variant of each cell's checkpoint
+        run = real(*args)
+        recorded.append(run[1].config["variant"])
+        return run
+
+    monkeypatch.setattr(trainer, "run_training", run_training)
+    rows = run_experiment_matrix(train, test, TrainConfig(epochs=1, embedding_dim=4),
+                                 tmp_path, profile.names)
+    names = ["Baseline", "McM_E", "McM_EA", "McM_R", "McM_RA", "McM_D", "McM_DA"]
+    assert recorded == names
+    assert [row["model"] for row in rows] == ["Baseline"] + [n for n in names[1:]
+                                                             for _ in range(4)]
+    assert all(row["status"] == "ok" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +551,7 @@ WRONG_TYPED_FIXTURE = [
     ("header", "variant", "a,b", "error: config variant 'a,b' holds a comma or a line break"),
     ("header", "best_epoch", 1.5, "error: config best_epoch 1.5 is not an integer"),
     ("header", "seed", True, "error: config seed True is not an integer"),
+    ("header", "format", 2, "error: unknown config key 'format'"),
 ]
 
 
@@ -625,7 +690,9 @@ def _nan_checkpoint(path):
     _nan_checkpoint,
     lambda p: with_config(p, embed_dim=10 ** 12),
     lambda p: with_config(p, max_len=10 ** 9),
-], ids=["vocab-without-tokens", "non-finite-array", "huge-embed-dim", "huge-max-len"])
+    lambda p: with_config(p, format=2),
+], ids=["vocab-without-tokens", "non-finite-array", "huge-embed-dim", "huge-max-len",
+        "unknown-key"])
 def test_predict_on_bad_checkpoint_prints_one_error_line(ckpt_path, corrupt):
     bad = corrupt(ckpt_path)
     env = dict(os.environ, PYTHONPATH=SRC)

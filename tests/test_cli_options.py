@@ -45,6 +45,7 @@ def test_config_file_reads_every_bool_spelling(tmp_path, text, value):
     ("epochs=3\nepoch=4\n", 2, "unknown key 'epoch'"),
     ("# a comment\nepochs 3\n", 2, "expected key=value"),
     ("stop_disc_gradients=true\n", 1, "unknown key 'stop_disc_gradients'"),
+    ("epochs = 1\nlr = 0.5\nepochs = 2\n", 3, "key 'epochs' set twice (first at line 1)"),
 ])
 def test_config_file_error_names_the_file_and_line(tmp_path, text, line, message):
     path = write_config(tmp_path, text)

@@ -28,7 +28,9 @@ the reachability test runs. Two kinds of check are left out of the list:
   that against the committed bytes, which is stronger than comparing two
   checkouts;
 * checkpoints whose JSON blocks are patched to hold a refused value: Tier-1
-  asserts each refusal's exact one-line message.
+  asserts each refusal's exact one-line message. The one such file here,
+  ``fixtures/format-2.mcm``, stands for a later layout's checkpoint that
+  today's reader must refuse rather than misread.
 
 Only the standard library is imported at module level, so the tool can run
 against a checkout whose ``mcm`` is not this tree's.
@@ -42,6 +44,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -54,12 +57,14 @@ DATA = ["--train", "data/train.tsv", "--test", "data/test.tsv"]
 GEN_SYNTH = ["gen-synth", "--n", "120", "--seed", "5", "--out", "data"]
 # The files the scenarios read besides gen-synth's (see ``write_inputs``): a
 # config file with a bool key, read with the train file with one malformed
-# line; messages to predict, 300 of them with line 257 empty (more than one
-# inference batch of 256); and a test file and messages in the fixtures'
-# words (w0-w7) and classes (a, b, c).
+# line; a config file that sets a key twice; messages to predict, 300 of
+# them with line 257 empty (more than one inference batch of 256); and a
+# test file and messages in the fixtures' words (w0-w7) and classes (a, b, c).
 CONFIG = ("train = data/malformed.tsv\ntest = data/test.tsv\nout = elmo\nepochs = 1\n"
           "embedding = elmo_like\nembedding_dim = 8\nselect_on = validation\n"
           "optimizer = adadelta\nattention = yes\n")
+TWICE = ("train = data/train.tsv\ntest = data/test.tsv\nout = twice\nepochs = 1\n"
+         "embedding_dim = 8\nepochs = 2\n")
 MESSAGES = "shukria bahut acha kaam\n\nrishwat mangta hai\n"
 MANY = "".join("\n" if i == 257 else f"shukria bahut acha kaam {i}\n" for i in range(1, 301))
 FIXTURE_TEST = "w1 w2 w3\ta\nw4 w5\tb\nw6 w7 w0\tc\nw2 w2\ta\n"
@@ -87,6 +92,12 @@ SCENARIOS = [
         (["predict", "--checkpoint", f"fixtures/{name}.mcm"], "fixtures/messages.txt", 0))],
     # a checkpoint cut to 100 bytes is refused with one error: line
     (["predict", "--checkpoint", "fixtures/truncated.mcm"], "messages.txt", 1),
+    # so is a checkpoint whose config holds a key the reader does not know
+    (["predict", "--checkpoint", "fixtures/format-2.mcm"], "messages.txt", 1),
+    (["eval", "--checkpoint", "fixtures/format-2.mcm", "--test", "fixtures/test.tsv",
+      "--out", "fixtures/format-2-eval"], None, 1),
+    # a config file that sets a key twice is refused before any training
+    (["train", "--config", "twice.cfg"], None, 1),
     (["matrix", *DATA, "--out", "matrix", *ARGS], None, 0),
     (["matrix", *DATA, "--out", "matrix-max-len-2", *ARGS, "--max-len", "2"], None, 0),
 ]
@@ -103,16 +114,28 @@ print("\\n".join(tool.manifest(main, json.loads(sys.argv[2]))))
 """
 
 
+def with_format_key(raw: bytes) -> bytes:
+    """The checkpoint bytes ``raw`` with ``"format": 2`` added to the config
+    block, which follows the 4 magic bytes and the block's 4-byte length."""
+    (size,) = struct.unpack_from("<I", raw, 4)
+    block = json.dumps({**json.loads(raw[8:8 + size]), "format": 2}, sort_keys=True).encode()
+    return raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + size:]
+
+
 def write_inputs() -> None:
     """Write the files named in ``CONFIG`` and ``SCENARIOS`` that gen-synth
     does not write; data/malformed.tsv is data/train.tsv and one line that
-    has no tab."""
+    has no tab, and the two derived checkpoints are small_mcm.mcm cut to 100
+    bytes and with a ``format`` key."""
     train = Path("data/train.tsv").read_text(encoding="utf-8")
     Path("fixtures").mkdir()
     for name in FIXTURE_NAMES:
         shutil.copyfile(FIXTURES / f"{name}.mcm", f"fixtures/{name}.mcm")
-    Path("fixtures/truncated.mcm").write_bytes((FIXTURES / "small_mcm.mcm").read_bytes()[:100])
-    for path, text in [("run.cfg", CONFIG), ("data/malformed.tsv", train + "no tab here\n"),
+    small = (FIXTURES / "small_mcm.mcm").read_bytes()
+    Path("fixtures/truncated.mcm").write_bytes(small[:100])
+    Path("fixtures/format-2.mcm").write_bytes(with_format_key(small))
+    for path, text in [("run.cfg", CONFIG), ("twice.cfg", TWICE),
+                       ("data/malformed.tsv", train + "no tab here\n"),
                        ("messages.txt", MESSAGES), ("many.txt", MANY),
                        ("fixtures/test.tsv", FIXTURE_TEST),
                        ("fixtures/messages.txt", FIXTURE_MESSAGES)]:
