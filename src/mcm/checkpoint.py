@@ -17,6 +17,10 @@ A checkpoint's config holds exactly its kind's config-class fields,
 ``best_epoch``, ``seed``, ``variant``); any other key is refused, by the
 writer and the reader alike.
 
+``KINDS`` and each kind's config class, builder and sizing rule are
+``mcm.model``'s: this module names no model class, builder or array of one
+kind.
+
 Format changes. Today's layout has no ``format`` key in its config block,
 and today's reader refuses a config block that holds one, as it refuses
 any unknown key, rather than misread a later layout; so every file it reads
@@ -38,43 +42,10 @@ import numpy as np
 from .data import Vocabulary, all_strings, index_of
 from .embeddings import EmbeddingTable
 from .layers import admits, check_fields
-from .model import (
-    BaselineConfig,
-    BaselineModel,
-    McmConfig,
-    McmModel,
-    build_baseline,
-    build_mcm,
-)
+from .model import KINDS
 from .tensor import Tensor
 
 _MAGIC = b"MCM1"
-
-# checkpoint kind -> (model class, config class, builder)
-KINDS = {
-    "mcm": (McmModel, McmConfig, build_mcm),
-    "baseline": (BaselineModel, BaselineConfig, build_baseline),
-}
-
-# For each config field that sizes a tensor, one stored array and axis that
-# must equal it. ``check_checkpoint`` checks them, so a corrupt dimension is
-# refused instead of sizing the model skeleton (the stored shapes themselves
-# are bounded by the file's length).
-_SIZING_FIELDS = {
-    "mcm": {
-        "vocab_size": ("embedding.vectors", 0), "embed_dim": ("embedding.vectors", 1),
-        "kernel1": ("cnn1.weights", 0), "kernel2": ("cnn2.weights", 0),
-        "num_filters": ("cnn1.bias", 0), "hidden_dim": ("lstm_s1.b_i", 0),
-        "dense1_dim": ("disc.dense1.bias", 0), "dense2_dim": ("disc.dense2.bias", 0),
-        "num_classes": ("disc.out.bias", 0),
-    },
-    "baseline": {
-        "vocab_size": ("embedding.vectors", 0), "embed_dim": ("embedding.vectors", 1),
-        "kernel": ("conv.weights", 0), "num_filters": ("conv.bias", 0),
-        "hidden_dim": ("hidden.bias", 0), "num_classes": ("out.bias", 0),
-    },
-}
-
 
 # The training record a checkpoint's config may hold besides its model's
 # config: each key and its type. ``make_checkpoint`` takes each as a keyword.
@@ -87,7 +58,7 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class Checkpoint:
-    kind: str           # "mcm" or "baseline"
+    kind: str           # a key of ``KINDS``
     config: MappingProxyType
     vocab: Vocabulary
     class_names: tuple
@@ -107,7 +78,7 @@ def model_arrays(model) -> dict:
 
 def _model_config(ckpt: Checkpoint):
     """The model config that ``ckpt.config`` describes."""
-    config_cls = KINDS[ckpt.kind][1]
+    config_cls = KINDS[ckpt.kind].config_class
     return config_cls(**{f.name: ckpt.config[f.name] for f in fields(config_cls)})
 
 
@@ -132,7 +103,7 @@ def check_checkpoint(ckpt: Checkpoint) -> None:
         index_of(ckpt.class_names, "class name")
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
-    config_cls = KINDS[ckpt.kind][1]
+    config_cls = KINDS[ckpt.kind].config_class
     known = {f.name for f in fields(config_cls)} | {"embedding_trainable", *RECORD}
     unknown = sorted(set(cfg) - known, key=str)
     if unknown:
@@ -143,7 +114,7 @@ def check_checkpoint(ckpt: Checkpoint) -> None:
             raise ValueError(f"variant {cfg['variant']!r} holds a comma or a line break")
     except ValueError as exc:
         raise CheckpointError(f"config {exc}") from None
-    for field, (name, axis) in _SIZING_FIELDS[ckpt.kind].items():
+    for field, (name, axis) in KINDS[ckpt.kind].sizing.items():
         shape = ckpt.arrays[name].shape if name in ckpt.arrays else ()
         stored = shape[axis] if axis < len(shape) else None
         if stored is None or cfg.get(field) != stored:
@@ -183,8 +154,8 @@ def make_checkpoint(model, vocab: Vocabulary, class_names, *, best_epoch=None, s
     model further, or ``dataclasses.replace`` its ``arrays`` with
     ``model_arrays(model)`` for a snapshot that stays as it is.
     """
-    kind = next((k for k, (cls, _, _) in KINDS.items() if type(model) is cls), None)
-    if kind is None:
+    kind = getattr(type(model), "kind", None)
+    if KINDS.get(kind) is not type(model):
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
     record = {"best_epoch": best_epoch, "seed": seed, "variant": variant}
     config = {**asdict(model.config), "embedding_trainable": model.embedding.vectors.requires_grad,
@@ -318,7 +289,7 @@ def rebuild_model(ckpt: Checkpoint):
     table = EmbeddingTable(Tensor(ckpt.arrays["embedding.vectors"],
                                   requires_grad=ckpt.config["embedding_trainable"]))
     try:
-        model = KINDS[ckpt.kind][2](_model_config(ckpt), table, 0)
+        model = KINDS[ckpt.kind].build(_model_config(ckpt), table, 0)
     except ValueError as exc:  # a stored table of another rank than 2
         raise CheckpointError(f"invalid checkpoint configuration: {exc}") from exc
 

@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, CheckpointError, TrainingDiverged) as exc:
+    except (OSError, ValueError, MemoryError, CheckpointError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

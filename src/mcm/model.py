@@ -18,11 +18,15 @@ infer-mode forward records 40 and 42.
 Both models and their parameter groups are ``layers.Params``, so their
 arrays are named from their fields in field order, as checkpoints store
 them. The embedding table trains when ``embedding.vectors.requires_grad``.
+
+Each model class is the one description of its kind (``Model``), and
+``KINDS`` maps each kind's name to its class for ``mcm.checkpoint`` and
+``mcm.trainer``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -123,6 +127,11 @@ class Model(Params):
     groups are fields, so ``Params`` names their arrays in field order
     ("lstm_s1.w_i", "head_cnn.bn1.running_mean"), the order a checkpoint
     stores them in.
+
+    Each subclass also names its kind in class attributes that are not
+    fields: ``kind`` (its key in ``KINDS``), ``config_class``, ``build`` and
+    ``sizing``, for each config field that sizes a tensor the one array and
+    axis that must equal it, as ``checkpoint.check_checkpoint`` checks.
     """
 
     heads: tuple = ()
@@ -145,11 +154,6 @@ class Model(Params):
         n, l = ids.shape
         return lookup_distinct(self.embedding, ids.T.reshape(-1)), n, l
 
-    def head_probabilities(self, ids) -> list:
-        """Infer-mode probabilities (n, C), one detached tensor per head,
-        for an (n, max_len) id batch."""
-        return [probabilities(t) for t in self.head_logits(ids, "infer")]
-
 
 def _head_forward(x: Tensor, head: LearnerHead, mode: str,
                   rng: Optional[np.random.Generator]):
@@ -163,27 +167,31 @@ def _head_forward(x: Tensor, head: LearnerHead, mode: str,
     return dense(h, head.out), feat
 
 
-@dataclass
-class McmModel(Model):
-    heads = ("cnn", "slstm", "lstm", "discriminator")
-    name = "McM"
+def _component_rngs(config, embedding: EmbeddingTable, seed_seq, count: int) -> list:
+    """What both builders do first: refuse a table that does not match
+    ``config``, then fork ``count`` independent generators, one per
+    component, from ``seed_seq`` (a ``SeedSequence`` or an int)."""
+    if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
+        raise ValueError("embedding table does not match the configuration")
+    if isinstance(seed_seq, (int, np.integer)):
+        seed_seq = np.random.SeedSequence(seed_seq)
+    return [np.random.default_rng(s) for s in seed_seq.spawn(count)]
 
-    config: McmConfig
-    embedding: EmbeddingTable
-    cnn1: Conv1dParams
-    cnn2: Conv1dParams
-    lstm_s1: LstmParams
-    lstm_s2: LstmParams
-    lstm_enc: LstmParams
-    head_cnn: LearnerHead
-    head_slstm: LearnerHead
-    head_lstm: LearnerHead
-    disc: LearnerHead
-    att_cnn: Optional[AttentionParams] = None
-    att_lstm: Optional[AttentionParams] = None
 
-    def head_logits(self, ids, mode, rng=None):
-        return forward_batch(self, ids, mode, rng).logits()
+class McmOutput(NamedTuple):
+    """Each head's (n, num_classes) logits, its fields in head order:
+    ``McmModel.heads`` is ``McmOutput._fields``. ``probs_disc`` is the
+    prediction's softmax, computed when read."""
+
+    cnn: Tensor
+    slstm: Tensor
+    lstm: Tensor
+    discriminator: Tensor
+
+    @property
+    def probs_disc(self) -> Tensor:
+        """The discriminator's probabilities (detached)."""
+        return probabilities(self.discriminator)
 
 
 def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmModel:
@@ -193,11 +201,7 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
     so toggling attention leaves every other component's initial weights
     untouched.
     """
-    if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
-        raise ValueError("embedding table does not match the configuration")
-    if isinstance(seed_seq, (int, np.integer)):
-        seed_seq = np.random.SeedSequence(seed_seq)
-    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(11)]
+    rngs = _component_rngs(config, embedding, seed_seq, 11)
     cfg = config
     feat_total = 3 * cfg.dense2_dim
     return McmModel(
@@ -222,24 +226,36 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
 
 
 @dataclass
-class McmOutput:
-    """Each head's (n, num_classes) logits. ``probs_disc`` is the
-    prediction's softmax, computed when read; ``Model.head_probabilities``
-    gives every head's."""
+class McmModel(Model):
+    kind = "mcm"
+    name = "McM"
+    heads = McmOutput._fields
+    config_class = McmConfig
+    build = staticmethod(build_mcm)
+    sizing = {
+        "vocab_size": ("embedding.vectors", 0), "embed_dim": ("embedding.vectors", 1),
+        "kernel1": ("cnn1.weights", 0), "kernel2": ("cnn2.weights", 0),
+        "num_filters": ("cnn1.bias", 0), "hidden_dim": ("lstm_s1.b_i", 0),
+        "dense1_dim": ("disc.dense1.bias", 0), "dense2_dim": ("disc.dense2.bias", 0),
+        "num_classes": ("disc.out.bias", 0),
+    }
 
-    logits_cnn: Tensor
-    logits_slstm: Tensor
-    logits_lstm: Tensor
-    logits_disc: Tensor
+    config: McmConfig
+    embedding: EmbeddingTable
+    cnn1: Conv1dParams
+    cnn2: Conv1dParams
+    lstm_s1: LstmParams
+    lstm_s2: LstmParams
+    lstm_enc: LstmParams
+    head_cnn: LearnerHead
+    head_slstm: LearnerHead
+    head_lstm: LearnerHead
+    disc: LearnerHead
+    att_cnn: Optional[AttentionParams] = None
+    att_lstm: Optional[AttentionParams] = None
 
-    def logits(self):
-        """One logits tensor per head, in ``McmModel.heads`` order."""
-        return [self.logits_cnn, self.logits_slstm, self.logits_lstm, self.logits_disc]
-
-    @property
-    def probs_disc(self) -> Tensor:
-        """The discriminator's probabilities (detached)."""
-        return probabilities(self.logits_disc)
+    def head_logits(self, ids, mode, rng=None):
+        return forward_batch(self, ids, mode, rng)
 
 
 def probabilities(logits: Tensor) -> Tensor:
@@ -312,7 +328,8 @@ def forward_batch(model: McmModel, ids: np.ndarray, mode: str,
 
 def heads_loss(logits, target) -> Tensor:
     """Equal-weight sum of each head's categorical cross-entropy, each the
-    mean over the batch of (n,) ``target`` labels."""
+    mean over the batch of (n,) ``target`` labels; ``logits`` holds one
+    tensor per head, as ``head_logits`` and ``forward_batch`` return them."""
     total = None
     for head_logits in logits:
         _, term = softmax_ce(head_logits, target)
@@ -320,9 +337,7 @@ def heads_loss(logits, target) -> Tensor:
     return total
 
 
-def loss(out: McmOutput, target) -> Tensor:
-    """The sum of the four heads' cross-entropies (``heads_loss``)."""
-    return heads_loss(out.logits(), target)
+loss = heads_loss  # McM's loss under the name the benchmark imports
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +362,31 @@ class BaselineConfig:
             raise ValueError("all dimensions must be positive")
 
 
+def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) -> BaselineModel:
+    """Embedding -> one valid conv (ReLU) -> global max-pool -> dense (ReLU)
+    -> dense -> softmax."""
+    rngs = _component_rngs(config, embedding, seed_seq, 3)
+    return BaselineModel(
+        config=config,
+        embedding=embedding,
+        conv=Conv1dParams.init(config.kernel, config.embed_dim, config.num_filters, rngs[0]),
+        hidden=DenseParams.init(config.num_filters, config.hidden_dim, rngs[1]),
+        out=DenseParams.init(config.hidden_dim, config.num_classes, rngs[2]),
+    )
+
+
 @dataclass
 class BaselineModel(Model):
-    heads = ("baseline",)
+    kind = "baseline"
     name = "Baseline"
+    heads = ("baseline",)
+    config_class = BaselineConfig
+    build = staticmethod(build_baseline)
+    sizing = {
+        "vocab_size": ("embedding.vectors", 0), "embed_dim": ("embedding.vectors", 1),
+        "kernel": ("conv.weights", 0), "num_filters": ("conv.bias", 0),
+        "hidden_dim": ("hidden.bias", 0), "num_classes": ("out.bias", 0),
+    }
     embedding_mode = "random"
     shortest = 3  # its kernel
 
@@ -372,19 +408,5 @@ class BaselineModel(Model):
         return [dense(T.relu(dense(pooled, self.hidden)), self.out)]
 
 
-def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) -> BaselineModel:
-    """Embedding -> one valid conv (ReLU) -> global max-pool -> dense (ReLU)
-    -> dense -> softmax."""
-    if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
-        raise ValueError("embedding table does not match the configuration")
-    if isinstance(seed_seq, (int, np.integer)):
-        seed_seq = np.random.SeedSequence(seed_seq)
-    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(3)]
-    return BaselineModel(
-        config=config,
-        embedding=embedding,
-        conv=Conv1dParams.init(config.kernel, config.embed_dim, config.num_filters, rngs[0]),
-        hidden=DenseParams.init(config.num_filters, config.hidden_dim, rngs[1]),
-        out=DenseParams.init(config.hidden_dim, config.num_classes, rngs[2]),
-    )
-
+# checkpoint kind -> its model class
+KINDS = {cls.kind: cls for cls in (McmModel, BaselineModel)}

@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import (
-    KINDS,
     load_checkpoint,
     make_checkpoint,
     model_arrays,
@@ -45,7 +44,7 @@ from .embeddings import (
 )
 from .layers import check_fields
 from .metrics import evaluate
-from .model import check_max_len, heads_loss
+from .model import KINDS, check_max_len, heads_loss, probabilities
 from .tensor import Tape, backward
 
 # The checkpoint names this module offered before ``mcm.checkpoint`` held
@@ -346,8 +345,8 @@ def infer_probabilities(model, ids) -> list:
     (n, max_len) id batch, ``INFER_BATCH`` messages per forward."""
     out = [np.empty((len(ids), model.config.num_classes)) for _ in model.heads]
     for lo in range(0, len(ids), INFER_BATCH):
-        for head_out, probs in zip(out, model.head_probabilities(ids[lo:lo + INFER_BATCH])):
-            head_out[lo:lo + INFER_BATCH] = probs.data
+        for head_out, logits in zip(out, model.head_logits(ids[lo:lo + INFER_BATCH], "infer")):
+            head_out[lo:lo + INFER_BATCH] = probabilities(logits).data
     return out
 
 
@@ -399,10 +398,10 @@ def _carve_validation(corpus: EncodedCorpus, rng: np.random.Generator):
 
 def _check_selection(labels, cfg: TrainConfig) -> None:
     """Refuse ``select_on="validation"`` when the 80/20 carve-out of the
-    training ``labels`` would leave no validation records. The parts' sizes
-    depend on the class counts only, not on the stream that shuffles them."""
-    if cfg.select_on == "validation" and not stratified_indices(
-            labels, 0.8, np.random.default_rng(0))[1]:
+    training ``labels`` would leave no validation records: a class of c
+    records keeps ``round(0.8 * c)`` of them, all of them for c < 3."""
+    if (cfg.select_on == "validation"
+            and np.unique(labels, return_counts=True)[1].max(initial=0) < 3):
         raise ValueError("select_on='validation' needs a class with at least 3 training "
                          "records: the 80/20 carve-out left no validation records")
 
@@ -534,7 +533,8 @@ def run_training(train_records, test_records, cfg: TrainConfig, class_names, kin
     that mode: the baseline always trains on a random table.
     """
     check_fields(TrainConfig, {"kind": kind}, {"kind": KINDS})
-    model_cls, config_cls, build = KINDS[kind]
+    model_cls = KINDS[kind]
+    config_cls = model_cls.config_class
     cfg = replace(cfg, embedding_mode=model_cls.embedding_mode or cfg.embedding_mode)
     streams = seed_streams(cfg.seed)
     vocab = build_vocab(train_records, cfg.min_count)
@@ -545,8 +545,8 @@ def run_training(train_records, test_records, cfg: TrainConfig, class_names, kin
     shared = {f.name for f in fields(config_cls)} & {f.name for f in fields(TrainConfig)}
     sizes = {"vocab_size": vocab.size, "embed_dim": cfg.resolved_embedding_dim,
              "num_classes": len(class_names), "max_len": max_len}
-    model = build(config_cls(**{**{name: getattr(cfg, name) for name in shared}, **sizes}),
-                  table, streams["model"])
+    config = config_cls(**{**{name: getattr(cfg, name) for name in shared}, **sizes})
+    model = model_cls.build(config, table, streams["model"])
     return model, *fit(model, enc_train, enc_test, cfg, vocab, class_names)
 
 
@@ -602,7 +602,7 @@ def run_experiment_matrix(train_records, test_records, base_cfg: TrainConfig,
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for kind, cfg in cells:
-        model_cls = KINDS[kind][0]
+        model_cls = KINDS[kind]
         variant, heads = variant_name(model_cls, cfg), model_cls.heads
         try:
             _, ckpt, records = run_training(train_records, test_records, cfg, class_names, kind)

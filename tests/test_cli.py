@@ -2,6 +2,7 @@
 each in its own process. Training with domain embeddings runs skip-gram
 pretraining at its defaults (window 5, 5 epochs) through its real caller."""
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,11 +11,13 @@ import sys
 import numpy as np
 import pytest
 
-from mcm.checkpoint import load_checkpoint, rebuild_model
-from mcm.data import DEFAULT_CLASSES, encode_tokens, tokenize
-from mcm.trainer import INFER_BATCH
+from mcm.checkpoint import load_checkpoint, make_checkpoint, rebuild_model, save_checkpoint
+from mcm.data import DEFAULT_CLASSES, EncodedCorpus, encode_tokens, tokenize
+from mcm.embeddings import init_random
+from mcm.model import build_mcm
+from mcm.trainer import INFER_BATCH, evaluate_components, infer_probabilities
 
-from .helpers import assemble_checkpoint, checkpoint_blocks
+from .helpers import SMALL_MCM, SMALL_VOCAB, assemble_checkpoint, checkpoint_blocks
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -124,6 +127,32 @@ def test_train_with_a_diverging_learning_rate_prints_one_error(tmp_path):
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
     assert not (tmp_path / "run" / "checkpoint.mcm").exists()
+
+
+# 10**15 values: past any address space, so the allocation fails at once
+HUGE = str(10 ** 15)
+
+
+def test_gen_synth_of_more_records_than_memory_prints_one_error(tmp_path):
+    run = mcm(tmp_path, "gen-synth", "--n", HUGE, "--out", "data")
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), run.stderr
+    assert run.stdout == "" and not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("by_config", [False, True])
+def test_train_with_a_table_larger_than_memory_prints_one_error(tmp_path, by_config):
+    gen = mcm(tmp_path, "gen-synth", "--n", "120", "--seed", "3", "--out", "data")
+    assert gen.returncode == 0, gen.stderr
+    (tmp_path / "run.cfg").write_text(f"embedding_dim = {HUGE}\n")
+    run = mcm(tmp_path, "train", "--train", "data/train.tsv", "--test", "data/test.tsv",
+              "--out", "run", "--epochs", "1",
+              *(["--config", "run.cfg"] if by_config else ["--embedding-dim", HUGE]))
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), run.stderr
+    assert run.stdout == "" and not (tmp_path / "run" / "checkpoint.mcm").exists()
 
 
 def select_on_an_empty_validation_part(tmp_path, command):
@@ -241,9 +270,42 @@ def test_predict_answers_each_of_more_lines_than_a_batch_in_order(tmp_path, fixt
             alone.append("UNKNOWN\t0.0000")
             continue
         ids = encode_tokens(tokenize(line), vocab, ckpt.config["max_len"])[None]
-        p = model.head_probabilities(ids)[-1].data[0]
+        p = infer_probabilities(model, ids)[-1][0]
         alone.append(f"{ckpt.class_names[int(np.argmax(p))]}\t{p.max():.4f}")
     assert pred.stdout.splitlines() == alone
+
+
+# each McM head and the parameter group whose output layer gives its logits
+HEAD_GROUPS = {"cnn": "head_cnn", "slstm": "head_slstm", "lstm": "head_lstm",
+               "discriminator": "disc"}
+
+
+def test_each_head_answers_through_its_own_logits(tmp_path):
+    """Each output layer ignores its features (zero weights) and its bias
+    picks a class of its own, so a head answered through another's logits
+    shows in probabilities, evaluation and ``predict`` alike."""
+    model = build_mcm(dataclasses.replace(SMALL_MCM, num_classes=4),
+                      init_random(10, 4, np.random.default_rng(0)), 0)
+    head_class = {}
+    for c, (head, group) in enumerate(HEAD_GROUPS.items()):
+        out = getattr(model, group).out
+        out.weights.data[...] = 0.0
+        out.bias.data[...] = np.eye(4)[c]
+        head_class[head] = c
+    ids = np.random.default_rng(1).integers(2, 10, size=(10, SMALL_MCM.max_len))
+    probs = infer_probabilities(model, ids)
+    assert [np.argmax(p, axis=1).tolist() for p in probs] == [
+        [head_class[head]] * 10 for head in model.heads]
+    labels = np.repeat(np.arange(4), [1, 2, 3, 4])  # (c + 1) / 10 of them are class c
+    reports = evaluate_components(model, EncodedCorpus(ids, labels))
+    assert {head: r.accuracy for head, r in reports.items()} == {
+        head: pytest.approx((c + 1) / 10) for head, c in head_class.items()}
+
+    save_checkpoint(make_checkpoint(model, SMALL_VOCAB, ("a", "b", "c", "d")),
+                    tmp_path / "heads.mcm")
+    pred = mcm(tmp_path, "predict", "--checkpoint", "heads.mcm", stdin="w1 w2\nw3 w4 w5\n")
+    assert pred.returncode == 0, pred.stderr
+    assert [line.split("\t")[0] for line in pred.stdout.splitlines()] == ["d", "d"]
 
 
 @pytest.mark.parametrize("stdin", ["", "\n ,, \n\n"])

@@ -1,9 +1,9 @@
 """McM model: guards on the shape of its training graph, the fused time
-pool against its per-op composition, the max_len bounds that training
-shares with checkpoint loading, the type of each config field, each row
-of a batch against that row as a batch of one, each head's probabilities,
-and a finite-difference check of the whole model's gradient, and the
-baseline's dimension check."""
+pool against its per-op composition, the head order, each kind's shortest
+input, the max_len bounds that training shares with checkpoint loading,
+the type of each config field, each row of a batch against that row as a
+batch of one, each head's probabilities, and a finite-difference check of
+the whole model's gradient, and the baseline's dimension check."""
 import dataclasses
 
 import numpy as np
@@ -12,19 +12,23 @@ import pytest
 from mcm import tensor as T
 from mcm.embeddings import PAD_ID, init_random
 from mcm.model import (
+    KINDS,
     MAX_LEN_CEILING,
     BaselineConfig,
     McmConfig,
+    McmModel,
+    McmOutput,
     _pool_time,
     build_baseline,
     build_mcm,
     forward_batch,
+    heads_loss,
     loss,
     probabilities,
 )
 from mcm.layers import softmax_ce
 from mcm.tensor import Tape, Tensor, backward
-from mcm.trainer import CHOICES, TrainConfig
+from mcm.trainer import CHOICES, TrainConfig, infer_probabilities
 
 from .helpers import gradcheck, max_rel_err, numerical_grad, weighted_sum, wrong_typed
 
@@ -96,13 +100,32 @@ def test_pool_time_gradcheck():
 def test_head_probabilities_are_the_softmaxes_of_the_head_logits():
     model, _ = tiny_mcm()
     out = forward_batch(model, IDS, "infer")
-    assert [p.data.tobytes() for p in model.head_probabilities(IDS)] == [
-        probabilities(t).data.tobytes() for t in out.logits()]
+    assert [p.tobytes() for p in infer_probabilities(model, IDS)] == [
+        probabilities(t).data.tobytes() for t in out]
     cfg = BaselineConfig(vocab_size=10, embed_dim=3, num_classes=3, max_len=IDS.shape[1],
                          num_filters=2, hidden_dim=2)
     baseline = build_baseline(cfg, init_random(10, 3, np.random.default_rng(1)), 1)
-    (probs,) = baseline.head_probabilities(IDS)
-    assert probs.data.tobytes() == probabilities(baseline.head_logits(IDS, "infer")[0]).data.tobytes()
+    (probs,) = infer_probabilities(baseline, IDS)
+    assert probs.tobytes() == probabilities(baseline.head_logits(IDS, "infer")[0]).data.tobytes()
+
+
+def test_the_head_order_is_written_once():
+    assert McmModel.heads is McmOutput._fields
+    assert McmModel.heads == ("cnn", "slstm", "lstm", "discriminator")
+    assert loss is heads_loss
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_kinds_shortest_is_its_default_receptive_field(kind):
+    # McM's default kernels 1 and 2 see 1 + 2 - 1 ids, the baseline's kernel 3
+    cls = KINDS[kind]
+    sizes = dict(vocab_size=10, embed_dim=4, num_classes=3)
+    model = cls.build(cls.config_class(**sizes, max_len=cls.shortest),
+                      init_random(10, 4, np.random.default_rng(0)), 0)
+    probs = infer_probabilities(model, np.ones((2, cls.shortest), dtype=np.int64))
+    assert [p.shape for p in probs] == [(2, 3)] * len(cls.heads)
+    with pytest.raises(ValueError, match=rf"max_len {cls.shortest - 1} outside \[{cls.shortest},"):
+        cls.config_class(**sizes, max_len=cls.shortest - 1)
 
 
 @pytest.mark.parametrize("max_len", [MAX_LEN_CEILING + 1, 1, 12.0, True])
@@ -190,7 +213,7 @@ def test_forward_row_equals_forward_batch_row():
     batch = forward_batch(model, IDS, "infer")
     for i, row in enumerate(IDS):
         single = forward_batch(model, row[None], "infer")
-        for name, value in vars(single).items():
+        for name, value in single._asdict().items():
             want = getattr(batch, name).data[i:i + 1]
             assert value.data.shape == want.shape
             assert max_rel_err(value.data, want) <= 1e-12, name
@@ -203,11 +226,11 @@ def test_forward_row_equals_forward_batch_row():
 def test_every_output_field_has_its_shape(n):
     model, _ = tiny_mcm(num_classes=4, dense2_dim=5)
     # class scores are num_classes wide
-    widths = {f"logits_{head}": 4 for head in ("cnn", "slstm", "lstm", "disc")}
+    widths = {head: 4 for head in ("cnn", "slstm", "lstm", "discriminator")}
     batch = forward_batch(model, IDS[:n], "infer")
-    assert {name: t.shape for name, t in vars(batch).items()} == {
+    assert {name: t.shape for name, t in batch._asdict().items()} == {
         name: (n, w) for name, w in widths.items()}
-    assert [t.shape for t in model.head_probabilities(IDS[:n])] == [(n, 4)] * 4
+    assert [p.shape for p in infer_probabilities(model, IDS[:n])] == [(n, 4)] * 4
 
 
 @pytest.mark.parametrize("stop", [True, False])
@@ -216,7 +239,7 @@ def test_stop_disc_gradients_keeps_the_discriminator_loss_out_of_the_learners(st
     shift_biases_off_zero(model, rng)
     with Tape() as tape:
         out = forward_batch(model, IDS, "train", rng)
-        _, disc_ce = softmax_ce(out.logits_disc, rng.integers(0, 3, size=len(IDS)))
+        _, disc_ce = softmax_ce(out.discriminator, rng.integers(0, 3, size=len(IDS)))
     backward(disc_ce, tape)
     # Compared per component: in train mode the shift before a batchnorm has
     # a true gradient of 0, which rounding may or may not leave at 0.

@@ -54,7 +54,6 @@ KEEP = {
     "tensor.reduce_mean.grad_fn": "its gradient rule",
     # what perfbench calls
     "embeddings.lookup": "perfbench's embeddings.lookup scope",
-    "model.loss": "perfbench's layers.loss scope",
     "model.McmOutput.probs_disc": "perfbench's serving answers",
     "tensor.Tape.__len__": "perfbench's tensor.tape_nodes and infer_tape_nodes",
 }

@@ -1,6 +1,7 @@
 """Trainer: block-wise optimizer steps against whole-array updates, bitwise
 determinism of fit, best-epoch selection and batched inference."""
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from mcm.data import (
     EncodedCorpus,
     Vocabulary,
     gen_synthetic,
+    stratified_indices,
     stratified_split,
     table1_profile,
 )
@@ -26,6 +28,7 @@ from mcm.model import (
     build_mcm,
     forward_batch,
     loss as mcm_loss,
+    probabilities,
 )
 from mcm.tensor import Tape, Tensor, backward
 from mcm.trainer import (
@@ -136,6 +139,20 @@ def test_fit_on_the_baseline_refuses_an_empty_validation_part():
         fit(model, train, test, TrainConfig(epochs=1, batch_size=4, select_on="validation"),
             SMALL_VOCAB, CLASSES)
     assert all(t.data.tobytes() == before[name].tobytes() for name, t in model.tensors())
+
+
+@pytest.mark.parametrize("counts", [c for c in itertools.product(range(7), repeat=3) if any(c)])
+def test_the_selection_check_refuses_exactly_when_the_carve_out_is_empty(counts):
+    # decided from the class counts alone: some class needs 3 or more records
+    labels = np.repeat(np.arange(3), counts)
+    _, validation = stratified_indices(labels, 0.8, np.random.default_rng(0))
+    cfg = TrainConfig(select_on="validation")
+    if validation:
+        trainer._check_selection(labels, cfg)
+    else:
+        with pytest.raises(ValueError, match="no validation records"):
+            trainer._check_selection(labels, cfg)
+    assert bool(validation) == (max(counts) >= 3)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -552,8 +569,8 @@ def test_infer_probabilities_are_each_batchs_head_probabilities(kind, n):
     probs = trainer.infer_probabilities(model, ids)
     assert [p.shape for p in probs] == [(n, 3)] * len(model.heads)
     for lo in range(0, n, trainer.INFER_BATCH):
-        batch = model.head_probabilities(ids[lo:lo + trainer.INFER_BATCH])
-        for p, want in zip(probs, batch):
+        batch = model.head_logits(ids[lo:lo + trainer.INFER_BATCH], "infer")
+        for p, want in zip(probs, map(probabilities, batch)):
             assert p[lo:lo + trainer.INFER_BATCH].tobytes() == want.data.tobytes()
 
 
