@@ -254,7 +254,9 @@ def _affine(x, w: np.ndarray, b: np.ndarray):
     if isinstance(x, GatheredRows):
         return x.project(w, b), x.table, lambda dz: x.project_grads(dz, w)
     xd = x.data
-    return xd @ w.T + b, x, lambda dz: (dz.T @ xd, Fresh(dz @ w) if x.requires_grad else None)
+    z = xd @ w.T
+    z += b  # in place: no second array of z's size
+    return z, x, lambda dz: (dz.T @ xd, Fresh(dz @ w) if x.requires_grad else None)
 
 
 # ---------------------------------------------------------------------------

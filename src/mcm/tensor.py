@@ -16,7 +16,9 @@ distinct rows once, and the slot each index fills. Its ``dense()`` puts
 the rows on the tape; layers with an affine first step project the
 distinct rows instead. Either way the table's gradient is one ``RowGrad``
 over the distinct rows, from the slots' gradients summed per row in slot
-order (for ``dense()``, bitwise a dense scatter-add into zeros).
+order (for ``dense()``, the values of a dense scatter-add into zeros), and
+the table's ``grad`` holds it in that form: no table-sized array is built
+unless a dense write to the same gradient arrives.
 
 Design constraints, deliberately strict:
 
@@ -42,38 +44,14 @@ class ShapeError(ValueError):
 class Tensor:
     """Shape-tagged dense array of float64 with optional gradient."""
 
-    __slots__ = ("data", "_grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self._grad = None  # None, a dense array, or one summed RowGrad
+        # as backward stored it: None, an array, or one summed RowGrad while
+        # every write to it has been row-sparse
+        self.grad = None
         self.requires_grad = bool(requires_grad)
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        """The gradient as a dense array, or None.
-
-        A gradient that has received only row-sparse writes is held as one
-        ``RowGrad`` (``row_grad``); each read spreads it into zeros and
-        leaves it row-sparse.
-        """
-        g = self._grad
-        if isinstance(g, RowGrad):
-            dense = np.zeros(self.data.shape)
-            dense[g.rows] = g.values
-            return dense
-        return g
-
-    @grad.setter
-    def grad(self, value: Optional[np.ndarray]) -> None:
-        self._grad = value
-
-    @property
-    def row_grad(self) -> Optional["RowGrad"]:
-        """The gradient as one summed ``RowGrad`` while every write to it has
-        been row-sparse; None when it is dense or absent."""
-        g = self._grad
-        return g if isinstance(g, RowGrad) else None
 
     @property
     def shape(self) -> tuple:
@@ -165,9 +143,9 @@ def _accumulate(t: Tensor, g) -> None:
     While only ``RowGrad``s arrive, the gradient stays one ``RowGrad`` over
     the union of their rows, and each row's value is ``0.0 +`` each
     contribution in tape order: the additions a dense scatter into zeros
-    makes, so ``t.grad`` reads bitwise as that scatter (a ``-0.0`` value
-    becomes ``0.0``) and no table-sized array is built. A dense write
-    spreads it into zeros first. A ``RowGrad`` with no rows is still a
+    makes (a ``-0.0`` value becomes ``0.0``), and no table-sized array is
+    built. A dense write spreads it into zeros first, so the dense gradient
+    holds that scatter's bits. A ``RowGrad`` with no rows is still a
     gradient (of zeros).
 
     The first dense write copies: a grad_fn may hand one array to several
@@ -178,31 +156,33 @@ def _accumulate(t: Tensor, g) -> None:
     of ``t.data``, both C-contiguous) is adopted instead: nothing else holds
     it, so nothing else writes into it.
     """
-    cur = t._grad
+    cur = t.grad
     fresh = isinstance(g, Fresh)
     if fresh:
         g = g.array
     if isinstance(g, RowGrad):
         if cur is None:
-            t._grad = RowGrad(g.rows, 0.0 + g.values)
+            t.grad = RowGrad(g.rows, 0.0 + g.values)
         elif isinstance(cur, RowGrad):
             rows = np.union1d(cur.rows, g.rows)
             values = np.zeros((rows.size,) + cur.values.shape[1:])
             values[np.searchsorted(rows, cur.rows)] = cur.values
             values[np.searchsorted(rows, g.rows)] += g.values
-            t._grad = RowGrad(rows, values)
+            t.grad = RowGrad(rows, values)
         else:
             cur[g.rows] += g.values
     elif cur is None:
         d = t.data
         if fresh and g.shape == d.shape and g.flags.c_contiguous and d.flags.c_contiguous:
-            t._grad = g
+            t.grad = g
         else:
-            t._grad = np.empty_like(d)
-            t._grad[...] = g
+            t.grad = np.empty_like(d)
+            t.grad[...] = g
     else:
         if isinstance(cur, RowGrad):
-            cur = t._grad = t.grad
+            rows, values = cur
+            cur = t.grad = np.zeros(t.data.shape)
+            cur[rows] = values
         cur += g
 
 
@@ -234,14 +214,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
 def _consume(node: TapeNode) -> None:
     """Empty ``node``, then add its gradient rule's results into its inputs.
 
-    Its locals go when it returns, so no output, rule or gradient of this
-    node outlives it unless something else holds it.
+    A ``RowGrad`` reaches an output only when rows were gathered from it (a
+    tensor that is not a leaf); rules take arrays, so it is spread into
+    zeros first. Its locals go when it returns, so no output, rule or
+    gradient of this node outlives it unless something else holds it.
     """
     out, inputs, grad_fn = node.out, node.inputs, node.grad_fn
     node.out = node.inputs = node.grad_fn = None
     g = out.grad
     if g is None:
         return
+    if isinstance(g, RowGrad):
+        rows, values = g
+        g = np.zeros(out.data.shape)
+        g[rows] = values
     del out
     for t, gi in zip(inputs, grad_fn(g)):
         if gi is not None and t.requires_grad:
@@ -447,8 +433,8 @@ class GatheredRows:
     distinct row and spreads the results over the slots, and
     ``project_grads`` gives the weight gradient. The gradient of ``m`` is a
     ``RowGrad`` of the slots' gradients summed per distinct row (for
-    ``dense``, bitwise a scatter-add into zeros), which ``m`` keeps
-    row-sparse until a dense write arrives. Slots of ``skip_row`` gather
+    ``dense``, the values of a scatter-add into zeros), which ``m.grad``
+    holds as it is until a dense write arrives. Slots of ``skip_row`` gather
     normally but send ``m`` no gradient.
     """
 
@@ -495,7 +481,9 @@ class GatheredRows:
 
     def project(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``m[indices] @ w.T + b`` for w (out, d) and b (out,)."""
-        return (self.values @ w.T + b)[self.distinct[1]]
+        z = self.values @ w.T
+        z += b
+        return z[self.distinct[1]]
 
     def segment_sum(self, g: np.ndarray) -> np.ndarray:
         """(distinct rows, out): row k sums the rows of ``g`` at the slots of

@@ -45,7 +45,7 @@ from .embeddings import (
 from .layers import check_fields
 from .metrics import evaluate
 from .model import KINDS, check_max_len, heads_loss, probabilities
-from .tensor import Tape, backward
+from .tensor import RowGrad, Tape, backward
 
 # The checkpoint names this module offered before ``mcm.checkpoint`` held
 # them; the benchmark harness still imports them from here.
@@ -298,7 +298,7 @@ class Optimizer:
         each element sees the same operations in the same order, so the
         result is bitwise that of one whole-array update.
 
-        A purely row-sparse gradient (``Tensor.row_grad``, such as the
+        A row-sparse gradient (a ``RowGrad`` in ``grad``, such as the
         embedding table's) is never made dense. The rule runs on copies of
         the gradient's rows of the parameter and its state; the
         zero-gradient form (``g=None``), which equals the rule at a zero
@@ -309,19 +309,17 @@ class Optimizer:
         """
         self.rule.begin_step()
         for param, state in zip(self.params, self.state):
-            p = param.data
-            rg = param.row_grad
-            if rg is not None:
-                rows = rg.rows
+            p, g = param.data, param.grad
+            if g is None:
+                continue
+            if isinstance(g, RowGrad):
+                rows = g.rows
                 p_rows, state_rows = p[rows], tuple(s[rows] for s in state)
-                self._update(p_rows, rg.values, state_rows)
+                self._update(p_rows, g.values, state_rows)
                 self._update(p, None, state)
                 p[rows] = p_rows
                 for s, s_rows in zip(state, state_rows):
                     s[rows] = s_rows
-                continue
-            g = param.grad
-            if g is None:
                 continue
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")

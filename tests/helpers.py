@@ -22,7 +22,7 @@ import numpy as np
 from mcm.data import Vocabulary
 from mcm.embeddings import init_random
 from mcm.model import BaselineConfig, McmConfig, build_baseline, build_mcm
-from mcm.tensor import ShapeError, Tape, Tensor, apply_op, backward
+from mcm.tensor import RowGrad, ShapeError, Tape, Tensor, apply_op, backward
 
 
 def numerical_grad(value_fn, tensor, h=1e-5):
@@ -51,6 +51,17 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def dense_grad(t: Tensor) -> Optional[np.ndarray]:
+    """``t.grad`` as a dense array: a ``RowGrad`` spread into zeros, the
+    scatter whose values it holds; a dense gradient or None as it is."""
+    g = t.grad
+    if isinstance(g, RowGrad):
+        dense = np.zeros(t.data.shape)
+        dense[g.rows] = g.values
+        return dense
+    return g
+
+
 def gradcheck(build_loss, params, h=1e-5):
     """Worst relative error between reverse-mode and finite-difference
     gradients over ``params``.
@@ -66,7 +77,7 @@ def gradcheck(build_loss, params, h=1e-5):
     backward(loss, tape)
     worst = 0.0
     for p in params:
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        analytic = dense_grad(p) if p.grad is not None else np.zeros_like(p.data)
         numeric = numerical_grad(lambda: float(build_loss().data), p, h)
         worst = max(worst, max_rel_err(analytic, numeric))
     return worst

@@ -30,7 +30,14 @@ from mcm.layers import softmax_ce
 from mcm.tensor import Tape, Tensor, backward
 from mcm.trainer import CHOICES, TrainConfig, infer_probabilities
 
-from .helpers import gradcheck, max_rel_err, numerical_grad, weighted_sum, wrong_typed
+from .helpers import (
+    dense_grad,
+    gradcheck,
+    max_rel_err,
+    numerical_grad,
+    weighted_sum,
+    wrong_typed,
+)
 
 # step-major batches hold few distinct ids: repeats within and across rows,
 # and right-padding
@@ -245,7 +252,7 @@ def test_stop_disc_gradients_keeps_the_discriminator_loss_out_of_the_learners(st
     # a true gradient of 0, which rounding may or may not leave at 0.
     components = {name.split(".")[0] for name, _ in model.tensors()}
     reached = {name.split(".")[0] for name, t in model.tensors()
-               if t.grad is not None and np.any(t.grad != 0)}
+               if t.grad is not None and np.any(dense_grad(t) != 0)}
     assert reached == ({"disc"} if stop else components)
 
 
@@ -272,7 +279,7 @@ def model_gradcheck(model, ids, mode, targets):
     grads = {}
     for name, t in model.tensors():
         numeric = numerical_grad(lambda: float(value().data), t)
-        analytic = t.grad
+        analytic = dense_grad(t)
         if name == "embedding.vectors":
             assert np.all(analytic[PAD_ID] == 0.0)
             numeric, analytic = numeric[PAD_ID + 1:], analytic[PAD_ID + 1:]

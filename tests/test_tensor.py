@@ -8,6 +8,7 @@ from mcm.tensor import ShapeError, Tape, Tensor, backward
 
 from .helpers import (
     away_from_zero,
+    dense_grad,
     expand_cols,
     expand_rows,
     expand_scalar,
@@ -206,7 +207,7 @@ class TestStructureOps:
         backward(s, tape)
         expected = np.zeros((4, 2))
         expected[3] = 2.0
-        assert np.array_equal(m.grad, expected)
+        assert np.array_equal(dense_grad(m), expected)
 
     def test_gathered_rows_dense_skip_row_gets_no_gradient(self):
         m = Tensor(np.ones((3, 2)), requires_grad=True)
@@ -214,8 +215,8 @@ class TestStructureOps:
             s = T.reduce_sum(T.reduce_sum(T.GatheredRows(m, [0, 1, 0], skip_row=0).dense(), 1),
                              0)
         backward(s, tape)
-        assert np.array_equal(m.grad[0], [0.0, 0.0])
-        assert np.array_equal(m.grad[1], [1.0, 1.0])
+        assert np.array_equal(dense_grad(m)[0], [0.0, 0.0])
+        assert np.array_equal(dense_grad(m)[1], [1.0, 1.0])
 
     def test_expand_ops(self):
         v = Tensor([1.0, 2.0], requires_grad=True)
@@ -275,8 +276,8 @@ class TestRowSparseGrad:
         keep = idx != skip_row
         dense = np.zeros((9, 4))
         np.add.at(dense, idx[keep], r[keep])
-        assert m.grad.tobytes() == dense.tobytes()
-        assert m.grad.flags.c_contiguous
+        assert dense_grad(m).tobytes() == dense.tobytes()
+        assert m.grad.values.flags.c_contiguous
 
     @pytest.mark.parametrize("gather", GATHERS)
     def test_a_table_without_grad_gets_none(self, gather):
@@ -289,7 +290,7 @@ class TestRowSparseGrad:
             s = T.reduce_sum(T.reduce_sum(T.mul(out, w), 1), 0)
         backward(s, tape)
         assert out.data.tobytes() == m.data[idx].tobytes()
-        assert m.grad is None and m.row_grad is None
+        assert m.grad is None
         assert w.grad.tobytes() == m.data[idx].tobytes()
 
     @pytest.mark.parametrize("gather", GATHERS)
@@ -306,7 +307,7 @@ class TestRowSparseGrad:
         np.add.at(za, a, ra)
         np.add.at(zb, b, rb)
         zb += za  # backward visits the later gather first
-        assert m.grad.tobytes() == zb.tobytes()
+        assert dense_grad(m).tobytes() == zb.tobytes()
 
     @pytest.mark.parametrize("gather", GATHERS)
     @pytest.mark.parametrize("dense_first", [True, False])
@@ -325,7 +326,7 @@ class TestRowSparseGrad:
         with Tape() as tape:
             s = weighted_sum(GATHERS[gather](m, [0, 0], 0), np.ones((2, 3)))
         backward(s, tape)
-        assert np.array_equal(m.grad, np.zeros((4, 3)))
+        assert np.array_equal(dense_grad(m), np.zeros((4, 3)))
 
     @pytest.mark.parametrize("gather", GATHERS)
     def test_zero_grad_starts_the_next_backward_afresh(self, gather):
@@ -337,7 +338,7 @@ class TestRowSparseGrad:
             backward(s, tape)
         expected = np.zeros((4, 3))
         expected[2] = 1.0
-        assert np.array_equal(m.grad, expected)
+        assert np.array_equal(dense_grad(m), expected)
 
     @staticmethod
     def hand_grads(m, grads):
@@ -380,15 +381,15 @@ class TestRowSparseGrad:
         m = Tensor(np.ones((8, 2)), requires_grad=True)
         self.hand_grads(m, grads)
         want = self.dense_accumulation((8, 2), grads)
-        assert m.grad.tobytes() == want.tobytes()
-        assert (m.row_grad is not None) == (dense == "none")
+        assert dense_grad(m).tobytes() == want.tobytes()
+        assert isinstance(m.grad, T.RowGrad) == (dense == "none")
         # reading keeps the row-sparse form
-        assert m.grad.tobytes() == want.tobytes()
-        assert (m.row_grad is not None) == (dense == "none")
+        assert dense_grad(m).tobytes() == want.tobytes()
+        assert isinstance(m.grad, T.RowGrad) == (dense == "none")
         if dense == "none":
             rows = sorted({row for rows, _ in self.ROW_WRITES[:writes] for row in rows})
-            assert m.row_grad.rows.tolist() == rows
-            assert m.row_grad.values.tobytes() == want[rows].tobytes()
+            assert m.grad.rows.tolist() == rows
+            assert m.grad.values.tobytes() == want[rows].tobytes()
 
     def test_gradient_arrays_handed_over_are_not_written(self):
         g1 = T.RowGrad(np.array([2]), np.array([[1.0, 2.0]]))
@@ -401,8 +402,8 @@ class TestRowSparseGrad:
     def test_empty_row_grad_is_a_zero_gradient(self):
         m = Tensor(np.ones((4, 3)), requires_grad=True)
         self.hand_grads(m, [T.RowGrad(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))])
-        assert m.row_grad is not None and m.row_grad.rows.size == 0
-        assert m.grad.tobytes() == np.zeros((4, 3)).tobytes()
+        assert isinstance(m.grad, T.RowGrad) and m.grad.rows.size == 0
+        assert dense_grad(m).tobytes() == np.zeros((4, 3)).tobytes()
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_zero_grad_clears_either_form(self, dense):
@@ -411,7 +412,14 @@ class TestRowSparseGrad:
         self.hand_grads(m, grads)
         assert m.grad is not None
         m.zero_grad()
-        assert m.grad is None and m.row_grad is None
+        assert m.grad is None
+
+    def test_a_write_through_grad_changes_the_gradient(self):
+        # ``grad`` is the stored RowGrad itself, not an array built per read
+        m = Tensor(np.ones((4, 3)), requires_grad=True)
+        self.hand_grads(m, [T.RowGrad(np.array([1]), np.ones((1, 3)))])
+        m.grad.values[...] *= 2.0
+        assert dense_grad(m).tolist() == [[0.0] * 3, [2.0] * 3, [0.0] * 3, [0.0] * 3]
 
 
 class TestFreshGrad:
@@ -488,8 +496,8 @@ class TestGatheredRows:
             s = T.reduce_sum(T.reduce_sum(out, 1), 0)
         assert calls == [] and out.data.tobytes() == m.data[idx].tobytes()
         backward(s, tape)
-        assert calls and m.row_grad.rows.tolist() == [1, 4]
-        assert m.row_grad.values.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+        assert calls and m.grad.rows.tolist() == [1, 4]
+        assert m.grad.values.tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
     @pytest.mark.parametrize("skip_row", [None, 0])
     def test_project_grads_equal_dense_rule(self, skip_row):

@@ -2,7 +2,9 @@
 determinism of fit, best-epoch selection and batched inference."""
 import dataclasses
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,8 @@ from .helpers import (
     CLASSES,
     SMALL_MCM,
     SMALL_VOCAB,
+    dense_grad,
+    load_tool,
     shares_every_array,
     small_model,
     weighted_sum,
@@ -211,6 +215,46 @@ def test_run_training_refuses_an_unknown_kind(synth_run):
 
 
 # ---------------------------------------------------------------------------
+# the golden training run: what training and inference compute, pinned
+
+golden_training = load_tool("golden_training")
+# perfbench's pinned-loss tolerance: another BLAS build may sum in another order
+GOLDEN_RTOL = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text(
+        encoding="utf-8"))["tolerance"]["train_loss_rtol"]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """(the committed record, the corpus every run uses)."""
+    return (json.loads(golden_training.GOLDEN.read_text(encoding="utf-8")),
+            golden_training.corpus())
+
+
+def test_the_golden_record_holds_each_run_once(golden):
+    assert list(golden[0]) == sorted(name for name, *_ in golden_training.RUNS)
+
+
+def golden_numbers(rec) -> list:
+    """A record's floats: each epoch's loss, then each head's log-likelihood
+    in name order."""
+    heads = sorted(rec["log_likelihood"])
+    return [float.fromhex(h) for h in rec["train_loss"] + [rec["log_likelihood"][k] for k in heads]]
+
+
+@pytest.mark.parametrize("name, kind, overrides", golden_training.RUNS,
+                         ids=[name for name, *_ in golden_training.RUNS])
+def test_training_computes_the_golden_record(golden, name, kind, overrides):
+    want = golden[0][name]
+    got = golden_training.record(kind, overrides, golden[1])
+    assert got["best_epoch"] == want["best_epoch"]
+    assert got["log_likelihood"].keys() == want["log_likelihood"].keys()
+    assert len(got["train_loss"]) == len(want["train_loss"])
+    for g, w in zip(golden_numbers(got), golden_numbers(want)):
+        assert math.isclose(g, w, rel_tol=GOLDEN_RTOL, abs_tol=0.0), (g.hex(), w.hex())
+
+
+# ---------------------------------------------------------------------------
 # LSTM stacks: every in-place writer of the model's arrays fills each LSTM's
 # stacks, which checkpoints store as the gates' row blocks
 
@@ -366,7 +410,7 @@ def test_blockwise_steps_equal_whole_array_updates_bitwise(kind):
         backward(total, tape)
         for k, param in params.items():
             if param.grad is not None:
-                reference_update(kind, ref[k], param.grad, ref_state[k], t, 0.05)
+                reference_update(kind, ref[k], dense_grad(param), ref_state[k], t, 0.05)
         opt.step()
         opt.zero_grad()
         for (k, param), slots in zip(params.items(), opt.state):
@@ -459,10 +503,10 @@ def test_row_sparse_gradients_take_the_row_sparse_path_bitwise(kind, read_grad):
                 total = T.add(total, term)
         backward(total, tape)
         grads = dict(dense_weights, table=dense_table_grad(terms, weights))
-        assert (table.row_grad is not None) == (t in ROW_SPARSE_STEPS), f"step {t}"
+        assert isinstance(table.grad, T.RowGrad) == (t in ROW_SPARSE_STEPS), f"step {t}"
         if read_grad:
             for k, param in params.items():
-                got, want = param.grad, grads[k]
+                got, want = dense_grad(param), grads[k]
                 assert (got is None) == (want is None), f"{k} gradient at step {t}"
                 assert want is None or got.tobytes() == want.tobytes(), f"{k} at step {t}"
         for k in params:
@@ -493,7 +537,7 @@ def test_folded_adam_tracks_the_textbook_formula():
             total = T.add(weighted_sum(T.GatheredRows(table, ids).dense(), r),
                           weighted_sum(weight, rng.normal(size=(4, 5))))
         backward(total, tape)
-        grads = {"table": table.grad, "weight": weight.grad}
+        grads = {"table": dense_grad(table), "weight": weight.grad}
         for k, (m, v) in moments.items():  # Kingma & Ba, Algorithm 1
             g = grads[k]
             m += (1.0 - 0.9) * (g - m)

@@ -69,6 +69,15 @@ MESSAGES = "shukria bahut acha kaam\n\nrishwat mangta hai\n"
 MANY = "".join("\n" if i == 257 else f"shukria bahut acha kaam {i}\n" for i in range(1, 301))
 FIXTURE_TEST = "w1 w2 w3\ta\nw4 w5\tb\nw6 w7 w0\tc\nw2 w2\ta\n"
 FIXTURE_MESSAGES = "w1 w2\n\nw3 zzz w4\n"
+# A config file that sets a bool to false, for a train file whose labels are
+# not Table-1's (gen-synth's, each "praise" or "complaint") and that holds one
+# line of each kind a reader rejects (an empty label is an unknown one), and
+# a test file with one label the train file lacks.
+LABELS = ("train = data/labels-train.tsv\ntest = data/labels-test.tsv\nout = labels\n"
+          "epochs = 1\nembedding_dim = 8\nattention = no\n")
+PRAISE = ("Appreciation", "Satisfied")
+REJECTED = (b"\n" b"\xff\xfe not utf-8\tpraise\n" b"no tab here\n" b"no label here\t\n"
+            b"short\tpraise\n" b"one\tneutral\n")
 FIXTURE_NAMES = ["baseline", "small_mcm", "small_mcm_attention"]
 # (argv, the file on stdin, the expected exit code) of each command after
 # gen-synth and write_inputs, in order, in gen-synth's working directory
@@ -98,6 +107,11 @@ SCENARIOS = [
       "--out", "fixtures/format-2-eval"], None, 1),
     # a config file that sets a key twice is refused before any training
     (["train", "--config", "twice.cfg"], None, 1),
+    # a train file of other labels than Table-1's, with a line of each rejected kind
+    (["train", "--config", "labels.cfg"], None, 0),
+    # a test label that training never saw is refused, with its line
+    (["eval", "--checkpoint", "labels/checkpoint.mcm", "--test", "data/labels-test.tsv",
+      "--out", "labels/eval"], None, 1),
     (["matrix", *DATA, "--out", "matrix", *ARGS], None, 0),
     (["matrix", *DATA, "--out", "matrix-max-len-2", *ARGS, "--max-len", "2"], None, 0),
 ]
@@ -122,11 +136,20 @@ def with_format_key(raw: bytes) -> bytes:
     return raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + size:]
 
 
+def relabelled(path) -> str:
+    """The lines of a gen-synth TSV file, each labelled "praise" (a label of
+    ``PRAISE``) or "complaint"."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return "".join(f"{text}\t{'praise' if label in PRAISE else 'complaint'}\n"
+                   for text, label in (line.rsplit("\t", 1) for line in lines))
+
+
 def write_inputs() -> None:
-    """Write the files named in ``CONFIG`` and ``SCENARIOS`` that gen-synth
-    does not write; data/malformed.tsv is data/train.tsv and one line that
-    has no tab, and the two derived checkpoints are small_mcm.mcm cut to 100
-    bytes and with a ``format`` key."""
+    """Write the files named in ``CONFIG``, ``LABELS`` and ``SCENARIOS`` that
+    gen-synth does not write; data/malformed.tsv is data/train.tsv and one
+    line that has no tab, the labels files are gen-synth's ``relabelled``
+    with ``REJECTED`` and one unseen label, and the two derived checkpoints
+    are small_mcm.mcm cut to 100 bytes and with a ``format`` key."""
     train = Path("data/train.tsv").read_text(encoding="utf-8")
     Path("fixtures").mkdir()
     for name in FIXTURE_NAMES:
@@ -134,7 +157,10 @@ def write_inputs() -> None:
     small = (FIXTURES / "small_mcm.mcm").read_bytes()
     Path("fixtures/truncated.mcm").write_bytes(small[:100])
     Path("fixtures/format-2.mcm").write_bytes(with_format_key(small))
-    for path, text in [("run.cfg", CONFIG), ("twice.cfg", TWICE),
+    Path("data/labels-train.tsv").write_bytes(relabelled("data/train.tsv").encode() + REJECTED)
+    for path, text in [("run.cfg", CONFIG), ("twice.cfg", TWICE), ("labels.cfg", LABELS),
+                       ("data/labels-test.tsv",
+                        relabelled("data/test.tsv") + "a message nobody labelled\tneutral\n"),
                        ("data/malformed.tsv", train + "no tab here\n"),
                        ("messages.txt", MESSAGES), ("many.txt", MANY),
                        ("fixtures/test.tsv", FIXTURE_TEST),
