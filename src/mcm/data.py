@@ -1,5 +1,6 @@
 """Corpus ingestion, tokenization, vocabulary, encoding, stratified
-splitting, and a synthetic bilingual corpus generator.
+splitting, and a synthetic bilingual corpus generator. ``encode`` and
+``pick_max_len`` set no floor on ``max_len``: a model's config bounds it.
 
 The generator exists so the whole pipeline can be exercised offline: each
 class owns a disjoint keyword pool split across an English-like and a
@@ -158,7 +159,7 @@ def _label_lines(lines, names) -> TsvLoadResult:
     rejections = []
     for line_no, text, label, reason in lines:
         # an unknown label is reported before the line's other faults
-        if label is not None and label not in label_ids:
+        if label and label not in label_ids:
             reason = f"unknown label {label!r}"
         if reason is None:
             records.append(LabeledText(text, label_ids[label]))
@@ -171,9 +172,9 @@ def load_tsv(path, class_names) -> TsvLoadResult:
     """Read "text<TAB>label" lines into records labelled by their index in
     ``class_names``.
 
-    Malformed lines (invalid UTF-8, missing tab, unknown label, fewer than
-    two tokens) are collected into the rejection report instead of aborting
-    the load. Lines end at LF, CR or CRLF.
+    Malformed lines (invalid UTF-8, missing tab, empty or unknown label,
+    fewer than two tokens) are collected into the rejection report instead
+    of aborting the load. Lines end at LF, CR or CRLF.
     """
     return _label_lines(_read_tsv(path), class_names)
 
@@ -281,8 +282,6 @@ def encode_tokens(tokens, vocab: Vocabulary, max_len: int) -> np.ndarray:
 
 def encode(records, vocab: Vocabulary, max_len: int) -> EncodedCorpus:
     """Truncate to the first max_len tokens and right-pad."""
-    if max_len < 2:
-        raise ValueError("max_len must be >= 2")
     n = len(records)
     seqs = np.full((n, max_len), PAD_ID, dtype=np.int64)
     labels = np.empty(n, dtype=np.int64)
@@ -298,11 +297,11 @@ def token_id_sequences(records, vocab: Vocabulary) -> list:
 
 
 def pick_max_len(records) -> int:
-    """95th percentile of token lengths, at least 2, at most ``MAX_LEN_CAP``."""
+    """95th percentile of token lengths, at most ``MAX_LEN_CAP``."""
     lengths = [len(tokenize(rec.text)) for rec in records]
     if not lengths:
         raise ValueError("no records to size the sequence length from")
-    return int(min(max(int(np.ceil(np.percentile(lengths, 95))), 2), MAX_LEN_CAP))
+    return min(int(np.ceil(np.percentile(lengths, 95))), MAX_LEN_CAP)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ them. The embedding table trains when ``embedding.vectors.requires_grad``.
 
 Each model class is the one description of its kind (``Model``), and
 ``KINDS`` maps each kind's name to its class for ``mcm.checkpoint`` and
-``mcm.trainer``.
+``mcm.trainer``. ``check_config`` is the one rule each kind's config meets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -64,6 +64,18 @@ def check_max_len(max_len: int, shortest: int) -> None:
         raise ValueError(f"max_len {max_len} outside [{shortest}, {MAX_LEN_CEILING}]")
 
 
+def check_config(config, shortest: int) -> None:
+    """The one rule for a model config: each field holds a value its type
+    admits, ``max_len`` lies in [``shortest``, ``MAX_LEN_CEILING``], and
+    every ``int`` field, each a size, is at least 1. The sizes are read from
+    the type hints, so a new size field is checked without being listed."""
+    check_fields(type(config), vars(config))
+    check_max_len(config.max_len, shortest)
+    hints = get_type_hints(type(config))
+    if min(getattr(config, name) for name, hint in hints.items() if hint is int) < 1:
+        raise ValueError("all dimensions must be positive")
+
+
 @dataclass
 class McmConfig:
     vocab_size: int
@@ -81,11 +93,7 @@ class McmConfig:
     stop_disc_gradients: bool = False
 
     def __post_init__(self):
-        check_fields(McmConfig, vars(self))
-        check_max_len(self.max_len, self.kernel1 + self.kernel2 - 1)
-        if min(self.vocab_size, self.embed_dim, self.num_classes, self.num_filters,
-               self.hidden_dim, self.dense1_dim, self.dense2_dim) < 1:
-            raise ValueError("all dimensions must be positive")
+        check_config(self, self.kernel1 + self.kernel2 - 1)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
@@ -106,15 +114,15 @@ class LearnerHead(Params):
     dropout_rate: float
 
     @classmethod
-    def init(cls, in_dim: int, d1: int, d2: int, num_classes: int,
-             dropout_rate: float, rng: np.random.Generator):
+    def init(cls, in_dim: int, config: McmConfig, rng: np.random.Generator):
+        d1, d2 = config.dense1_dim, config.dense2_dim
         return cls(
             DenseParams.init(in_dim, d1, rng),
             BatchNormParams.init(d1),
             DenseParams.init(d1, d2, rng),
             BatchNormParams.init(d2),
-            DenseParams.init(d2, num_classes, rng),
-            dropout_rate,
+            DenseParams.init(d2, config.num_classes, rng),
+            config.dropout,
         )
 
 
@@ -203,7 +211,6 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
     """
     rngs = _component_rngs(config, embedding, seed_seq, 11)
     cfg = config
-    feat_total = 3 * cfg.dense2_dim
     return McmModel(
         config=cfg,
         embedding=embedding,
@@ -212,14 +219,10 @@ def build_mcm(config: McmConfig, embedding: EmbeddingTable, seed_seq) -> McmMode
         lstm_s1=LstmParams.init(cfg.embed_dim, cfg.hidden_dim, rngs[2]),
         lstm_s2=LstmParams.init(cfg.hidden_dim, cfg.hidden_dim, rngs[3]),
         lstm_enc=LstmParams.init(cfg.embed_dim, cfg.hidden_dim, rngs[4]),
-        head_cnn=LearnerHead.init(2 * cfg.num_filters, cfg.dense1_dim, cfg.dense2_dim,
-                                  cfg.num_classes, cfg.dropout, rngs[5]),
-        head_slstm=LearnerHead.init(2 * cfg.hidden_dim, cfg.dense1_dim, cfg.dense2_dim,
-                                    cfg.num_classes, cfg.dropout, rngs[6]),
-        head_lstm=LearnerHead.init(cfg.hidden_dim, cfg.dense1_dim, cfg.dense2_dim,
-                                   cfg.num_classes, cfg.dropout, rngs[7]),
-        disc=LearnerHead.init(feat_total, cfg.dense1_dim, cfg.dense2_dim,
-                              cfg.num_classes, cfg.dropout, rngs[8]),
+        head_cnn=LearnerHead.init(2 * cfg.num_filters, cfg, rngs[5]),
+        head_slstm=LearnerHead.init(2 * cfg.hidden_dim, cfg, rngs[6]),
+        head_lstm=LearnerHead.init(cfg.hidden_dim, cfg, rngs[7]),
+        disc=LearnerHead.init(3 * cfg.dense2_dim, cfg, rngs[8]),  # the three learners' features
         att_cnn=AttentionParams.init(cfg.num_filters, rngs[9]) if cfg.attention else None,
         att_lstm=AttentionParams.init(cfg.hidden_dim, rngs[10]) if cfg.attention else None,
     )
@@ -355,11 +358,7 @@ class BaselineConfig:
     hidden_dim: int = 128
 
     def __post_init__(self):
-        check_fields(BaselineConfig, vars(self))
-        check_max_len(self.max_len, self.kernel)
-        if min(self.vocab_size, self.embed_dim, self.num_classes, self.kernel,
-               self.num_filters, self.hidden_dim) < 1:
-            raise ValueError("all dimensions must be positive")
+        check_config(self, self.kernel)
 
 
 def build_baseline(config: BaselineConfig, embedding: EmbeddingTable, seed_seq) -> BaselineModel:

@@ -94,7 +94,8 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_len is not None:
-            check_max_len(self.max_len, 2)  # encode needs at least 2 ids
+            # the fewest ids of any kind; run_training lifts it to its own kind's
+            check_max_len(self.max_len, min(cls.shortest for cls in KINDS.values()))
 
     @property
     def resolved_embedding_dim(self) -> int:

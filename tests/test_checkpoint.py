@@ -31,6 +31,7 @@ from mcm.checkpoint import (
 from mcm.data import EncodedCorpus, Vocabulary, gen_synthetic, stratified_split, table1_profile
 from mcm.embeddings import init_random
 from mcm.model import (
+    KINDS,
     MAX_LEN_CEILING,
     BaselineConfig,
     BaselineModel,
@@ -47,6 +48,7 @@ from .helpers import (
     assemble_checkpoint,
     checkpoint_blocks,
     fill_payloads,
+    load_tool,
     shares_every_array,
     small_model,
     traced_memory,
@@ -54,6 +56,7 @@ from .helpers import (
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+golden_training = load_tool("golden_training")
 
 # ---------------------------------------------------------------------------
 # the writer refuses what the reader refuses
@@ -489,17 +492,11 @@ def with_config(path, **fields):
 
 
 
-MCM_SIZING = ["vocab_size", "embed_dim", "kernel1", "kernel2", "num_filters", "hidden_dim",
-              "dense1_dim", "dense2_dim", "num_classes"]
-BASELINE_SIZING = ["vocab_size", "embed_dim", "kernel", "num_filters", "hidden_dim",
-                   "num_classes"]
-
-
 # A dimension of 10**12 would make any allocation from it fail, so a
 # CheckpointError shows the check ran before the model skeleton was built.
 @pytest.mark.parametrize("value", [10 ** 12, None, "4"])
-@pytest.mark.parametrize("kind,field", [("mcm", f) for f in MCM_SIZING]
-                         + [("baseline", f) for f in BASELINE_SIZING])
+@pytest.mark.parametrize("kind,field", [(kind, f) for kind in ("mcm", "baseline")
+                                        for f in KINDS[kind].sizing])
 def test_config_dimension_is_checked_against_arrays_before_building(
         ckpt_path, baseline_path, kind, field, value):
     path = ckpt_path if kind == "mcm" else baseline_path
@@ -601,19 +598,34 @@ def test_a_frozen_table_stays_frozen_through_a_checkpoint(tmp_path):
     assert all(p is not table for p in rebuilt.parameters())
 
 
-def test_a_baseline_checkpoint_with_a_zero_dimension_is_refused(baseline_path, capsys):
-    ckpt = load_checkpoint(baseline_path)
-    edit = {"config": {**ckpt.config, "num_filters": 0},
-            "arrays": {name: a[..., :0] if name in ("conv.weights", "conv.bias", "hidden.weights")
-                       else a for name, a in ckpt.arrays.items()}}  # the filter axis is last
+def refused_when_made(path, edit: dict, capsys) -> None:
+    """The checkpoint at ``path`` with the fields of ``edit`` replaced cannot
+    be made, and ``mcm predict`` on its bytes prints the one error line."""
+    ckpt = load_checkpoint(path)
     message = "invalid checkpoint configuration: all dimensions must be positive"
     with pytest.raises(CheckpointError, match=f"^{message}$"):
         dataclasses.replace(ckpt, **edit)
-    with open(baseline_path, "wb") as fh:  # the bytes a checkpoint cannot be made of
+    with open(path, "wb") as fh:  # the bytes a checkpoint cannot be made of
         unchecked = types.SimpleNamespace(**{**vars(ckpt), **edit})
         checkpoint._write_checkpoint(unchecked, fh)
-    assert cli.main(["predict", "--checkpoint", str(baseline_path)]) == 1
+    assert cli.main(["predict", "--checkpoint", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_baseline_checkpoint_with_a_zero_dimension_is_refused(baseline_path, capsys):
+    ckpt = load_checkpoint(baseline_path)
+    refused_when_made(baseline_path, {
+        "config": {**ckpt.config, "num_filters": 0},
+        "arrays": {name: a[..., :0] if name in ("conv.weights", "conv.bias", "hidden.weights")
+                   else a for name, a in ckpt.arrays.items()}}, capsys)  # the filter axis is last
+
+
+@pytest.mark.parametrize("field,array", [("kernel1", "cnn1.weights"), ("kernel2", "cnn2.weights")])
+def test_a_mcm_checkpoint_with_a_zero_kernel_is_refused(ckpt_path, capsys, field, array):
+    ckpt = load_checkpoint(ckpt_path)
+    refused_when_made(ckpt_path, {  # the kernel axis is first
+        "config": {**ckpt.config, field: 0},
+        "arrays": {**ckpt.arrays, array: ckpt.arrays[array][:0]}}, capsys)
 
 
 @pytest.mark.parametrize("kind", ["mcm", "baseline"])
@@ -629,16 +641,21 @@ def test_max_len_at_the_ceiling_loads(ckpt_path, baseline_path, kind):
 # small_mcm_attention.mcm is SMALL_MCM with attention, its buffers shifted
 # the same way (buffer k in field order gets + 0.25 * (k + 1)), written by
 # the code of commit d3d270e, before parameter groups named their arrays
-# from their fields; it pins where the attention arrays are stored.
+# from their fields; it pins where the attention arrays are stored. The
+# golden fixtures are trained models that tools/golden_training.py wrote.
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+GOLDEN_FIXTURES = [golden_training.fixture_path(name).name
+                   for name, *_ in golden_training.FIXTURES]
 
 
-@pytest.mark.parametrize("name", ["small_mcm.mcm", "small_mcm_attention.mcm", "baseline.mcm"])
+@pytest.mark.parametrize("name", ["small_mcm.mcm", "small_mcm_attention.mcm", "baseline.mcm",
+                                  *GOLDEN_FIXTURES])
 def test_committed_checkpoint_loads_and_resaves_byte_identically(tmp_path, name):
     path = os.path.join(FIXTURES, name)
     ckpt = load_checkpoint(path)
     model, vocab = rebuild_model(ckpt)
-    save_checkpoint(make_checkpoint(model, vocab, ckpt.class_names), tmp_path / name)
+    record = {key: ckpt.config[key] for key in checkpoint.RECORD if key in ckpt.config}
+    save_checkpoint(make_checkpoint(model, vocab, ckpt.class_names, **record), tmp_path / name)
     with open(path, "rb") as fh:
         assert (tmp_path / name).read_bytes() == fh.read()
 

@@ -210,6 +210,29 @@ def test_eval_reports_the_lines_it_rejects(tmp_path):
         assert [r["status"] for r in csv.DictReader(fh)] == ["ok"]
 
 
+def test_eval_skips_a_line_with_an_empty_label(tmp_path):
+    ckpt_file = os.path.join(TESTS, "fixtures", "baseline.mcm")  # classes a, b, c
+    (tmp_path / "test.tsv").write_text("w1 w2 w3\ta\nw4 w5\t \nw4 w5\tb\nw6 w7 w0\tc\n")
+    ev = mcm(tmp_path, "eval", "--checkpoint", ckpt_file, "--test", "test.tsv", "--out", "ev")
+    assert ev.returncode == 0, ev.stderr
+    assert ev.stderr.splitlines() == ["test: rejected 1 of 4 lines"]
+
+
+def test_eval_serves_what_predict_serves_at_the_fewest_ids(tmp_path):
+    # kernels (1, 1) see one id, so a max_len of 1 is a config McM admits
+    cfg = dataclasses.replace(SMALL_MCM, kernel1=1, kernel2=1, max_len=1)
+    model = build_mcm(cfg, init_random(10, 4, np.random.default_rng(0)), 0)
+    save_checkpoint(make_checkpoint(model, SMALL_VOCAB, ["a", "b", "c"]), tmp_path / "one.mcm")
+    (tmp_path / "test.tsv").write_text("w1 w2 w3\ta\nw4 w5\tb\n")
+    ev = mcm(tmp_path, "eval", "--checkpoint", "one.mcm", "--test", "test.tsv", "--out", "ev")
+    assert ev.returncode == 0, ev.stderr
+    with open(tmp_path / "ev" / "eval_results.csv", newline="", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["ok"] * 4
+    pred = mcm(tmp_path, "predict", "--checkpoint", "one.mcm", stdin="w1 w2\nw4 w5\n")
+    assert pred.returncode == 0, pred.stderr
+    assert len(pred.stdout.splitlines()) == 2
+
+
 # A checkpoint's vocabulary and class list, each made wrong in one way, and
 # the one line `mcm predict` and `mcm eval` print for it.
 PAD_UNK = "vocabulary must start with '<pad>' and '<unk>'"

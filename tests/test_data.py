@@ -218,7 +218,8 @@ class TestGenSynthetic:
 
 def strict_load_tsv(path, class_names):
     """load_tsv as it was before it took invalid UTF-8: strict decoding, so
-    one bad byte raised UnicodeDecodeError and failed the whole load."""
+    one bad byte raised UnicodeDecodeError and failed the whole load. Like
+    load_tsv, it reports an empty label as one, not as an unknown label."""
     label_ids = {name: i for i, name in enumerate(class_names)}
     records, rejections = [], []
     with open(path, encoding="utf-8") as fh:
@@ -232,6 +233,9 @@ def strict_load_tsv(path, class_names):
                 rejections.append((line_no, "missing tab separator"))
                 continue
             label = label.strip()
+            if not label:
+                rejections.append((line_no, "empty label"))
+                continue
             if label not in label_ids:
                 rejections.append((line_no, f"unknown label {label!r}"))
                 continue
@@ -342,7 +346,7 @@ class TestLoadTrainingTsv:
         assert [r.label for r in result.records] == [2, 1, 3, 0, 1]
         assert result.rejections == [(5, "unknown label 'one-token'"),
                                      (6, "missing tab separator"),
-                                     (7, "unknown label ''")]
+                                     (7, "empty label")]
         assert result == load_tsv(path, names)
 
     def test_repeated_class_names_are_refused(self, tmp_path):

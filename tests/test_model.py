@@ -3,8 +3,9 @@ pool against its per-op composition, the head order, each kind's shortest
 input, the max_len bounds that training shares with checkpoint loading,
 the type of each config field, each row of a batch against that row as a
 batch of one, each head's probabilities, and a finite-difference check of
-the whole model's gradient, and the baseline's dimension check."""
+the whole model's gradient, and the one check of every size field."""
 import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ def test_the_baseline_refuses_a_zero_dimension(field):
     with pytest.raises(ValueError, match="all dimensions must be positive"):
         build_baseline(dataclasses.replace(cfg, **{field: 0}),
                        init_random(10, 4, np.random.default_rng(0)), 0)
+
+
+def int_fields(config_cls) -> set:
+    return {name for name, hint in typing.get_type_hints(config_cls).items() if hint is int}
+
+
+@pytest.mark.parametrize("kind,field", [(kind, field) for kind in sorted(KINDS)
+                                        for field in sorted(int_fields(KINDS[kind].config_class))])
+def test_a_model_config_refuses_any_int_field_at_zero(kind, field):
+    config_cls = KINDS[kind].config_class
+    message = "max_len 0 outside" if field == "max_len" else "^all dimensions must be positive$"
+    with pytest.raises(ValueError, match=message):
+        config_cls(**{**REQUIRED[config_cls], field: 0})
+
+
+# The check that runs when a checkpoint is made, before any array is
+# allocated, and the rule that sizes its arrays cover the same fields.
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_kinds_sizing_names_its_configs_int_fields_but_max_len(kind):
+    cls = KINDS[kind]
+    assert set(cls.sizing) == int_fields(cls.config_class) - {"max_len"}
 
 
 def tiny_mcm(seed=0, **overrides):

@@ -29,16 +29,16 @@ def test_a_checkout_against_itself_reports_nothing(short_list, capsys):
     assert output_manifest.main([REPO, REPO]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
-    # stdout, stderr and exit of gen-synth and the two commands, and 18 files:
-    # gen-synth's 2, write_inputs' 15 and the eval's results
-    assert captured.err == "0 of 27 entries differ\n"
+    # stdout, stderr and exit of gen-synth and the two commands, and 23 files:
+    # gen-synth's 2, write_inputs' 20 and the eval's results
+    assert captured.err == "0 of 32 entries differ\n"
 
 
 def test_the_manifest_names_each_output_once(short_list, capsys):
     assert output_manifest.main([REPO]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = [line.split("  ", 1)[1] for line in lines]
-    assert len(set(names)) == len(names) == 27
+    assert len(set(names)) == len(names) == 32
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
     assert GEN_SYNTH_STDOUT in names and "fixtures/baseline-eval/eval_results.csv" in names
 
@@ -68,7 +68,7 @@ def test_a_changed_output_string_is_named(short_list, tmp_path, capsys):
     assert output_manifest.main([REPO, str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [GEN_SYNTH_STDOUT]
-    assert captured.err == "1 of 27 entries differ\n"
+    assert captured.err == "1 of 32 entries differ\n"
 
 
 def test_a_directory_without_the_cli_is_refused_before_any_run(tmp_path, monkeypatch, capsys):

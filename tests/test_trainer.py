@@ -254,6 +254,32 @@ def test_training_computes_the_golden_record(golden, name, kind, overrides):
         assert math.isclose(g, w, rel_tol=GOLDEN_RTOL, abs_tol=0.0), (g.hex(), w.hex())
 
 
+# what each committed golden fixture answers, recomputed from its file
+FIXTURE_NAMES = [name for name, *_ in golden_training.FIXTURES]
+
+
+@pytest.fixture(scope="module")
+def golden_answers():
+    return json.loads(golden_training.ANSWERS.read_text(encoding="utf-8"))
+
+
+def test_the_golden_answers_hold_each_fixture_once(golden_answers):
+    assert sorted(golden_answers) == sorted(FIXTURE_NAMES)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_golden_fixture_serves_its_golden_answers(golden_answers, name):
+    model, vocab = rebuild_model(load_checkpoint(golden_training.fixture_path(name)))
+    got, want = golden_training.answers(model, vocab), golden_answers[name]
+    assert got.keys() == want.keys()
+    for head in want:
+        assert got[head].keys() == want[head].keys() == set(golden_training.MESSAGES)
+        for message, row in want[head].items():
+            np.testing.assert_allclose(
+                [float.fromhex(x) for x in got[head][message]], [float.fromhex(x) for x in row],
+                rtol=golden_training.ANSWERS_RTOL, atol=0.0, err_msg=f"{head}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # LSTM stacks: every in-place writer of the model's arrays fills each LSTM's
 # stacks, which checkpoints store as the gates' row blocks

@@ -58,8 +58,10 @@ GEN_SYNTH = ["gen-synth", "--n", "120", "--seed", "5", "--out", "data"]
 # The files the scenarios read besides gen-synth's (see ``write_inputs``): a
 # config file with a bool key, read with the train file with one malformed
 # line; a config file that sets a key twice; messages to predict, 300 of
-# them with line 257 empty (more than one inference batch of 256); and a
-# test file and messages in the fixtures' words (w0-w7) and classes (a, b, c).
+# them with line 257 empty (more than one inference batch of 256); a test
+# file and messages in the small fixtures' words (w0-w7) and classes (a, b,
+# c); and a test file and messages in the golden fixtures' words
+# (tools/golden_training.py's corpus) and classes (Table-1's).
 CONFIG = ("train = data/malformed.tsv\ntest = data/test.tsv\nout = elmo\nepochs = 1\n"
           "embedding = elmo_like\nembedding_dim = 8\nselect_on = validation\n"
           "optimizer = adadelta\nattention = yes\n")
@@ -69,16 +71,26 @@ MESSAGES = "shukria bahut acha kaam\n\nrishwat mangta hai\n"
 MANY = "".join("\n" if i == 257 else f"shukria bahut acha kaam {i}\n" for i in range(1, 301))
 FIXTURE_TEST = "w1 w2 w3\ta\nw4 w5\tb\nw6 w7 w0\tc\nw2 w2\ta\n"
 FIXTURE_MESSAGES = "w1 w2\n\nw3 zzz w4\n"
+GOLDEN_TEST = ("zabardast bravo thankyou tareef\tAppreciation\n"
+               "sorted resolved mutmaeen theek\tSatisfied\n"
+               "bheer crowded parking intezargah\tPeripheral complaint\n"
+               "audit probe maloomat parhtal\tDemanded inquiry\n"
+               "rishwat paisay mangta kickback\tCorruption\n")
+GOLDEN_MESSAGES = "Zabardast!! BRAVO, thankyou\nsorted resolved\n\nrishwat qwerty audit\n"
 # A config file that sets a bool to false, for a train file whose labels are
 # not Table-1's (gen-synth's, each "praise" or "complaint") and that holds one
-# line of each kind a reader rejects (an empty label is an unknown one), and
-# a test file with one label the train file lacks.
+# line of each kind a reader rejects, and a test file with one label the
+# train file lacks.
 LABELS = ("train = data/labels-train.tsv\ntest = data/labels-test.tsv\nout = labels\n"
           "epochs = 1\nembedding_dim = 8\nattention = no\n")
 PRAISE = ("Appreciation", "Satisfied")
 REJECTED = (b"\n" b"\xff\xfe not utf-8\tpraise\n" b"no tab here\n" b"no label here\t\n"
             b"short\tpraise\n" b"one\tneutral\n")
-FIXTURE_NAMES = ["baseline", "small_mcm", "small_mcm_attention"]
+# (name, test file, messages) of each committed fixture that eval and predict serve
+SMALL_INPUTS = ("fixtures/test.tsv", "fixtures/messages.txt")
+GOLDEN_INPUTS = ("fixtures/golden-test.tsv", "fixtures/golden-messages.txt")
+SERVED = ([(name, *SMALL_INPUTS) for name in ("baseline", "small_mcm", "small_mcm_attention")]
+          + [(f"golden_{name}", *GOLDEN_INPUTS) for name in ("mcm_attention", "mcm", "baseline")])
 # (argv, the file on stdin, the expected exit code) of each command after
 # gen-synth and write_inputs, in order, in gen-synth's working directory
 SCENARIOS = [
@@ -95,10 +107,10 @@ SCENARIOS = [
     (["eval", "--checkpoint", "random/checkpoint.mcm", "--test", "data/malformed.tsv",
       "--out", "random/eval-malformed"], None, 0),
     (["predict", "--checkpoint", "random/checkpoint.mcm"], "many.txt", 0),
-    *[step for name in FIXTURE_NAMES for step in (
-        (["eval", "--checkpoint", f"fixtures/{name}.mcm", "--test", "fixtures/test.tsv",
+    *[step for name, test, messages in SERVED for step in (
+        (["eval", "--checkpoint", f"fixtures/{name}.mcm", "--test", test,
           "--out", f"fixtures/{name}-eval"], None, 0),
-        (["predict", "--checkpoint", f"fixtures/{name}.mcm"], "fixtures/messages.txt", 0))],
+        (["predict", "--checkpoint", f"fixtures/{name}.mcm"], messages, 0))],
     # a checkpoint cut to 100 bytes is refused with one error: line
     (["predict", "--checkpoint", "fixtures/truncated.mcm"], "messages.txt", 1),
     # so is a checkpoint whose config holds a key the reader does not know
@@ -152,7 +164,7 @@ def write_inputs() -> None:
     are small_mcm.mcm cut to 100 bytes and with a ``format`` key."""
     train = Path("data/train.tsv").read_text(encoding="utf-8")
     Path("fixtures").mkdir()
-    for name in FIXTURE_NAMES:
+    for name, *_ in SERVED:
         shutil.copyfile(FIXTURES / f"{name}.mcm", f"fixtures/{name}.mcm")
     small = (FIXTURES / "small_mcm.mcm").read_bytes()
     Path("fixtures/truncated.mcm").write_bytes(small[:100])
@@ -164,7 +176,9 @@ def write_inputs() -> None:
                        ("data/malformed.tsv", train + "no tab here\n"),
                        ("messages.txt", MESSAGES), ("many.txt", MANY),
                        ("fixtures/test.tsv", FIXTURE_TEST),
-                       ("fixtures/messages.txt", FIXTURE_MESSAGES)]:
+                       ("fixtures/messages.txt", FIXTURE_MESSAGES),
+                       ("fixtures/golden-test.tsv", GOLDEN_TEST),
+                       ("fixtures/golden-messages.txt", GOLDEN_MESSAGES)]:
         Path(path).write_text(text, encoding="utf-8")
 
 
