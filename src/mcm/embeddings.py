@@ -38,9 +38,8 @@ class SkipGramConfig:
 
     def __post_init__(self):
         check_fields(SkipGramConfig, vars(self))
-        if self.dim <= 0 or self.window < 1 or self.negative_samples < 1:
-            raise ValueError("invalid skip-gram configuration")
-        if self.epochs < 0 or self.learning_rate <= 0:
+        if (self.dim < 1 or self.window < 1 or self.negative_samples < 1 or self.epochs < 0
+                or not 0 < self.learning_rate < np.inf):
             raise ValueError("invalid skip-gram configuration")
 
 

@@ -85,12 +85,13 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(TrainConfig, vars(self), CHOICES)
-        if min(self.epochs, self.batch_size, self.min_count, self.resolved_embedding_dim) < 1:
-            raise ValueError("epochs, batch_size, min_count and embedding_dim must be at least 1")
+        for name in ("epochs", "batch_size", "min_count", "embedding_dim"):
+            if (value := getattr(self, name)) is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_len is not None:
@@ -270,7 +271,7 @@ class Optimizer:
     """Binds one update rule to a model's trainable tensors."""
 
     def __init__(self, kind: str, params, lr: float):
-        check_fields(TrainConfig, {"optimizer": kind}, CHOICES)
+        TrainConfig(optimizer=kind)  # the one rule for a training option
         self.params = list(params)
         self.lr = lr
         self.rule = _RULES[kind]()

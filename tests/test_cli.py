@@ -114,7 +114,7 @@ def test_train_with_a_nan_learning_rate_prints_one_error(tmp_path):
               "--out", "run", "--epochs", "1", "--embedding-dim", "8", "--lr", "nan")
     assert run.returncode == 1
     lines = run.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: learning rate"), run.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: learning_rate"), run.stderr
     assert run.stdout == "" and not (tmp_path / "run" / "checkpoint.mcm").exists()
 
 

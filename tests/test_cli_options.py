@@ -84,6 +84,43 @@ def test_a_config_value_outside_its_choices_names_the_file_line_and_key(
     assert not (tmp_path / "run").exists()
 
 
+# option name -> a value outside its field's bound, and TrainConfig's refusal
+OUT_OF_BOUNDS = {
+    "epochs": ("0", "epochs must be at least 1, got 0"),
+    "batch_size": ("0", "batch_size must be at least 1, got 0"),
+    "min_count": ("0", "min_count must be at least 1, got 0"),
+    "embedding_dim": ("0", "embedding_dim must be at least 1, got 0"),
+    "lr": ("-1", "learning_rate must be finite and positive, got -1.0"),
+    "dropout": ("1", "dropout must lie in [0, 1), got 1.0"),
+    "max_len": ("5000", "max_len 5000 outside [2, 1024]"),
+}
+
+
+@pytest.mark.parametrize("key", list(OUT_OF_BOUNDS))
+def test_a_config_value_outside_its_bound_names_the_file_line_and_key(
+        tmp_path, monkeypatch, capsys, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.tsv").write_text("shukria bahut acha\tAppreciation\n"
+                                       "rishwat mangta hai\tCorruption\n", encoding="utf-8")
+    text, message = OUT_OF_BOUNDS[key]
+    path = write_config(tmp_path, f"train = data.tsv\ntest = data.tsv\nout = run\n"
+                                  f"{key} = {text}\n")
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:4: {key}: {message}"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "matrix"])
+@pytest.mark.parametrize("key", list(OUT_OF_BOUNDS))
+def test_a_flag_value_outside_its_bound_names_its_field(tmp_path, capsys, command, key):
+    text, message = OUT_OF_BOUNDS[key]
+    argv = [command, "--train", str(tmp_path / "no.tsv"), "--test", str(tmp_path / "no.tsv"),
+            "--out", str(tmp_path / "run"), "--" + key.replace("_", "-"), text]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"epochs=3\nlr=\xff\n")
@@ -221,4 +258,11 @@ def test_gen_synth_refuses_a_rate_outside_0_1(tmp_path, monkeypatch, capsys, fla
     assert main(["gen-synth", "--n", "120", "--out", "data", flag, value]) == 1
     name = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"error: {name} must lie in [0, 1], got {float(value)}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_gen_synth_refuses_a_negative_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-synth", "--n", "120", "--out", "data", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not (tmp_path / "data").exists()

@@ -162,7 +162,9 @@ class TestSkipGram:
         assert str(info.value).startswith(f"{field} {value!r} is not ")
 
     @pytest.mark.parametrize("field,value", [("dim", 0), ("window", 0), ("negative_samples", 0),
-                                             ("epochs", -1), ("learning_rate", 0.0)])
+                                             ("epochs", -1), ("learning_rate", 0.0),
+                                             ("learning_rate", float("nan")),
+                                             ("learning_rate", float("inf"))])
     def test_config_refuses_a_value_out_of_range(self, field, value):
         with pytest.raises(ValueError, match="invalid skip-gram configuration"):
             SkipGramConfig(**{field: value})

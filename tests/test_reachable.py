@@ -41,7 +41,7 @@ KEEP = {
     "layers.soft_attention": "one sequence, the reference for soft_attention_batch",
     "tensor.elementwise": "the dispatch over the elementwise ops",
     "tensor.reduce": "the dispatch over the reductions",
-    "tensor.matvec": "the tape op soft_attention scores with",
+    "tensor.matvec": "the tape op lstm_step multiplies its weights with",
     # the ops only those entry points call
     "tensor.sub": "an elementwise kind",
     "tensor.mul": "an elementwise kind, and lstm_step's gate products",

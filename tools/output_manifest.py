@@ -57,16 +57,18 @@ DATA = ["--train", "data/train.tsv", "--test", "data/test.tsv"]
 GEN_SYNTH = ["gen-synth", "--n", "120", "--seed", "5", "--out", "data"]
 # The files the scenarios read besides gen-synth's (see ``write_inputs``): a
 # config file with a bool key, read with the train file with one malformed
-# line; a config file that sets a key twice; messages to predict, 300 of
-# them with line 257 empty (more than one inference batch of 256); a test
-# file and messages in the small fixtures' words (w0-w7) and classes (a, b,
-# c); and a test file and messages in the golden fixtures' words
-# (tools/golden_training.py's corpus) and classes (Table-1's).
+# line; a config file that sets a key twice, and one that sets a value
+# outside its bound; messages to predict, 300 of them with line 257 empty
+# (more than one inference batch of 256); a test file and messages in the
+# small fixtures' words (w0-w7) and classes (a, b, c); and a test file and
+# messages in the golden fixtures' words (tools/golden_training.py's corpus)
+# and classes (Table-1's).
 CONFIG = ("train = data/malformed.tsv\ntest = data/test.tsv\nout = elmo\nepochs = 1\n"
           "embedding = elmo_like\nembedding_dim = 8\nselect_on = validation\n"
           "optimizer = adadelta\nattention = yes\n")
 TWICE = ("train = data/train.tsv\ntest = data/test.tsv\nout = twice\nepochs = 1\n"
          "embedding_dim = 8\nepochs = 2\n")
+BOUND = "train = data/train.tsv\ntest = data/test.tsv\nout = bound\nepochs = 0\n"
 MESSAGES = "shukria bahut acha kaam\n\nrishwat mangta hai\n"
 MANY = "".join("\n" if i == 257 else f"shukria bahut acha kaam {i}\n" for i in range(1, 301))
 FIXTURE_TEST = "w1 w2 w3\ta\nw4 w5\tb\nw6 w7 w0\tc\nw2 w2\ta\n"
@@ -119,6 +121,8 @@ SCENARIOS = [
       "--out", "fixtures/format-2-eval"], None, 1),
     # a config file that sets a key twice is refused before any training
     (["train", "--config", "twice.cfg"], None, 1),
+    # so is one that sets a value outside its bound, naming the line and key
+    (["train", "--config", "bound.cfg"], None, 1),
     # a train file of other labels than Table-1's, with a line of each rejected kind
     (["train", "--config", "labels.cfg"], None, 0),
     # a test label that training never saw is refused, with its line
@@ -170,7 +174,8 @@ def write_inputs() -> None:
     Path("fixtures/truncated.mcm").write_bytes(small[:100])
     Path("fixtures/format-2.mcm").write_bytes(with_format_key(small))
     Path("data/labels-train.tsv").write_bytes(relabelled("data/train.tsv").encode() + REJECTED)
-    for path, text in [("run.cfg", CONFIG), ("twice.cfg", TWICE), ("labels.cfg", LABELS),
+    for path, text in [("run.cfg", CONFIG), ("twice.cfg", TWICE), ("bound.cfg", BOUND),
+                       ("labels.cfg", LABELS),
                        ("data/labels-test.tsv",
                         relabelled("data/test.tsv") + "a message nobody labelled\tneutral\n"),
                        ("data/malformed.tsv", train + "no tab here\n"),
